@@ -1,24 +1,14 @@
-"""Hot-path field kernels with backend dispatch.
+"""The phase-gradient field kernel.
 
-The phase-gradient field is evaluated on every quadrature node of the
-punctured-energy integrals, so it gets a compiled implementation when the
-extension built; the numpy fallback is always available and is the
-reference for correctness.
+It is evaluated on every quadrature node of the punctured-energy
+integrals, so it is the hot path of the expansion check.
 """
 from __future__ import annotations
 
 import numpy as np
 
-try:  # pragma: no cover - depends on build environment
-    from . import _fastkernels
 
-    BACKEND = "cython"
-except ImportError:  # pragma: no cover
-    _fastkernels = None
-    BACKEND = "numpy"
-
-
-def grad_phi_field_numpy(
+def grad_phi_field(
     z: np.ndarray,
     alpha: np.ndarray,
     degrees: np.ndarray,
@@ -28,38 +18,25 @@ def grad_phi_field_numpy(
 ) -> np.ndarray:
     """Gradient (as a complex number dx + i dy) of the total phase potential.
 
-    Terms per vortex: the singular part (z - a)/|z - a|^2, the reflected
-    part -a (1 - conj(a) z)/|1 - conj(a) z|^2, twice the reflected part of
-    the reference vortices, minus i conj(P(z)) for the boundary-phase
-    polynomial P = gprime.
+    The gradient is conj(h(z)) for the holomorphic
+
+        h = sum_j d_j / (z - a_j) - sum_j d_j conj(a_j) / (1 - conj(a_j) z)
+            + 2 sum_j d0_j conj(a0_j) / (1 - conj(a0_j) z) + i P(z),
+
+    with vortices (alpha, degrees), reference vortices (alpha0, degrees0)
+    and the boundary-phase polynomial P = gprime (coefficients by
+    ascending power). The result has the shape of z.
     """
     zz = np.asarray(z, dtype=complex)
-    out = np.zeros_like(zz)
+    h = np.zeros_like(zz)
+    for c in gprime[::-1]:  # Horner, in place: h <- h z + i c
+        h *= zz
+        h += 1j * c
     for a, d in zip(alpha, degrees):
-        dz = zz - a
-        u = 1.0 - np.conj(a) * zz
-        out += d * (dz / (dz.real**2 + dz.imag**2) - a * u / (u.real**2 + u.imag**2))
+        b = np.conj(a)
+        h += d / (zz - a)
+        h -= d * b / (1.0 - b * zz)
     for a, d in zip(alpha0, degrees0):
-        u = 1.0 - np.conj(a) * zz
-        out += 2.0 * d * a * u / (u.real**2 + u.imag**2)
-    if gprime.size:
-        out -= 1j * np.conj(np.polynomial.polynomial.polyval(zz, gprime))
-    return out
-
-
-def grad_phi_field(z, alpha, degrees, alpha0, degrees0, gprime) -> np.ndarray:
-    zz = np.asarray(z, dtype=complex)
-    if _fastkernels is None:
-        return grad_phi_field_numpy(zz, alpha, degrees, alpha0, degrees0, gprime)
-    flat = np.ascontiguousarray(zz.ravel())
-    out = np.empty_like(flat)
-    _fastkernels.grad_phi_kernel(
-        flat,
-        np.ascontiguousarray(alpha, dtype=complex),
-        np.ascontiguousarray(degrees, dtype=float),
-        np.ascontiguousarray(alpha0, dtype=complex),
-        np.ascontiguousarray(degrees0, dtype=float),
-        np.ascontiguousarray(gprime, dtype=complex),
-        out,
-    )
-    return out.reshape(zz.shape)
+        b = np.conj(a)
+        h += 2.0 * d * b / (1.0 - b * zz)
+    return np.conjugate(h, out=h)

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
+import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -31,20 +31,17 @@ from .disc_energy import (
     hat_w,
     hat_w_grad,
     hat_w_hess,
-    w_disc_grad,
     w_disc_hess,
 )
 from .errors import VortexwError
 from .expansion import expansion_report
 from .harmonic import h_half_seminorm_sq, harmonic_conjugate
-from .transport import transport_hat_w, transport_hat_w_grad, transport_w
-
-
-def _n_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("VORTEXW_THREADS", "1")))
-    except ValueError:
-        return 1
+from .transport import (
+    transport_hat_w,
+    transport_hat_w_grad,
+    transport_w,
+    transport_w_grad,
+)
 
 
 # ---------------------------------------------------------------- input
@@ -103,16 +100,18 @@ def _build_map(spec) -> ConformalPolyMap:
         return ConformalPolyMap.identity()
     if isinstance(spec, dict):
         try:
-            coeffs = [complex(re, im) for re, im in spec["coeffs"]]
+            coeffs = [complex(x, y) for x, y in spec["coeffs"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad map spec: {exc}") from exc
-        return ConformalPolyMap(coeffs)
-    try:
-        coeffs = [complex(tok) for tok in str(spec).split(",")]
-    except ValueError as exc:
-        raise InputError(f"bad map coefficients {spec!r}: {exc}") from exc
+    else:
+        try:
+            coeffs = [complex(tok) for tok in str(spec).split(",")]
+        except ValueError as exc:
+            raise InputError(f"bad map coefficients {spec!r}: {exc}") from exc
     if len(coeffs) < 2:
         raise InputError("map needs at least coefficients c0,c1")
+    if not all(math.isfinite(c.real) and math.isfinite(c.imag) for c in coeffs):
+        raise InputError(f"map coefficients must be finite: {spec!r}")
     return ConformalPolyMap(coeffs)
 
 
@@ -127,32 +126,46 @@ def _build_psi(spec, trunc: int) -> FourierSeries:
     if not isinstance(spec, dict):
         raise InputError("psi must be 'zero' or an object with cos/sin lists")
     try:
-        return FourierSeries.from_real(
-            a0=float(spec.get("a0", 0.0)),
-            cos=[float(v) for v in spec.get("cos", [])],
-            sin=[float(v) for v in spec.get("sin", [])],
-            trunc=trunc,
-        )
+        a0 = float(spec.get("a0", 0.0))
+        cos = [float(v) for v in spec.get("cos", [])]
+        sin = [float(v) for v in spec.get("sin", [])]
     except (TypeError, ValueError) as exc:
         raise InputError(f"bad psi spec: {exc}") from exc
+    if not all(math.isfinite(v) for v in [a0, *cos, *sin]):
+        raise InputError("psi coefficients must be finite")
+    return FourierSeries.from_real(a0=a0, cos=cos, sin=sin, trunc=trunc)
+
+
+def _positive_int(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise InputError(f"{name} must be a positive integer, got {value!r}")
+    return value
+
+
+def _trunc(args, conf, default: int) -> int:
+    value = args.trunc if args.trunc is not None else conf.get("trunc", default)
+    return _positive_int("trunc", value)
 
 
 # --------------------------------------------------------------- output
 
 
 def _jsonable(x):
+    """Plain JSON types; a value that is not a finite number becomes null."""
     if isinstance(x, dict):
         return {k: _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
     if isinstance(x, complex):
-        return {"re": x.real, "im": x.imag}
+        return {"re": _jsonable(x.real), "im": _jsonable(x.imag)}
     if isinstance(x, np.ndarray):
         return _jsonable(x.tolist())
     if isinstance(x, (np.floating, np.integer)):
-        return x.item()
+        x = x.item()
     if isinstance(x, np.bool_):
         return bool(x)
+    if isinstance(x, float) and not math.isfinite(x):
+        return None
     return x
 
 
@@ -160,7 +173,10 @@ def _emit(payload, out_path: str | None, csv: bool = False):
     if csv:
         text = payload
     else:
-        text = json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
+        text = (
+            json.dumps(_jsonable(payload), indent=2, sort_keys=True, allow_nan=False)
+            + "\n"
+        )
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -177,7 +193,7 @@ def _cmd_energy(args, conf):
     cfg = _build_configuration(
         _parse_vortex_flag(args.vortex) if args.vortex else conf.get("vortices", [])
     )
-    trunc = args.trunc or conf.get("trunc", 64)
+    trunc = _trunc(args, conf, 64)
     psi = _build_psi(args.psi or conf.get("psi"), trunc)
     base = (
         _build_configuration(_parse_vortex_flag(args.base))
@@ -189,7 +205,7 @@ def _cmd_energy(args, conf):
         "hat_w": hat_w(cfg),
         "hat_w_grad": hat_w_grad(cfg),
         "w": transport_w(f, ctx, cfg, psi),
-        "w_grad": w_disc_grad(ctx, cfg, psi).tolist(),
+        "w_grad": transport_w_grad(f, ctx, cfg, psi).tolist(),
         "psi_seminorm_sq": h_half_seminorm_sq(harmonic_conjugate(psi)),
     }
     if not f.is_identity():
@@ -209,7 +225,7 @@ def _cmd_crit(args, conf):
     if psi_spec is None:
         rep = find_critical_hat_w(f, init)
     else:
-        trunc = args.trunc or conf.get("trunc", 64)
+        trunc = _trunc(args, conf, 64)
         base = (
             _build_configuration(_parse_vortex_flag(args.base)) if args.base else init
         )
@@ -234,7 +250,7 @@ def _cmd_nd(args, conf):
     f = _build_map(args.map or conf.get("map"))
     validate_map(f)
     nd1 = ndcheck.check_nd1(f)
-    nd2 = ndcheck.check_nd2(f, trunc=args.trunc or conf.get("trunc", 16))
+    nd2 = ndcheck.check_nd2(f, trunc=_trunc(args, conf, 16))
     _emit(
         {
             "nd1": "pass" if nd1.passed else "fail",
@@ -257,7 +273,7 @@ def _cmd_expand(args, conf):
     cfg = _build_configuration(
         _parse_vortex_flag(args.vortex) if args.vortex else conf.get("vortices", [])
     )
-    trunc = args.trunc or conf.get("trunc", 64)
+    trunc = _trunc(args, conf, 64)
     psi = _build_psi(args.psi or conf.get("psi"), trunc)
     if args.base:
         base = _build_configuration(_parse_vortex_flag(args.base))
@@ -296,7 +312,7 @@ def _cmd_expand(args, conf):
 def _cmd_landscape(args, conf):
     f = _build_map(args.map or conf.get("map"))
     validate_map(f)
-    n = args.grid
+    n = _positive_int("grid", args.grid)
     degree = args.degree
     xs = np.linspace(-0.95, 0.95, n)
     ys = np.linspace(-0.95, 0.95, n)
@@ -311,12 +327,7 @@ def _cmd_landscape(args, conf):
                 vals.append(float("nan"))
         return vals
 
-    workers = _n_threads()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row, ys))
-    else:
-        rows = [row(y) for y in ys]
+    rows = [row(y) for y in ys]
     records = [
         (float(x), float(y), rows[iy][ix])
         for iy, y in enumerate(ys)
@@ -437,10 +448,26 @@ _DISPATCH = {
 }
 
 
+# argparse reads a token that starts with "-" as a flag, so a value such as
+# "-0.2,0.4,1" is glued to its flag before parsing.
+_SIGNED_VALUE_FLAGS = ("--vortex", "--base", "--map")
+_SIGNED_VALUE = re.compile(r"-[0-9.]")
+
+
+def _glue_signed_values(argv) -> list:
+    out = []
+    for tok in argv:
+        if out and out[-1] in _SIGNED_VALUE_FLAGS and _SIGNED_VALUE.match(tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def run(argv) -> int:
     parser = _make_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glue_signed_values(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -74,7 +74,8 @@ def validate_configuration(cfg: VortexConfiguration) -> VortexConfiguration:
         )
     pts = cfg.points_array()
     radii = np.abs(pts)
-    if np.any(radii >= 1.0 - BOUNDARY_MARGIN):
+    # written so that a NaN point fails it too
+    if not np.all(radii < 1.0 - BOUNDARY_MARGIN):
         worst = pts[int(np.argmax(radii))]
         raise VortexTooCloseToBoundary(
             f"|{worst}| = {abs(worst):.6f} >= {1.0 - BOUNDARY_MARGIN}"
@@ -92,7 +93,7 @@ def validate_configuration(cfg: VortexConfiguration) -> VortexConfiguration:
 def configuration_is_admissible(points: np.ndarray) -> bool:
     """Margin test on a raw complex point array (used inside Newton loops)."""
     pts = np.atleast_1d(np.asarray(points, dtype=complex))
-    if np.any(np.abs(pts) >= 1.0 - BOUNDARY_MARGIN):
+    if not np.all(np.abs(pts) < 1.0 - BOUNDARY_MARGIN):
         return False
     k = pts.size
     for i in range(k):

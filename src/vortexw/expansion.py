@@ -30,9 +30,11 @@ PATCH_ANGULAR = 256
 
 
 def _gprime_coeffs(psi: FourierSeries) -> np.ndarray:
-    """Coefficients of P(z) = 2 sum_{n>=1} n a_n z^{n-1}."""
+    """Coefficients of P(z) = 2 sum_{n>=1} n a_n z^{n-1}, without the
+    trailing zeros of modes psi does not use, so the kernel does not
+    evaluate them on every node."""
     n = np.arange(1, psi.trunc + 1)
-    return 2.0 * n * psi.coeffs[1:]
+    return np.trim_zeros(2.0 * n * psi.coeffs[1:], "b")
 
 
 def grad_phi_ag(ctx: DiscEnergyContext, cfg: VortexConfiguration, psi: FourierSeries, z):

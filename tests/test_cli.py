@@ -3,6 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from vortexw import (
+    ConformalPolyMap,
+    DiscEnergyContext,
+    FourierSeries,
+    VortexConfiguration,
+    transport_w,
+)
 from vortexw.cli import run
 
 
@@ -50,6 +57,37 @@ class TestEnergy:
             capsys, ["energy", "--config", str(conf), "--vortex", "0,0,1"]
         )
         assert json.loads(out)["hat_w"] == 0.0
+
+    def test_w_grad_includes_map_term(self, capsys):
+        code, out = capture(
+            capsys,
+            ["energy", "--map", "0,1,0.1", "--vortex=0.3,0.1,1", "--vortex=-0.2,0.4,-1"],
+        )
+        assert code == 0
+        points = np.array([0.3 + 0.1j, -0.2 + 0.4j])
+        degrees = (1, -1)
+        f = ConformalPolyMap([0.0, 1.0, 0.1])
+        ctx = DiscEnergyContext(VortexConfiguration(points, degrees), trunc=64)
+        psi = FourierSeries.zeros(64)
+
+        def w(p):
+            return transport_w(f, ctx, VortexConfiguration(p, degrees), psi)
+
+        h = 1e-5
+        fd = []
+        for j in range(points.size):
+            for step in (h, 1j * h):
+                e = np.zeros(points.size, dtype=complex)
+                e[j] = step
+                fd.append((w(points + e) - w(points - e)) / (2 * h))
+        np.testing.assert_allclose(json.loads(out)["w_grad"], fd, atol=1e-6)
+
+    def test_leading_minus_values(self, capsys):
+        glued = ["energy", "--map=-0.1,1", "--vortex=-0.2,0.4,1", "--base=-0.1,0.3,1"]
+        split = ["energy", "--map", "-0.1,1", "--vortex", "-0.2,0.4,1", "--base", "-0.1,0.3,1"]
+        code, first = capture(capsys, glued)
+        assert code == 0
+        assert capture(capsys, split) == (0, first)
 
 
 class TestCrit:
@@ -124,6 +162,18 @@ class TestLandscape:
         payload = json.loads(out)
         assert len(payload["rows"]) == 25
 
+    def test_json_grid_is_strict_json(self, capsys):
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        code, out = capture(capsys, ["landscape", "--grid", "21"])
+        assert code == 0
+        rows = json.loads(out, parse_constant=reject)["rows"]
+        assert len(rows) == 21 * 21
+        for r in rows:
+            outside = np.hypot(r["x"], r["y"]) >= 1.0 - 1e-3
+            assert (r["hat_w"] is None) == outside
+
 
 class TestSelfcheckAndErrors:
     def test_selfcheck_passes(self, capsys):
@@ -155,3 +205,23 @@ class TestSelfcheckAndErrors:
 
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["energy", "--vortex", "nan,0,1"],
+            ["energy", "--map", "nan,1", "--vortex", "0,0,1"],
+            ["energy", "--map", "0,inf", "--vortex", "0,0,1"],
+            ["energy", "--vortex", "0,0,1", "--trunc", "-3"],
+            ["energy", "--vortex", "0,0,1", "--trunc", "0"],
+            ["nd", "--trunc", "0"],
+            ["landscape", "--grid", "-2"],
+        ],
+    )
+    def test_bad_number_is_input_error(self, capsys, argv):
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""

@@ -12,6 +12,7 @@ from vortexw import (
     hat_w,
     punctured_energy,
 )
+from vortexw.expansion import _gprime_coeffs
 
 ORIGIN = VortexConfiguration([0.0], (1,))
 CTX0 = DiscEnergyContext(ORIGIN)
@@ -57,6 +58,17 @@ class TestGradPhiAg:
             potential(z0 + 1j * h) - potential(z0 - 1j * h)
         ) / (2 * h)
         assert grad_phi_ag(ctx, cfg, psi, z0) == pytest.approx(fd, abs=1e-8)
+
+    def test_zero_modes_of_psi_are_not_evaluated(self):
+        cfg = VortexConfiguration([0.4 - 0.3j], (1,))
+        z = np.array([0.3, 0.5j, -0.2 + 0.1j])
+        short = FourierSeries.from_real(cos=[0.1], sin=[0.05, 0.02])
+        padded = FourierSeries.from_real(cos=[0.1], sin=[0.05, 0.02], trunc=64)
+        assert _gprime_coeffs(padded).size == 2
+        assert _gprime_coeffs(FourierSeries.zeros(64)).size == 0
+        np.testing.assert_array_equal(
+            grad_phi_ag(CTX0, cfg, padded, z), grad_phi_ag(CTX0, cfg, short, z)
+        )
 
     def test_vectorized_evaluation(self):
         z = np.array([0.3, 0.5j, -0.2 + 0.1j])
