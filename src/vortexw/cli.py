@@ -133,7 +133,12 @@ def _build_psi(spec, trunc: int) -> FourierSeries:
         raise InputError(f"bad psi spec: {exc}") from exc
     if not all(math.isfinite(v) for v in [a0, *cos, *sin]):
         raise InputError("psi coefficients must be finite")
-    return FourierSeries.from_real(a0=a0, cos=cos, sin=sin, trunc=trunc)
+    psi = FourierSeries.from_real(a0=a0, cos=cos, sin=sin, trunc=trunc)
+    with np.errstate(over="ignore"):
+        seminorm_sq = h_half_seminorm_sq(psi)
+    if not math.isfinite(seminorm_sq):
+        raise InputError("psi has no finite H^1/2 seminorm")
+    return psi
 
 
 def _positive_int(name: str, value) -> int:
@@ -250,7 +255,7 @@ def _cmd_nd(args, conf):
     f = _build_map(args.map or conf.get("map"))
     validate_map(f)
     nd1 = ndcheck.check_nd1(f)
-    nd2 = ndcheck.check_nd2(f, trunc=_trunc(args, conf, 16))
+    nd2 = ndcheck.check_nd2(f, nd1, trunc=_trunc(args, conf, 16))
     _emit(
         {
             "nd1": "pass" if nd1.passed else "fail",
@@ -285,13 +290,19 @@ def _cmd_expand(args, conf):
     rho_spec = args.rho or conf.get("rho")
     if not rho_spec:
         raise InputError("expand needs --rho r1,r2,r3 (decreasing)")
-    if isinstance(rho_spec, str):
-        try:
-            rho_list = [float(t) for t in rho_spec.split(",")]
-        except ValueError as exc:
-            raise InputError(f"bad rho list {rho_spec!r}") from exc
-    else:
-        rho_list = [float(t) for t in rho_spec]
+    try:
+        tokens = rho_spec.split(",") if isinstance(rho_spec, str) else rho_spec
+        rho_list = [float(t) for t in tokens]
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"bad rho list {rho_spec!r}") from exc
+    if (
+        len(rho_list) < 3
+        or not all(0.0 < r < 1.0 for r in rho_list)
+        or any(r2 >= r1 for r1, r2 in zip(rho_list, rho_list[1:]))
+    ):
+        raise InputError(
+            f"rho needs at least three strictly decreasing values in (0, 1): {rho_spec!r}"
+        )
     rep = expansion_report(ctx, cfg, psi, rho_list)
     _emit(
         {

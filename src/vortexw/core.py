@@ -31,6 +31,11 @@ ND_TOL = 1e-8 * np.pi
 DEFAULT_TRUNC = 64
 
 
+def is_nondegenerate(hessian: np.ndarray) -> bool:
+    """Nondegeneracy verdict: smallest singular value above ND_TOL."""
+    return float(np.linalg.svd(hessian, compute_uv=False)[-1]) > ND_TOL
+
+
 @dataclass(frozen=True)
 class VortexConfiguration:
     """Points alpha_j in the open unit disc with integer degrees d_j."""
@@ -389,7 +394,7 @@ class EnergyReport:
             value=float(value),
             gradient=np.asarray(gradient, dtype=float),
             hessian=hessian,
-            nondegenerate=smin > ND_TOL,
+            nondegenerate=is_nondegenerate(hessian),
             condition_number=cond,
         )
 

@@ -14,9 +14,9 @@ import numpy as np
 from .core import (
     ConformalPolyMap,
     FourierSeries,
-    ND_TOL,
     VortexConfiguration,
     configuration_is_admissible,
+    is_nondegenerate,
     validate_configuration,
 )
 from .disc_energy import DiscEnergyContext
@@ -97,10 +97,6 @@ def _newton(x0, residual, jacobian, tol=TOL_NEWTON, max_iter=MAX_ITER):
     raise NewtonDiverged(f"|F| = {rn:.3e} after {max_iter} iterations")
 
 
-def _is_nondegenerate(h: np.ndarray) -> bool:
-    return float(np.linalg.svd(h, compute_uv=False)[-1]) > ND_TOL
-
-
 def find_critical_hat_w(
     f: ConformalPolyMap,
     init: VortexConfiguration,
@@ -124,7 +120,7 @@ def find_critical_hat_w(
         location=loc,
         residual_norm=rn,
         hessian=h,
-        nondegenerate=_is_nondegenerate(h),
+        nondegenerate=is_nondegenerate(h),
         iterations=its,
         converged=True,
         value=transport_hat_w(f, loc),
@@ -156,7 +152,7 @@ def find_critical_w(
         location=loc,
         residual_norm=rn,
         hessian=h,
-        nondegenerate=_is_nondegenerate(h),
+        nondegenerate=is_nondegenerate(h),
         iterations=its,
         converged=True,
         value=transport_w(f, ctx, loc, psi),

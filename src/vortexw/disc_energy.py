@@ -141,6 +141,22 @@ def _base_shift_coeffs(ctx: DiscEnergyContext, cfg: VortexConfiguration) -> np.n
     return np.sum(d[:, None] * pw, axis=0) / n
 
 
+def _n_disc_alpha_jacobian(ctx: DiscEnergyContext, cfg: VortexConfiguration) -> np.ndarray:
+    """Mode-n coefficients (n = 1..trunc) of the derivatives of n_disc with
+    respect to the real coordinates (x_1, y_1, x_2, y_2, ...), one row each.
+
+    Only i n b_n depends on alpha, through db_n/dx_j = d_j conj(alpha_j)^(n-1)
+    and db_n/dy_j = -i d_j conj(alpha_j)^(n-1)."""
+    a = cfg.points_array()
+    d = cfg.degrees_array()
+    n = np.arange(1, ctx.trunc + 1)
+    db_dx = d[:, None] * np.conj(a[:, None]) ** (n[None, :] - 1)
+    db = np.empty((2 * cfg.k, ctx.trunc), dtype=complex)
+    db[0::2] = db_dx
+    db[1::2] = -1j * db_dx
+    return 1j * n * db
+
+
 def psi_star_base_grad(ctx: DiscEnergyContext, cfg: VortexConfiguration, z) -> np.ndarray:
     """Gradient (as C = R^2) of the harmonic conjugate phase at z in the
     closed disc; identically zero when cfg equals the reference."""

@@ -13,14 +13,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConformalPolyMap, FourierSeries, ND_TOL, OperatorMatrix, VortexConfiguration, validate_map
-from .critpoint import CriticalPointReport, find_critical_w, find_max_hat_w
-from .disc_energy import DiscEnergyContext, n_disc, w_disc_hess
+from ._calculus import m_matrix
+from .core import (
+    ConformalPolyMap,
+    FourierSeries,
+    OperatorMatrix,
+    VortexConfiguration,
+    is_nondegenerate,
+    validate_map,
+)
+from .critpoint import CriticalPointReport, find_max_hat_w
+from .disc_energy import DiscEnergyContext, _n_disc_alpha_jacobian, n_disc, w_disc_hess
 from .errors import LeftAdmissibleRegion, NewtonDiverged, NoCriticalPointFound
-from .transport import map_correction_hess
+from .transport import map_correction_hess, transport_w_grad, transport_w_hess
 
-FD_STEP = 1e-4
-FD_AGREEMENT = 1e-5
 TOL_OP = 1e-3
 STABILITY_REL = 1e-2
 
@@ -47,9 +53,7 @@ def check_nd1(f: ConformalPolyMap, multistart: int = 16) -> Nd1Report:
     ctx = DiscEnergyContext(cfg)
     psi0 = FourierSeries.zeros(ctx.trunc)
     h_w = w_disc_hess(ctx, cfg, psi0) + map_correction_hess(f, cfg)
-    sv_hat = np.linalg.svd(rep.hessian, compute_uv=False)
-    sv_w = np.linalg.svd(h_w, compute_uv=False)
-    passed = bool(sv_hat[-1] > ND_TOL and sv_w[-1] > ND_TOL)
+    passed = rep.nondegenerate and is_nondegenerate(h_w)
     alpha0 = cfg.points[0] if cfg.k == 1 else None
     return Nd1Report(
         alpha0=alpha0,
@@ -89,51 +93,45 @@ def _basis_mode(m: int, trunc: int) -> FourierSeries:
     return FourierSeries.from_real(cos=cos, sin=sin, trunc=trunc)
 
 
-def _trace_coeffs(f, ctx, alpha0, psi) -> np.ndarray:
-    """Real Fourier coefficients (cos_1, sin_1, ..., cos_N, sin_N) of the
-    semi-stiff trace at the critical vortex position for boundary phase psi."""
-    init = VortexConfiguration([alpha0], (1,))
-    rep = find_critical_w(f, ctx, psi, init)
-    tr = n_disc(ctx, rep.location, psi)
-    out = np.empty(2 * ctx.trunc)
-    out[0::2] = 2.0 * tr.coeffs[1:].real
-    out[1::2] = -2.0 * tr.coeffs[1:].imag
+def _real_modes(c: np.ndarray) -> np.ndarray:
+    """Real coefficients (cos_1, sin_1, ..., cos_N, sin_N) along axis 0 from
+    the complex coefficients of modes 1..N."""
+    out = np.empty((2 * c.shape[0],) + c.shape[1:])
+    out[0::2] = 2.0 * c.real
+    out[1::2] = -2.0 * c.imag
     return out
 
 
-def assemble_du_matrix(
-    f: ConformalPolyMap, trunc: int, fd_step: float = FD_STEP
-) -> OperatorMatrix:
-    """Finite-difference assembly of the linearized trace operator.
+def assemble_du_matrix(f: ConformalPolyMap, nd1: Nd1Report, trunc: int) -> OperatorMatrix:
+    """Matrix of the linearized trace operator psi -> N(alpha(psi), psi),
+    where alpha(psi) is the critical point of the full energy W that
+    continues nd1.alpha0, by the implicit function theorem:
 
-    Column m is the central difference of psi -> U(f, psi) along the m-th
-    real Fourier mode, evaluated through the inner critical-point solve.
-    Single vortex of degree one only. If the full-step and half-step
-    estimates disagree, the column is Richardson-extrapolated.
+        dN/dpsi = dN/dpsi|_alpha - dN/dalpha H^{-1} d(grad_alpha W)/dpsi,
+
+    with H the alpha-Hessian of W at psi = 0 built at this truncation (its
+    seminorm term depends on it). N and grad_alpha W are affine in psi, so
+    their psi-derivatives along a mode are exact differences.
+    Single vortex of degree one only.
     """
-    nd1 = check_nd1(f)
     if not nd1.passed or nd1.alpha0 is None:
         raise NoCriticalPointFound("no nondegenerate single-vortex critical point")
-    alpha0 = nd1.alpha0
-    ctx = DiscEnergyContext(VortexConfiguration([alpha0], (1,)), trunc=trunc)
-    cols = []
+    cfg = VortexConfiguration([nd1.alpha0], (1,))
+    ctx = DiscEnergyContext(cfg, trunc=trunc)
+    zero = FourierSeries.zeros(trunc)
+    n0 = n_disc(ctx, cfg, zero).coeffs[1:]
+    g0 = transport_w_grad(f, ctx, cfg, zero)
+    dn_dpsi = np.empty((trunc, 2 * trunc), dtype=complex)
+    dg_dpsi = np.empty((2, 2 * trunc))
     for m in range(2 * trunc):
         e = _basis_mode(m, trunc)
-
-        def central(h):
-            up = _trace_coeffs(f, ctx, alpha0, h * e)
-            dn = _trace_coeffs(f, ctx, alpha0, (-h) * e)
-            return (up - dn) / (2.0 * h)
-
-        d_full = central(fd_step)
-        d_half = central(0.5 * fd_step)
-        if np.max(np.abs(d_full - d_half)) > FD_AGREEMENT:
-            col = (4.0 * d_half - d_full) / 3.0
-        else:
-            col = d_full
-        cols.append(col)
+        dn_dpsi[:, m] = n_disc(ctx, cfg, e).coeffs[1:] - n0
+        dg_dpsi[:, m] = transport_w_grad(f, ctx, cfg, e) - g0
+    h = transport_w_hess(f, ctx, cfg, zero)
+    dn_dalpha = _n_disc_alpha_jacobian(ctx, cfg).T
+    du = dn_dpsi - dn_dalpha @ np.linalg.solve(h, dg_dpsi)
     return OperatorMatrix(
-        matrix=np.column_stack(cols),
+        matrix=_real_modes(du),
         mode_index=OperatorMatrix.standard_index(trunc),
         trunc=trunc,
     )
@@ -149,15 +147,15 @@ class Nd2Report:
     trunc: int
 
 
-def check_nd2(f: ConformalPolyMap, trunc: int = 16) -> Nd2Report:
+def check_nd2(f: ConformalPolyMap, nd1: Nd1Report, trunc: int = 16) -> Nd2Report:
     """Invertibility of the assembled operator: smallest singular value
     above tolerance and stable under doubling the truncation.
 
     The doubling test is a heuristic surrogate for the untruncated
     operator; the report exposes the observed relative change.
     """
-    sv = assemble_du_matrix(f, trunc).smallest_singular_value()
-    sv2 = assemble_du_matrix(f, 2 * trunc).smallest_singular_value()
+    sv = assemble_du_matrix(f, nd1, trunc).smallest_singular_value()
+    sv2 = assemble_du_matrix(f, nd1, 2 * trunc).smallest_singular_value()
     rel = abs(sv2 - sv) / sv if sv > 0 else np.inf
     stable = rel < STABILITY_REL
     return Nd2Report(
@@ -174,7 +172,7 @@ def magic_determinant_check(w: complex) -> bool:
     """det(M_w - 2I) and det(M_w + 2I) agree, both equal to 4 - |w|^2,
     where M_w is the matrix of xi -> conj(w xi)."""
     w = complex(w)
-    m = np.array([[w.real, -w.imag], [-w.imag, -w.real]])
+    m = m_matrix(w)
     det_minus = float(np.linalg.det(m - 2.0 * np.eye(2)))
     det_plus = float(np.linalg.det(m + 2.0 * np.eye(2)))
     target = 4.0 - abs(w) ** 2

@@ -75,11 +75,11 @@ def test_criterion_2_du_spectrum():
     diag = np.repeat(np.arange(1, 33), 2).astype(float)
     diag[:2] = -1.0
     exact = np.array_equal(analytic.matrix, np.diag(diag))
-    assembled = assemble_du_matrix(IDENTITY, 32)
+    assembled = assemble_du_matrix(IDENTITY, check_nd1(IDENTITY), 32)
     err = float(np.max(np.abs(assembled.matrix - analytic.matrix)))
     elapsed = time.perf_counter() - t0
     ok = exact and err <= 1e-6 and elapsed < 30.0
-    report(2, ok, f"analytic diagonal exact={exact}, fd err {err:.1e}, {elapsed:.1f}s")
+    report(2, ok, f"analytic diagonal exact={exact}, assembly err {err:.1e}, {elapsed:.1f}s")
 
 
 def test_criterion_3_expansion():
@@ -154,7 +154,7 @@ def test_criterion_7_stability():
     for eps in (0.01, 0.05, 0.1):
         f = ConformalPolyMap([0.0, 1.0, eps])
         nd1 = check_nd1(f)
-        nd2 = check_nd2(f, trunc=16)
+        nd2 = check_nd2(f, nd1, trunc=16)
         bound = abs(nd1.a0) <= 5 * eps
         ok = ok and nd1.passed and nd2.passed and bound
         details.append(

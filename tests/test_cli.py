@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vortexw import (
     ConformalPolyMap,
@@ -216,6 +221,8 @@ class TestSelfcheckAndErrors:
             ["energy", "--vortex", "0,0,1", "--trunc", "0"],
             ["nd", "--trunc", "0"],
             ["landscape", "--grid", "-2"],
+            ["expand", "--vortex", "0.5,0,1", "--rho", "nan,0.01,0.005"],
+            ["expand", "--vortex", "0.5,0,1", "--rho", "0.02,0.01"],
         ],
     )
     def test_bad_number_is_input_error(self, capsys, argv):
@@ -225,3 +232,66 @@ class TestSelfcheckAndErrors:
         assert captured.err.startswith("error:")
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+    def test_psi_without_finite_seminorm_is_input_error(self, capsys):
+        argv = ["energy", "--vortex", "0.5,0,1", "--trunc", "3", "--psi"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(argv + ['{"cos": [1e308]}'])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.err.startswith("error:")
+            assert captured.out == ""
+            code, out = capture(capsys, argv + ['{"cos": [1e150]}'])
+        assert code == 0
+        payload = json.loads(out)
+        values = [payload["w"], payload["psi_seminorm_sq"], *payload["w_grad"]]
+        assert all(v is not None and np.isfinite(v) for v in values)
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-JSON constant {token}")
+
+
+_number = st.one_of(
+    st.floats(),
+    st.floats(-1.0, 1.0),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), 1e308, -1e308]),
+)
+_numbers = st.lists(_number, min_size=1, max_size=3).map(lambda xs: ",".join(map(repr, xs)))
+_count = st.one_of(st.integers(1, 4).map(str), _number.map(repr))
+_radii = st.lists(st.floats(1e-3, 0.2), min_size=3, max_size=3, unique=True).map(
+    lambda rs: ",".join(map(repr, sorted(rs, reverse=True)))
+)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["energy", "crit", "expand", "landscape"]))
+    argv = [command, "--map", draw(st.one_of(st.just("identity"), _numbers))]
+    argv.append("--trunc=" + draw(_count))
+    if command == "landscape":
+        return argv + ["--grid=" + draw(_count)]
+    re, im = draw(_number), draw(_number)
+    argv.append(f"--vortex={re!r},{im!r},{draw(st.sampled_from([-1, 1, 2]))}")
+    if draw(st.booleans()):
+        modes = st.lists(_number, max_size=3)
+        argv += ["--psi", json.dumps({"cos": draw(modes), "sin": draw(modes)})]
+    if command == "expand":
+        argv += ["--rho", draw(st.one_of(_numbers, _radii))]
+    return argv
+
+
+class TestFuzz:
+    @given(_argv())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_exit_code_and_strict_json(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert out.getvalue() == ""
+        else:
+            json.loads(out.getvalue(), parse_constant=_reject_constant)

@@ -13,11 +13,51 @@ from vortexw import (
     check_nd2,
     du_star_matrix_analytic_disc,
     find_critical_hat_w,
+    find_critical_w,
     magic_determinant_check,
+    n_disc,
     w_disc_hess,
 )
 
 IDENTITY = ConformalPolyMap.identity()
+
+FD_STEP = 1e-4
+FD_AGREEMENT = 1e-5
+
+
+def fd_du_matrix(f, nd1, trunc, fd_step=FD_STEP):
+    """Central-difference assembly of the linearized trace operator: column m
+    differences psi -> N(alpha(psi), psi) along the m-th real mode, with
+    alpha(psi) from a Newton solve started at nd1.alpha0. Full and half steps;
+    Richardson extrapolation when they disagree. The independent oracle for
+    the implicit-function assembly."""
+    start = VortexConfiguration([nd1.alpha0], (1,))
+    ctx = DiscEnergyContext(start, trunc=trunc)
+
+    def trace(psi):
+        rep = find_critical_w(f, ctx, psi, start)
+        c = n_disc(ctx, rep.location, psi).coeffs[1:]
+        out = np.empty(2 * trunc)
+        out[0::2] = 2.0 * c.real
+        out[1::2] = -2.0 * c.imag
+        return out
+
+    cols = []
+    for m in range(2 * trunc):
+        modes = np.zeros((2, trunc))
+        modes[m % 2, m // 2] = 1.0
+        e = FourierSeries.from_real(cos=modes[0], sin=modes[1], trunc=trunc)
+
+        def central(h):
+            return (trace(h * e) - trace((-h) * e)) / (2.0 * h)
+
+        d_full = central(fd_step)
+        d_half = central(0.5 * fd_step)
+        if np.max(np.abs(d_full - d_half)) > FD_AGREEMENT:
+            cols.append((4.0 * d_half - d_full) / 3.0)
+        else:
+            cols.append(d_full)
+    return np.column_stack(cols)
 
 
 class TestCheckNd1:
@@ -75,38 +115,50 @@ class TestDuStarAnalytic:
 
 class TestAssembleDu:
     def test_disc_matches_analytic(self):
-        fd = assemble_du_matrix(IDENTITY, 8)
+        fd = assemble_du_matrix(IDENTITY, check_nd1(IDENTITY), 8)
         an = du_star_matrix_analytic_disc(8)
         np.testing.assert_allclose(fd.matrix, an.matrix, atol=1e-6)
 
+    @pytest.mark.parametrize(
+        "coeffs", [[0.0, 1.0], [0.0, 1.0, 0.05], [0.0, 1.0, 0.1, 0.02j]]
+    )
+    def test_matches_finite_differences(self, coeffs):
+        f = ConformalPolyMap(coeffs)
+        nd1 = check_nd1(f)
+        assembled = assemble_du_matrix(f, nd1, 8).matrix
+        np.testing.assert_allclose(assembled, fd_du_matrix(f, nd1, 8), atol=1e-6)
+
     def test_higher_modes_are_pure_stiff_part(self):
         # rank-<=2 coupling: only the mode-1 block deviates from the diagonal n
-        fd = assemble_du_matrix(IDENTITY, 6).matrix
+        fd = assemble_du_matrix(IDENTITY, check_nd1(IDENTITY), 6).matrix
         sub = fd[2:, 2:]
         np.testing.assert_allclose(
             sub, np.diag(np.repeat(np.arange(2, 7), 2)), atol=1e-6
         )
 
     def test_perturbed_map_near_disc_spectrum(self):
-        fd = assemble_du_matrix(ConformalPolyMap([0.0, 1.0, 0.05]), 8)
+        f = ConformalPolyMap([0.0, 1.0, 0.05])
+        fd = assemble_du_matrix(f, check_nd1(f), 8)
         sv = fd.smallest_singular_value()
         assert abs(sv - 1.0) < 0.25
 
 
 class TestCheckNd2:
     def test_disc(self):
-        rep = check_nd2(IDENTITY, trunc=8)
+        rep = check_nd2(IDENTITY, check_nd1(IDENTITY), trunc=8)
         assert rep.passed
         assert rep.smallest_singular_value == pytest.approx(1.0, abs=1e-6)
         assert rep.stable
 
     def test_scaling_same_spectrum(self):
-        rep = check_nd2(ConformalPolyMap.scaling(2.0), trunc=8)
+        f = ConformalPolyMap.scaling(2.0)
+        rep = check_nd2(f, check_nd1(f), trunc=8)
         assert rep.passed
         assert rep.smallest_singular_value == pytest.approx(1.0, abs=1e-4)
 
     def test_perturbed_map(self):
-        rep = check_nd2(ConformalPolyMap([0.0, 1.0, 0.05]), trunc=8)
+        f = ConformalPolyMap([0.0, 1.0, 0.05])
+        rep = check_nd2(f, check_nd1(f), trunc=8)
         assert rep.passed
 
 
