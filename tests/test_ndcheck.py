@@ -25,7 +25,7 @@ FD_STEP = 1e-4
 FD_AGREEMENT = 1e-5
 
 
-def fd_du_matrix(f, nd1, trunc, fd_step=FD_STEP):
+def fd_du_matrix(f, nd1, trunc):
     """Central-difference assembly of the linearized trace operator: column m
     differences psi -> N(alpha(psi), psi) along the m-th real mode, with
     alpha(psi) from a Newton solve started at nd1.alpha0. Full and half steps;
@@ -51,8 +51,8 @@ def fd_du_matrix(f, nd1, trunc, fd_step=FD_STEP):
         def central(h):
             return (trace(h * e) - trace((-h) * e)) / (2.0 * h)
 
-        d_full = central(fd_step)
-        d_half = central(0.5 * fd_step)
+        d_full = central(FD_STEP)
+        d_half = central(0.5 * FD_STEP)
         if np.max(np.abs(d_full - d_half)) > FD_AGREEMENT:
             cols.append((4.0 * d_half - d_full) / 3.0)
         else:
