@@ -18,29 +18,22 @@ def grad_to_vec(wirtinger_du: np.ndarray) -> np.ndarray:
     return out
 
 
-def hess_block(f_uv: complex, f_uvbar: complex) -> np.ndarray:
-    """Real 2x2 Hessian block from the mixed Wirtinger derivatives."""
-    a, c = complex(f_uv), complex(f_uvbar)
-    return 2.0 * np.array(
-        [
-            [a.real + c.real, -a.imag + c.imag],
-            [-a.imag - c.imag, -a.real + c.real],
-        ]
-    )
-
-
-def assemble_hessian(k: int, f_uv, f_uvbar) -> np.ndarray:
-    """Assemble the full 2k x 2k Hessian from k x k Wirtinger arrays.
-
-    f_uv[j, l] = d^2 F / (d alpha_j d alpha_l),
+def assemble_hessian(f_uv, f_uvbar) -> np.ndarray:
+    """Assemble the symmetric 2k x 2k real Hessian from k x k Wirtinger arrays
+    f_uv[j, l] = d^2 F / (d alpha_j d alpha_l) and
     f_uvbar[j, l] = d^2 F / (d alpha_j d conj(alpha_l)).
+
+    The 2x2 block coupling alpha_j and alpha_l is
+    2 [[Re(a + c), Im(c - a)], [-Im(a + c), Re(c - a)]] with a = f_uv[j, l],
+    c = f_uvbar[j, l].
     """
-    h = np.zeros((2 * k, 2 * k))
-    for j in range(k):
-        for l in range(k):
-            h[2 * j : 2 * j + 2, 2 * l : 2 * l + 2] = hess_block(
-                f_uv[j, l], f_uvbar[j, l]
-            )
+    a, c = np.asarray(f_uv), np.asarray(f_uvbar)
+    k = a.shape[0]
+    h = np.empty((2 * k, 2 * k))
+    h[0::2, 0::2] = 2.0 * (a.real + c.real)
+    h[0::2, 1::2] = 2.0 * (c.imag - a.imag)
+    h[1::2, 0::2] = -2.0 * (a.imag + c.imag)
+    h[1::2, 1::2] = 2.0 * (c.real - a.real)
     return 0.5 * (h + h.T)
 
 

@@ -37,6 +37,7 @@ from .errors import VortexwError
 from .expansion import expansion_report
 from .harmonic import h_half_seminorm_sq, harmonic_conjugate
 from .transport import (
+    _transport_hat_w,
     transport_hat_w,
     transport_hat_w_grad,
     transport_w,
@@ -253,9 +254,9 @@ def _cmd_crit(args, conf):
 
 def _cmd_nd(args, conf):
     f = _build_map(args.map or conf.get("map"))
-    validate_map(f)
-    nd1 = ndcheck.check_nd1(f)
-    nd2 = ndcheck.check_nd2(f, nd1, trunc=_trunc(args, conf, 16))
+    trunc = _trunc(args, conf, 16)
+    nd1 = ndcheck.check_nd1(f)  # validates the map
+    nd2 = ndcheck.check_nd2(f, nd1, trunc=trunc)
     _emit(
         {
             "nd1": "pass" if nd1.passed else "fail",
@@ -324,26 +325,16 @@ def _cmd_landscape(args, conf):
     f = _build_map(args.map or conf.get("map"))
     validate_map(f)
     n = _positive_int("grid", args.grid)
-    degree = args.degree
     xs = np.linspace(-0.95, 0.95, n)
-    ys = np.linspace(-0.95, 0.95, n)
-
-    def row(y):
-        vals = []
-        for x in xs:
-            p = complex(x, y)
-            if configuration_is_admissible(np.array([p])):
-                vals.append(transport_hat_w(f, VortexConfiguration([p], (degree,))))
-            else:
-                vals.append(float("nan"))
-        return vals
-
-    rows = [row(y) for y in ys]
-    records = [
-        (float(x), float(y), rows[iy][ix])
-        for iy, y in enumerate(ys)
-        for ix, x in enumerate(xs)
-    ]
+    gx, gy = np.meshgrid(xs, xs)  # rows run over y, columns over x
+    p = np.empty(gx.size, dtype=complex)
+    p.real, p.imag = gx.ravel(), gy.ravel()
+    # every grid point is a configuration of one vortex
+    configs = p[:, None]
+    ok = configuration_is_admissible(configs)
+    values = np.full(p.size, np.nan)
+    values[ok] = _transport_hat_w(f, configs[ok], np.array([float(args.degree)]))
+    records = zip(p.real.tolist(), p.imag.tolist(), values.tolist())
     if args.csv:
         lines = ["x,y,hat_w"]
         lines += [f"{x:.6f},{y:.6f},{v}" for x, y, v in records]

@@ -78,34 +78,33 @@ def validate_configuration(cfg: VortexConfiguration) -> VortexConfiguration:
             f"{cfg.k} points but {len(cfg.degrees)} degrees"
         )
     pts = cfg.points_array()
+    if configuration_is_admissible(pts):
+        return cfg
     radii = np.abs(pts)
-    # written so that a NaN point fails it too
     if not np.all(radii < 1.0 - BOUNDARY_MARGIN):
         worst = pts[int(np.argmax(radii))]
         raise VortexTooCloseToBoundary(
             f"|{worst}| = {abs(worst):.6f} >= {1.0 - BOUNDARY_MARGIN}"
         )
-    for i in range(cfg.k):
-        for j in range(i + 1, cfg.k):
-            if abs(pts[i] - pts[j]) < SEPARATION_MARGIN:
-                raise VorticesCollide(
-                    f"vortices {i} and {j} separated by "
-                    f"{abs(pts[i] - pts[j]):.3e}"
-                )
-    return cfg
+    gap = np.abs(pts[:, None] - pts[None, :])
+    i, j = np.argwhere(np.triu(gap < SEPARATION_MARGIN, 1))[0]
+    raise VorticesCollide(f"vortices {i} and {j} separated by {gap[i, j]:.3e}")
 
 
-def configuration_is_admissible(points: np.ndarray) -> bool:
-    """Margin test on a raw complex point array (used inside Newton loops)."""
-    pts = np.atleast_1d(np.asarray(points, dtype=complex))
-    if not np.all(np.abs(pts) < 1.0 - BOUNDARY_MARGIN):
-        return False
-    k = pts.size
-    for i in range(k):
-        for j in range(i + 1, k):
-            if abs(pts[i] - pts[j]) < SEPARATION_MARGIN:
-                return False
-    return True
+def configuration_is_admissible(points):
+    """Margin test on raw complex points (..., k): every point inside the
+    boundary margin and every pair at least SEPARATION_MARGIN apart. A NaN
+    point fails it. Returns a bool for one configuration (points of shape
+    (k,)) and a boolean array over the leading axes for a batch."""
+    pts = np.asarray(points, dtype=complex)
+    # written so that a NaN point fails it too
+    ok = np.all(np.abs(pts) < 1.0 - BOUNDARY_MARGIN, axis=-1)
+    k = pts.shape[-1]
+    if k > 1:
+        gap = np.abs(pts[..., :, None] - pts[..., None, :])
+        apart = (gap >= SEPARATION_MARGIN) | np.eye(k, dtype=bool)
+        ok &= np.all(apart, axis=(-2, -1))
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 class FourierSeries:
@@ -295,29 +294,26 @@ class ConformalPolyMap:
         return f"ConformalPolyMap({list(self._coeffs)})"
 
 
-def _segments_intersect(p, q):
-    """Vectorized proper-intersection test between all segment pairs.
+def _polygon_self_intersects(p) -> bool:
+    """Whether two non-adjacent edges of the closed polygon p[0], ..., p[S-1]
+    properly cross (edge i runs from p[i] to p[i+1 mod S]).
 
-    p, q: (S,) complex arrays of segment endpoints (segment i = p[i]->q[i]).
-    Returns True if any two non-adjacent segments properly cross.
+    One S x S table of real cross products C[i, j] = e_i x (p_j - p_i),
+    e_i = p[i+1] - p[i], holds every orientation test: edges i and j cross
+    when p_j and p_{j+1} lie strictly on opposite sides of edge i (C[i, j]
+    against C[i, j+1]) and p_i and p_{i+1} on opposite sides of edge j
+    (the transposes). Scale p to O(1) first so that the products cannot
+    overflow.
     """
     s = p.size
-
-    def cross(o, a, b):
-        return ((a - o).conjugate() * (b - o)).imag
-
-    # O(S^2) sweep over pairs; adequate at S = 512.
-    i_idx, j_idx = np.triu_indices(s, k=2)
-    # drop the (0, S-1) pair: first and last segments are adjacent on the loop
-    keep = ~((i_idx == 0) & (j_idx == s - 1))
-    i_idx, j_idx = i_idx[keep], j_idx[keep]
-    a, b = p[i_idx], q[i_idx]
-    c, d = p[j_idx], q[j_idx]
-    d1 = cross(a, b, c)
-    d2 = cross(a, b, d)
-    d3 = cross(c, d, a)
-    d4 = cross(c, d, b)
-    hit = (d1 * d2 < 0) & (d3 * d4 < 0)
+    x, y = p.real, p.imag
+    ex, ey = np.roll(x, -1) - x, np.roll(y, -1) - y
+    c = ex[:, None] * (y[None, :] - y[:, None]) - ey[:, None] * (x[None, :] - x[:, None])
+    c_next = np.roll(c, -1, axis=1)
+    hit = (c * c_next < 0) & (c.T * c_next.T < 0)
+    # pairs i < j - 1 only; the first and last edges are adjacent on the loop
+    hit = np.triu(hit, 2)
+    hit[0, s - 1] = False
     return bool(np.any(hit))
 
 
@@ -351,16 +347,18 @@ def validate_map(f: ConformalPolyMap, grid_density: int = 24) -> dict:
 
     n_samples = 512
     theta = np.linspace(0.0, 2 * np.pi, n_samples, endpoint=False)
-    bdry = f(np.exp(1j * theta))
-    center = complex(f(0.0))
-    rel = bdry - center
+    # the curve of f / max|c_m| is the same up to scale and is bounded by
+    # deg + 1, so neither sampling it nor the tests below can overflow
+    g = ConformalPolyMap(c / np.max(np.abs(c)))
+    bdry = g(np.exp(1j * theta))
+    rel = bdry - complex(g(0.0))
     if np.any(np.abs(rel) == 0.0):
         raise BoundaryNotSimple("boundary passes through f(0)")
     dtheta = np.angle(np.roll(rel, -1) / rel)
     winding = float(np.sum(dtheta) / (2 * np.pi))
     if abs(winding - 1.0) > 1e-6:
         raise BoundaryNotSimple(f"winding number {winding:.3f} != 1 about f(0)")
-    if _segments_intersect(bdry, np.roll(bdry, -1)):
+    if _polygon_self_intersects(bdry):
         raise BoundaryNotSimple("boundary curve self-intersects")
     return {
         "min_abs_fprime": min_abs_fprime,

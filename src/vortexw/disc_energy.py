@@ -52,59 +52,71 @@ def hat_phi(cfg: VortexConfiguration, z) -> np.ndarray:
     return out if out.ndim else float(out)
 
 
+def _pairs(a, d):
+    """Pair grid of configurations a (..., k) with degrees d (k,), k >= 2:
+    the differences a_j - a_l with 1 on the diagonal (so that every
+    expression below stays finite there), the products 1 - a_j conj(a_l),
+    each (..., k, k), and the weights d_j d_l with the diagonal masked."""
+    eye = np.eye(a.shape[-1])
+    diff = a[..., :, None] - a[..., None, :] + eye
+    q = 1.0 - a[..., :, None] * np.conj(a[..., None, :])
+    return diff, q, d[:, None] * d * (1.0 - eye)
+
+
+# One vortex has no pairs, so each kernel adds the pair sums only for k >= 2.
+
+
+def _hat_w(a, d):
+    """hat_w for configurations a (..., k) with degrees d (k,)."""
+    total = np.sum(d**2 * np.log(1.0 - np.abs(a) ** 2), axis=-1)
+    if a.shape[-1] > 1:
+        diff, q, w = _pairs(a, d)
+        total = total + np.sum(w * (np.log(np.abs(q)) - np.log(np.abs(diff))), axis=(-2, -1))
+    return np.pi * total
+
+
+def _hat_w_du(a, d):
+    """First Wirtinger derivatives d hat_w / d alpha_j, (..., k)."""
+    du = d**2 * np.conj(a) / (1.0 - np.abs(a) ** 2)
+    if a.shape[-1] > 1:
+        diff, q, w = _pairs(a, d)
+        du = du + np.sum(w * (1.0 / diff + np.conj(a[..., None, :]) / q), axis=-1)
+    return -np.pi * du
+
+
+def _hat_w_d2(a, d):
+    """Second Wirtinger derivatives of hat_w: d^2/(d alpha_j d alpha_l) and
+    d^2/(d alpha_j d conj(alpha_l)), (..., k, k) each."""
+    omr2 = (1.0 - np.abs(a) ** 2) ** 2
+    duv_diag = -(d**2) * np.conj(a) ** 2 / omr2
+    duvbar_diag = -(d**2) / omr2
+    if a.shape[-1] == 1:
+        return np.pi * duv_diag[..., None], np.pi * duvbar_diag[..., None]
+    diff, q, w = _pairs(a, d)
+    duv = -w / diff**2
+    duvbar = -w / q**2
+    i = np.arange(a.shape[-1])
+    duv[..., i, i] = duv_diag - np.sum(duv - duvbar * np.conj(a[..., None, :]) ** 2, axis=-1)
+    duvbar[..., i, i] = duvbar_diag
+    return np.pi * duv, np.pi * duvbar
+
+
 def hat_w(cfg: VortexConfiguration) -> float:
     """Renormalized energy of the canonical datum (prescribed-degree energy)."""
     validate_configuration(cfg)
-    a = cfg.points_array()
-    d = cfg.degrees_array()
-    k = cfg.k
-    total = np.sum(d**2 * np.log(1.0 - np.abs(a) ** 2))
-    for j in range(k):
-        for l in range(k):
-            if l == j:
-                continue
-            total -= d[j] * d[l] * np.log(np.abs(a[j] - a[l]))
-            total += d[j] * d[l] * np.log(np.abs(1.0 - np.conj(a[j]) * a[l]))
-    return float(np.pi * total)
-
-
-def _hat_w_wirtinger(cfg: VortexConfiguration):
-    """First and second Wirtinger derivatives of hat_w."""
-    a = cfg.points_array()
-    d = cfg.degrees_array()
-    k = cfg.k
-    du = np.zeros(k, dtype=complex)
-    duv = np.zeros((k, k), dtype=complex)
-    duvbar = np.zeros((k, k), dtype=complex)
-    for j in range(k):
-        omr = 1.0 - abs(a[j]) ** 2
-        du[j] = -d[j] ** 2 * np.conj(a[j]) / omr
-        duv[j, j] = -d[j] ** 2 * np.conj(a[j]) ** 2 / omr**2
-        duvbar[j, j] = -d[j] ** 2 / omr**2
-        for l in range(k):
-            if l == j:
-                continue
-            diff = a[j] - a[l]
-            q = 1.0 - a[j] * np.conj(a[l])
-            du[j] += -d[j] * d[l] / diff - d[j] * d[l] * np.conj(a[l]) / q
-            duv[j, j] += d[j] * d[l] / diff**2 - d[j] * d[l] * np.conj(a[l]) ** 2 / q**2
-            duv[j, l] = -d[j] * d[l] / diff**2
-            duvbar[j, l] = -d[j] * d[l] / q**2
-    return np.pi * du, np.pi * duv, np.pi * duvbar
+    return float(_hat_w(cfg.points_array(), cfg.degrees_array()))
 
 
 def hat_w_grad(cfg: VortexConfiguration) -> np.ndarray:
     """Analytic gradient of hat_w as a real 2k-vector (x1, y1, x2, y2, ...)."""
     validate_configuration(cfg)
-    du, _, _ = _hat_w_wirtinger(cfg)
-    return grad_to_vec(du)
+    return grad_to_vec(_hat_w_du(cfg.points_array(), cfg.degrees_array()))
 
 
 def hat_w_hess(cfg: VortexConfiguration) -> np.ndarray:
     """Analytic Hessian of hat_w, a symmetric 2k x 2k matrix."""
     validate_configuration(cfg)
-    _, duv, duvbar = _hat_w_wirtinger(cfg)
-    return assemble_hessian(cfg.k, duv, duvbar)
+    return assemble_hessian(*_hat_w_d2(cfg.points_array(), cfg.degrees_array()))
 
 
 def canonical_datum_density(cfg: VortexConfiguration, trunc: int = DEFAULT_TRUNC) -> FourierSeries:
@@ -187,46 +199,57 @@ def w_disc(ctx: DiscEnergyContext, cfg: VortexConfiguration, psi: FourierSeries)
     hat_w plus half the squared H^{1/2} seminorm of the composite phase."""
     validate_configuration(cfg)
     composite = psi_star_base_boundary(ctx, cfg) + harmonic_conjugate(psi)
-    return hat_w(cfg) + 0.5 * h_half_seminorm_sq(composite)
+    hat = float(_hat_w(cfg.points_array(), cfg.degrees_array()))
+    return hat + 0.5 * h_half_seminorm_sq(composite)
 
 
-def _seminorm_term_wirtinger(ctx, cfg, psi):
-    """Wirtinger derivatives of S(alpha) = 2 pi sum n |b_n(alpha) + c_n|^2."""
-    a = cfg.points_array()
-    d = cfg.degrees_array()
-    k = cfg.k
-    n = np.arange(1, ctx.trunc + 1)
-    u = _composite_coeffs(ctx, cfg, psi)
-    # powers alpha_j^(n-1)
-    pw = a[:, None] ** (n[None, :] - 1)
-    du = 2.0 * np.pi * d * np.sum(n[None, :] * u[None, :] * pw, axis=1)
-    duv = np.zeros((k, k), dtype=complex)
-    duvbar = np.zeros((k, k), dtype=complex)
+def _seminorm_du(a, d, u):
+    """First Wirtinger derivatives of S(alpha) = 2 pi sum n |b_n(alpha) + c_n|^2,
+    given its composite coefficients u_n (n = 1..N): b_n is antiholomorphic
+    with d conj(b_n) / d alpha_j = d_j alpha_j^(n-1)."""
+    n = np.arange(1, u.size + 1)
+    pw = a[:, None] ** (n - 1)
+    return 2.0 * np.pi * d * (pw @ (n * u))
+
+
+def _seminorm_d2(a, d, u):
+    """Second Wirtinger derivatives of S: d^2 S/(d alpha_j d alpha_l) is
+    diagonal, d^2 S/(d alpha_j d conj(alpha_l)) is one product of the power
+    tables."""
+    n = np.arange(1, u.size + 1)
+    pw = a[:, None] ** (n - 1)
     pw2 = np.zeros_like(pw)
-    pw2[:, 1:] = a[:, None] ** (n[None, 1:] - 2)
-    for j in range(k):
-        duv[j, j] = 2.0 * np.pi * d[j] * np.sum(n * (n - 1) * u * pw2[j])
-        for l in range(k):
-            duvbar[j, l] = (
-                2.0 * np.pi * d[j] * d[l] * np.sum(n * pw[j] * np.conj(pw[l]))
-            )
-    return du, duv, duvbar
+    pw2[:, 1:] = pw[:, :-1]
+    duv = np.diag(2.0 * np.pi * d * (pw2 @ (n * (n - 1) * u)))
+    dpw = d[:, None] * pw
+    duvbar = 2.0 * np.pi * (n * dpw) @ dpw.conj().T
+    return duv, duvbar
+
+
+def _w_disc_du(ctx, cfg, psi):
+    """First Wirtinger derivatives of w_disc, (k,)."""
+    a, d = cfg.points_array(), cfg.degrees_array()
+    return _hat_w_du(a, d) + _seminorm_du(a, d, _composite_coeffs(ctx, cfg, psi))
+
+
+def _w_disc_d2(ctx, cfg, psi):
+    """Second Wirtinger derivatives of w_disc, (k, k) each."""
+    a, d = cfg.points_array(), cfg.degrees_array()
+    duv_h, duvbar_h = _hat_w_d2(a, d)
+    duv_s, duvbar_s = _seminorm_d2(a, d, _composite_coeffs(ctx, cfg, psi))
+    return duv_h + duv_s, duvbar_h + duvbar_s
 
 
 def w_disc_grad(ctx: DiscEnergyContext, cfg: VortexConfiguration, psi: FourierSeries) -> np.ndarray:
     """Analytic alpha-gradient of w_disc as a real 2k-vector."""
     validate_configuration(cfg)
-    du_hat, _, _ = _hat_w_wirtinger(cfg)
-    du_s, _, _ = _seminorm_term_wirtinger(ctx, cfg, psi)
-    return grad_to_vec(du_hat + du_s)
+    return grad_to_vec(_w_disc_du(ctx, cfg, psi))
 
 
 def w_disc_hess(ctx: DiscEnergyContext, cfg: VortexConfiguration, psi: FourierSeries) -> np.ndarray:
     """Analytic alpha-Hessian of w_disc, symmetric 2k x 2k."""
     validate_configuration(cfg)
-    _, duv_h, duvbar_h = _hat_w_wirtinger(cfg)
-    _, duv_s, duvbar_s = _seminorm_term_wirtinger(ctx, cfg, psi)
-    return assemble_hessian(cfg.k, duv_h + duv_s, duvbar_h + duvbar_s)
+    return assemble_hessian(*_w_disc_d2(ctx, cfg, psi))
 
 
 def n_disc(ctx: DiscEnergyContext, cfg: VortexConfiguration, psi: FourierSeries) -> FourierSeries:

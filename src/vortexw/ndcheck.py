@@ -23,9 +23,9 @@ from .core import (
     validate_map,
 )
 from .critpoint import CriticalPointReport, find_max_hat_w
-from .disc_energy import DiscEnergyContext, _n_disc_alpha_jacobian, n_disc, w_disc_hess
+from .disc_energy import DiscEnergyContext, _n_disc_alpha_jacobian, n_disc
 from .errors import LeftAdmissibleRegion, NewtonDiverged, NoCriticalPointFound
-from .transport import map_correction_hess, transport_w_grad, transport_w_hess
+from .transport import transport_w_grad, transport_w_hess
 
 TOL_OP = 1e-3
 STABILITY_REL = 1e-2
@@ -51,8 +51,7 @@ def check_nd1(f: ConformalPolyMap, multistart: int = 16) -> Nd1Report:
         raise NoCriticalPointFound(str(exc)) from exc
     cfg = rep.location
     ctx = DiscEnergyContext(cfg)
-    psi0 = FourierSeries.zeros(ctx.trunc)
-    h_w = w_disc_hess(ctx, cfg, psi0) + map_correction_hess(f, cfg)
+    h_w = transport_w_hess(f, ctx, cfg, FourierSeries.zeros(ctx.trunc))
     passed = rep.nondegenerate and is_nondegenerate(h_w)
     alpha0 = cfg.points[0] if cfg.k == 1 else None
     return Nd1Report(

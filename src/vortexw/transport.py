@@ -8,78 +8,78 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._calculus import grad_to_vec, m_matrix
+from ._calculus import assemble_hessian, grad_to_vec
 from .core import ConformalPolyMap, FourierSeries, VortexConfiguration, validate_configuration
 from .disc_energy import (
     DiscEnergyContext,
-    hat_w,
-    hat_w_grad,
-    hat_w_hess,
+    _hat_w,
+    _hat_w_d2,
+    _hat_w_du,
+    _w_disc_d2,
+    _w_disc_du,
     n_disc,
     w_disc,
-    w_disc_grad,
-    w_disc_hess,
 )
 from .errors import DegenerateDerivative
 
 
-def _log_fprime_sum(f: ConformalPolyMap, cfg: VortexConfiguration) -> float:
-    a = cfg.points_array()
-    d = cfg.degrees_array()
+def _fprime(f: ConformalPolyMap, a) -> np.ndarray:
     fp = f.derivative(a)
-    if np.any(np.abs(fp) == 0.0):
+    if np.any(fp == 0.0):
         raise DegenerateDerivative("f' vanishes at a vortex")
-    return float(np.pi * np.sum(d**2 * np.log(np.abs(fp))))
+    return fp
 
 
-def map_correction_grad(f: ConformalPolyMap, cfg: VortexConfiguration) -> np.ndarray:
-    """Gradient of alpha -> pi sum d_j^2 log|f'(alpha_j)| (real 2k-vector)."""
-    a = cfg.points_array()
-    d = cfg.degrees_array()
-    fp = f.derivative(a)
-    fpp = f.derivative(a, 2)
-    # d/dalpha (pi log|f'|) = pi f''/(2 f'); real gradient doubles and conjugates
-    return grad_to_vec(np.pi * d**2 * fpp / (2.0 * fp))
+def _log_fprime(f: ConformalPolyMap, a, d):
+    """Map correction pi sum_j d_j^2 log|f'(alpha_j)| for configurations
+    a (..., k) with degrees d (k,)."""
+    return np.pi * np.sum(d**2 * np.log(np.abs(_fprime(f, a))), axis=-1)
+
+
+def _log_fprime_du(f: ConformalPolyMap, a, d) -> np.ndarray:
+    """Wirtinger derivatives of the map correction: pi d_j^2 f''/(2 f')."""
+    return 0.5 * np.pi * d**2 * (f.derivative(a, 2) / _fprime(f, a))
+
+
+def _log_fprime_d2(f: ConformalPolyMap, a, d) -> np.ndarray:
+    """Second Wirtinger derivatives d^2/(d alpha_j d alpha_l) of the map
+    correction, (k, k): diagonal, pi d_j^2 (f3/f1 - (f2/f1)^2) / 2 with
+    f_m the m-th derivative of f at alpha_j. The mixed derivatives
+    d^2/(d alpha_j d conj(alpha_l)) vanish."""
+    fp = _fprime(f, a)
+    r2 = f.derivative(a, 2) / fp
+    r3 = f.derivative(a, 3) / fp
+    return np.diag(0.5 * np.pi * d**2 * (r3 - r2**2))
+
+
+def _transport_hat_w(f: ConformalPolyMap, a, d):
+    """hat_w on Omega for configurations a (..., k) with degrees d (k,)."""
+    return _hat_w(a, d) + _log_fprime(f, a, d)
 
 
 def log_fprime_hessian(f: ConformalPolyMap, alpha: complex) -> np.ndarray:
     """Hessian of alpha -> pi log|f'(alpha)| at a single point."""
-    fp = complex(f.derivative(alpha))
-    if fp == 0.0:
-        raise DegenerateDerivative(f"f'({alpha}) = 0")
-    fpp = complex(f.derivative(alpha, 2))
-    f3 = complex(f.derivative(alpha, 3))
-    # second Wirtinger derivative of pi log|f'|; the mixed derivative vanishes
-    p = 0.5 * np.pi * (f3 * fp - fpp**2) / fp**2
-    return 2.0 * m_matrix(p)
-
-
-def map_correction_hess(f: ConformalPolyMap, cfg: VortexConfiguration) -> np.ndarray:
-    """Block-diagonal Hessian of the map correction term."""
-    k = cfg.k
-    d = cfg.degrees_array()
-    h = np.zeros((2 * k, 2 * k))
-    for j in range(k):
-        h[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = d[j] ** 2 * log_fprime_hessian(
-            f, cfg.points[j]
-        )
-    return h
+    duv = _log_fprime_d2(f, np.array([complex(alpha)]), np.ones(1))
+    return assemble_hessian(duv, np.zeros((1, 1)))
 
 
 def transport_hat_w(f: ConformalPolyMap, cfg: VortexConfiguration) -> float:
     """hat_w on Omega = f(D), evaluated at a = f(alpha) in disc coordinates."""
     validate_configuration(cfg)
-    return hat_w(cfg) + _log_fprime_sum(f, cfg)
+    return float(_transport_hat_w(f, cfg.points_array(), cfg.degrees_array()))
 
 
 def transport_hat_w_grad(f: ConformalPolyMap, cfg: VortexConfiguration) -> np.ndarray:
     validate_configuration(cfg)
-    return hat_w_grad(cfg) + map_correction_grad(f, cfg)
+    a, d = cfg.points_array(), cfg.degrees_array()
+    return grad_to_vec(_hat_w_du(a, d) + _log_fprime_du(f, a, d))
 
 
 def transport_hat_w_hess(f: ConformalPolyMap, cfg: VortexConfiguration) -> np.ndarray:
     validate_configuration(cfg)
-    return hat_w_hess(cfg) + map_correction_hess(f, cfg)
+    a, d = cfg.points_array(), cfg.degrees_array()
+    duv, duvbar = _hat_w_d2(a, d)
+    return assemble_hessian(duv + _log_fprime_d2(f, a, d), duvbar)
 
 
 def transport_w(
@@ -90,17 +90,22 @@ def transport_w(
 ) -> float:
     """Full energy on Omega in disc coordinates."""
     validate_configuration(cfg)
-    return w_disc(ctx, cfg, psi) + _log_fprime_sum(f, cfg)
+    return w_disc(ctx, cfg, psi) + float(
+        _log_fprime(f, cfg.points_array(), cfg.degrees_array())
+    )
 
 
 def transport_w_grad(f, ctx, cfg, psi) -> np.ndarray:
     validate_configuration(cfg)
-    return w_disc_grad(ctx, cfg, psi) + map_correction_grad(f, cfg)
+    du = _w_disc_du(ctx, cfg, psi)
+    return grad_to_vec(du + _log_fprime_du(f, cfg.points_array(), cfg.degrees_array()))
 
 
 def transport_w_hess(f, ctx, cfg, psi) -> np.ndarray:
     validate_configuration(cfg)
-    return w_disc_hess(ctx, cfg, psi) + map_correction_hess(f, cfg)
+    duv, duvbar = _w_disc_d2(ctx, cfg, psi)
+    duv = duv + _log_fprime_d2(f, cfg.points_array(), cfg.degrees_array())
+    return assemble_hessian(duv, duvbar)
 
 
 def transport_n(

@@ -9,10 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vortexw import (
+    BOUNDARY_MARGIN,
     ConformalPolyMap,
     DiscEnergyContext,
     FourierSeries,
     VortexConfiguration,
+    ndcheck,
+    transport_hat_w,
     transport_w,
 )
 from vortexw.cli import run
@@ -87,6 +90,19 @@ class TestEnergy:
                 fd.append((w(points + e) - w(points - e)) / (2 * h))
         np.testing.assert_allclose(json.loads(out)["w_grad"], fd, atol=1e-6)
 
+    @pytest.mark.parametrize("coeffs", ["0,1e160", "0,1e308", "1e308,1e308"])
+    def test_huge_affine_map(self, capsys, coeffs):
+        # the boundary test must not overflow on a conformal map of any size
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = capture(capsys, ["energy", "--map", coeffs, "--vortex", "0.5,0,1"])
+        assert code == 0
+        payload = json.loads(out)
+        scale = float(coeffs.split(",")[1])
+        assert payload["hat_w_domain"] == pytest.approx(
+            np.pi * (np.log(0.75) + np.log(scale)), rel=1e-12
+        )
+
     def test_leading_minus_values(self, capsys):
         glued = ["energy", "--map=-0.1,1", "--vortex=-0.2,0.4,1", "--base=-0.1,0.3,1"]
         split = ["energy", "--map", "-0.1,1", "--vortex", "-0.2,0.4,1", "--base", "-0.1,0.3,1"]
@@ -112,6 +128,16 @@ class TestNd:
         assert payload["nd1"] == "pass"
         assert payload["nd2"] == "pass"
         assert payload["sigma_min"] == pytest.approx(1.0, abs=1e-5)
+
+    def test_bad_trunc_exits_before_the_search(self, capsys, monkeypatch):
+        def search(*args, **kwargs):
+            raise AssertionError("check_nd1 ran")
+
+        monkeypatch.setattr(ndcheck, "check_nd1", search)
+        code = run(["nd", "--map", "0,1,0.1", "--trunc", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:")
 
 
 class TestExpand:
@@ -178,6 +204,29 @@ class TestLandscape:
         for r in rows:
             outside = np.hypot(r["x"], r["y"]) >= 1.0 - 1e-3
             assert (r["hat_w"] is None) == outside
+
+    @pytest.mark.parametrize("coeffs", [[0.0, 1.0], [0.0, 1.0, 0.05, 0.02j]])
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_same_bytes_as_pointwise_evaluation(self, capsys, coeffs, degree):
+        # one closed-form call per grid point, as the grid used to be built
+        f = ConformalPolyMap(coeffs)
+        xs = np.linspace(-0.95, 0.95, 21)
+        records = []
+        for y in xs:
+            for x in xs:
+                p = complex(x, y)
+                v = float("nan")
+                if abs(p) < 1.0 - BOUNDARY_MARGIN:
+                    v = transport_hat_w(f, VortexConfiguration([p], (degree,)))
+                records.append((float(x), float(y), v))
+        csv = "".join(["x,y,hat_w\n"] + [f"{x:.6f},{y:.6f},{v}\n" for x, y, v in records])
+        rows = [{"x": x, "y": y, "hat_w": None if np.isnan(v) else v} for x, y, v in records]
+        json_text = json.dumps({"rows": rows}, indent=2, sort_keys=True) + "\n"
+
+        argv = ["landscape", "--map", ",".join(map(str, coeffs)), "--grid", "21"]
+        argv += ["--degree", str(degree)]
+        assert capture(capsys, argv + ["--csv"]) == (0, csv)
+        assert capture(capsys, argv) == (0, json_text)
 
 
 class TestSelfcheckAndErrors:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from vortexw import (
     validate_configuration,
     validate_map,
 )
+from vortexw.core import _polygon_self_intersects, configuration_is_admissible
 
 
 class TestVortexConfiguration:
@@ -60,6 +63,24 @@ class TestVortexConfiguration:
             validate_configuration(
                 VortexConfiguration([0.1, 0.1 + 1e-10], (1, 1))
             )
+
+    def test_collision_names_first_pair(self):
+        cfg = VortexConfiguration([0.3, 0.1, 0.2j, 0.1 + 1e-10, 0.3], (1, 1, 1, 1, 1))
+        with pytest.raises(VorticesCollide, match="vortices 0 and 4"):
+            validate_configuration(cfg)
+
+    def test_nan_point_is_not_admissible(self):
+        assert not configuration_is_admissible(np.array([complex("nan+0j")]))
+        with pytest.raises(VortexTooCloseToBoundary):
+            validate_configuration(VortexConfiguration([0.1, complex("nan+0j")], (1, 1)))
+
+    def test_admissible_over_a_batch(self):
+        batch = np.array(
+            [[0.1, 0.2j], [0.1, 0.1 + 1e-10], [0.1, 0.9995], [-0.5, 0.5], [0.0, complex("nan")]]
+        )
+        got = configuration_is_admissible(batch)
+        assert got.tolist() == [configuration_is_admissible(row) for row in batch]
+        assert got.tolist() == [True, False, False, True, False]
 
 
 class TestFourierSeries:
@@ -123,6 +144,24 @@ class TestConformalPolyMap:
         assert mapped.degrees == (1, 1)
 
 
+def segments_intersect_pairwise(p, q):
+    """Proper crossing of any two non-adjacent segments p[i] -> q[i], by
+    gathering each pair of segments and testing four orientations."""
+    s = p.size
+
+    def cross(o, a, b):
+        return ((a - o).conjugate() * (b - o)).imag
+
+    i_idx, j_idx = np.triu_indices(s, k=2)
+    # first and last segments are adjacent on the loop
+    keep = ~((i_idx == 0) & (j_idx == s - 1))
+    i_idx, j_idx = i_idx[keep], j_idx[keep]
+    a, b = p[i_idx], q[i_idx]
+    c, d = p[j_idx], q[j_idx]
+    hit = (cross(a, b, c) * cross(a, b, d) < 0) & (cross(c, d, a) * cross(c, d, b) < 0)
+    return bool(np.any(hit))
+
+
 class TestValidateMap:
     def test_identity_passes(self):
         report = validate_map(ConformalPolyMap.identity())
@@ -137,6 +176,31 @@ class TestValidateMap:
         # f'(z) = 1 + 2 eps z vanishes at |z| = 1/(2 eps) <= 1
         with pytest.raises(DegenerateDerivative):
             validate_map(ConformalPolyMap([0.0, 1.0, eps]))
+
+    @pytest.mark.parametrize("r", [1e-300, 1e160, 1e308])
+    def test_scalings_pass(self, r):
+        # a scaling is a conformal bijection at any size
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            validate_map(ConformalPolyMap([0.0, r]))
+
+    def test_self_intersection_table_matches_segment_pairs(self):
+        # random polynomial maps z + c_2 z^2 + ..., many with a looping boundary
+        rng = np.random.default_rng(2024)
+        z = np.exp(1j * np.linspace(0.0, 2 * np.pi, 256, endpoint=False))
+        verdicts = []
+        for _ in range(320):
+            c = np.zeros(rng.integers(3, 8), dtype=complex)
+            c[1] = 1.0
+            c[2:] = rng.uniform(0.05, 0.6) * (
+                rng.normal(size=c.size - 2) + 1j * rng.normal(size=c.size - 2)
+            )
+            p = np.polynomial.polynomial.polyval(z, c)
+            p /= np.max(np.abs(p))
+            want = segments_intersect_pairwise(p, np.roll(p, -1))
+            assert _polygon_self_intersects(p) == want
+            verdicts.append(want)
+        assert 50 <= sum(verdicts) <= len(verdicts) - 50
 
     def test_zero_linear_coefficient_fails(self):
         with pytest.raises(DegenerateDerivative):

@@ -19,6 +19,14 @@ from vortexw import (
     w_disc_grad,
     w_disc_hess,
 )
+from vortexw.disc_energy import (
+    _composite_coeffs,
+    _hat_w,
+    _hat_w_d2,
+    _hat_w_du,
+    _seminorm_d2,
+    _seminorm_du,
+)
 
 ORIGIN = VortexConfiguration([0.0], (1,))
 
@@ -225,3 +233,120 @@ class TestNDisc:
         psi = FourierSeries.from_real(cos=[0.5, 0.0, 0.2], trunc=16)
         tr = n_disc(ctx, VortexConfiguration([0.0], (1,)), psi)
         np.testing.assert_allclose(tr.cos_coeffs()[:3], [0.5, 0.0, 0.6], atol=1e-14)
+
+
+# ------------------------------------------------------------------
+# Loop forms of the pairwise sums, kept as references for the array
+# kernels: one Python iteration per vortex pair, written term by term.
+
+
+def hat_w_loop(cfg):
+    a = cfg.points_array()
+    d = cfg.degrees_array()
+    total = np.sum(d**2 * np.log(1.0 - np.abs(a) ** 2))
+    for j in range(cfg.k):
+        for l in range(cfg.k):
+            if l == j:
+                continue
+            total -= d[j] * d[l] * np.log(np.abs(a[j] - a[l]))
+            total += d[j] * d[l] * np.log(np.abs(1.0 - np.conj(a[j]) * a[l]))
+    return float(np.pi * total)
+
+
+def hat_w_wirtinger_loop(cfg):
+    """First and second Wirtinger derivatives of hat_w."""
+    a = cfg.points_array()
+    d = cfg.degrees_array()
+    k = cfg.k
+    du = np.zeros(k, dtype=complex)
+    duv = np.zeros((k, k), dtype=complex)
+    duvbar = np.zeros((k, k), dtype=complex)
+    for j in range(k):
+        omr = 1.0 - abs(a[j]) ** 2
+        du[j] = -d[j] ** 2 * np.conj(a[j]) / omr
+        duv[j, j] = -d[j] ** 2 * np.conj(a[j]) ** 2 / omr**2
+        duvbar[j, j] = -d[j] ** 2 / omr**2
+        for l in range(k):
+            if l == j:
+                continue
+            diff = a[j] - a[l]
+            q = 1.0 - a[j] * np.conj(a[l])
+            du[j] += -d[j] * d[l] / diff - d[j] * d[l] * np.conj(a[l]) / q
+            duv[j, j] += d[j] * d[l] / diff**2 - d[j] * d[l] * np.conj(a[l]) ** 2 / q**2
+            duv[j, l] = -d[j] * d[l] / diff**2
+            duvbar[j, l] = -d[j] * d[l] / q**2
+    return np.pi * du, np.pi * duv, np.pi * duvbar
+
+
+def seminorm_term_wirtinger_loop(ctx, cfg, psi):
+    """Wirtinger derivatives of S(alpha) = 2 pi sum n |b_n(alpha) + c_n|^2."""
+    a = cfg.points_array()
+    d = cfg.degrees_array()
+    k = cfg.k
+    n = np.arange(1, ctx.trunc + 1)
+    u = _composite_coeffs(ctx, cfg, psi)
+    pw = a[:, None] ** (n[None, :] - 1)
+    du = 2.0 * np.pi * d * np.sum(n[None, :] * u[None, :] * pw, axis=1)
+    duv = np.zeros((k, k), dtype=complex)
+    duvbar = np.zeros((k, k), dtype=complex)
+    pw2 = np.zeros_like(pw)
+    pw2[:, 1:] = a[:, None] ** (n[None, 1:] - 2)
+    for j in range(k):
+        duv[j, j] = 2.0 * np.pi * d[j] * np.sum(n * (n - 1) * u * pw2[j])
+        for l in range(k):
+            duvbar[j, l] = 2.0 * np.pi * d[j] * d[l] * np.sum(n * pw[j] * np.conj(pw[l]))
+    return du, duv, duvbar
+
+
+def random_configuration(rng, k, radius=0.9, separation=0.02):
+    pts = []
+    while len(pts) < k:
+        p = radius * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+        if all(abs(p - q) >= separation for q in pts):
+            pts.append(p)
+    return VortexConfiguration(pts, rng.choice([-2, -1, 1, 2], size=k))
+
+
+def assert_rel_close(got, want, rel=1e-12):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+class TestArrayKernelsMatchLoops:
+    @pytest.mark.parametrize("k", [1, 2, 8, 64])
+    def test_hat_w_terms(self, k):
+        cfg = random_configuration(np.random.default_rng(100 + k), k)
+        a, d = cfg.points_array(), cfg.degrees_array()
+        du, duv, duvbar = hat_w_wirtinger_loop(cfg)
+        assert hat_w(cfg) == pytest.approx(hat_w_loop(cfg), rel=1e-12)
+        assert_rel_close(_hat_w_du(a, d), du)
+        got_uv, got_uvbar = _hat_w_d2(a, d)
+        assert_rel_close(got_uv, duv)
+        assert_rel_close(got_uvbar, duvbar)
+
+    @pytest.mark.parametrize("k", [1, 2, 8, 64])
+    def test_seminorm_terms(self, k):
+        rng = np.random.default_rng(200 + k)
+        cfg = random_configuration(rng, k)
+        base = random_configuration(rng, k).points
+        ctx = DiscEnergyContext(VortexConfiguration(base, cfg.degrees), trunc=64)
+        psi = FourierSeries.from_real(cos=rng.normal(0, 0.3, 5), sin=rng.normal(0, 0.3, 5), trunc=64)
+        a, d = cfg.points_array(), cfg.degrees_array()
+        u = _composite_coeffs(ctx, cfg, psi)
+        du, duv, duvbar = seminorm_term_wirtinger_loop(ctx, cfg, psi)
+        assert_rel_close(_seminorm_du(a, d, u), du)
+        got_uv, got_uvbar = _seminorm_d2(a, d, u)
+        assert_rel_close(got_uv, duv)
+        assert_rel_close(got_uvbar, duvbar)
+
+    def test_batch_axis(self):
+        # a leading axis holds independent configurations of equal degrees
+        rng = np.random.default_rng(7)
+        degrees = (1, -2, 1)
+        cfgs = [VortexConfiguration(random_configuration(rng, 3).points, degrees) for _ in range(5)]
+        a = np.array([c.points_array() for c in cfgs])
+        d = cfgs[0].degrees_array()
+        assert_rel_close(_hat_w(a, d), [hat_w_loop(c) for c in cfgs])
+        for row, c in zip(_hat_w_du(a, d), cfgs):
+            assert_rel_close(row, hat_w_wirtinger_loop(c)[0])
