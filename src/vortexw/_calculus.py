@@ -10,9 +10,10 @@ import numpy as np
 
 
 def grad_to_vec(wirtinger_du: np.ndarray) -> np.ndarray:
-    """Pack complex Wirtinger derivatives (dF/du_j) into the real 2k-gradient."""
+    """Pack complex Wirtinger derivatives (dF/du_j) into the real 2k-gradient,
+    along axis 0 (so the columns of a (k, m) array become m gradients)."""
     g = 2.0 * np.conj(np.atleast_1d(wirtinger_du))
-    out = np.empty(2 * g.size)
+    out = np.empty((2 * g.shape[0],) + g.shape[1:])
     out[0::2] = g.real
     out[1::2] = g.imag
     return out

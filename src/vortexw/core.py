@@ -234,11 +234,32 @@ class FourierSeries:
         return f"FourierSeries(trunc={self.trunc}, mean={self.mean:.3g})"
 
 
+def _derivative_coeffs(c: np.ndarray, order: int) -> np.ndarray:
+    """Coefficients (lowest degree first) of the order-th derivative of the
+    polynomial with coefficients c; [0] once order exceeds the degree."""
+    for _ in range(order):
+        c = c[1:] * np.arange(1, c.size)
+        if c.size == 0:
+            return np.zeros(1, dtype=complex)
+    return c
+
+
+def _horner(c: np.ndarray, z):
+    """The polynomial with coefficients c at z: the Horner recurrence of
+    np.polynomial.polynomial.polyval, bit for bit, without its per-call
+    argument handling."""
+    z = np.asarray(z, dtype=complex)
+    acc = c[-1] + z * 0
+    for cm in c[-2::-1]:
+        acc = cm + acc * z
+    return acc
+
+
 class ConformalPolyMap:
     """Polynomial holomorphic map f(z) = sum_m c_m z^m with f'(z) != 0 on
     the closed disc; represents the target domain Omega = f(D)."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "_derivs")
 
     def __init__(self, coeffs: Sequence[complex]):
         c = np.asarray(coeffs, dtype=complex).copy()
@@ -246,6 +267,9 @@ class ConformalPolyMap:
             raise ValueError("need at least coefficients c_0, c_1")
         c.setflags(write=False)
         self._coeffs = c
+        # coefficients of f, f', f'' and f''', taken once since the map is
+        # immutable
+        self._derivs = tuple(_derivative_coeffs(c, m) for m in range(4))
 
     @classmethod
     def identity(cls) -> "ConformalPolyMap":
@@ -270,22 +294,14 @@ class ConformalPolyMap:
             and self._coeffs[1] == 1.0
         )
 
-    def _dcoeffs(self, order: int) -> np.ndarray:
-        c = self._coeffs
-        for _ in range(order):
-            m = np.arange(1, c.size)
-            c = c[1:] * m
-            if c.size == 0:
-                return np.zeros(1, dtype=complex)
-        return c
-
     def __call__(self, z):
-        return np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex), self._coeffs)
+        return _horner(self._coeffs, z)
 
     def derivative(self, z, order: int = 1):
-        return np.polynomial.polynomial.polyval(
-            np.asarray(z, dtype=complex), self._dcoeffs(order)
-        )
+        top = len(self._derivs) - 1
+        if order <= top:
+            return _horner(self._derivs[order], z)
+        return _horner(_derivative_coeffs(self._derivs[top], order - top), z)
 
     def map_configuration(self, cfg: VortexConfiguration) -> VortexConfiguration:
         return VortexConfiguration(self(cfg.points_array()), cfg.degrees)
@@ -330,7 +346,7 @@ def validate_map(f: ConformalPolyMap, grid_density: int = 24) -> dict:
     c = f.coeffs
     if c[1] == 0.0:
         raise DegenerateDerivative("c_1 = 0")
-    dcoef = f._dcoeffs(1)
+    dcoef = f._derivs[1]
     if dcoef.size > 1:
         roots = np.polynomial.polynomial.polyroots(dcoef)
         inside = roots[np.abs(roots) <= 1.0 + 1e-12]

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._calculus import grad_to_vec
 from .core import (
     ConformalPolyMap,
     FourierSeries,
@@ -22,12 +23,12 @@ from .core import (
 from .disc_energy import DiscEnergyContext
 from .errors import LeftAdmissibleRegion, NewtonDiverged, NondegeneracyLost
 from .transport import (
-    transport_hat_w,
-    transport_hat_w_grad,
-    transport_hat_w_hess,
+    _transport_hat_w,
+    _transport_hat_w_du,
+    _transport_hat_w_hess,
+    _transport_w_du,
+    _transport_w_hess,
     transport_w,
-    transport_w_grad,
-    transport_w_hess,
 )
 
 TOL_NEWTON = 1e-12
@@ -103,27 +104,29 @@ def find_critical_hat_w(
     tol: float = TOL_NEWTON,
     max_iter: int = MAX_ITER,
 ) -> CriticalPointReport:
-    """Newton solve for a zero of the gradient of hat_w + map correction."""
+    """Newton solve for a zero of the gradient of hat_w + map correction.
+
+    init is validated once here; _newton keeps every iterate admissible, so
+    the residual and Jacobian call the unchecked kernels."""
     validate_configuration(init)
-    degrees = init.degrees
+    d = init.degrees_array()
 
     def residual(x):
-        return transport_hat_w_grad(f, VortexConfiguration(_unpack(x), degrees))
+        return grad_to_vec(_transport_hat_w_du(f, _unpack(x), d))
 
     def jacobian(x):
-        return transport_hat_w_hess(f, VortexConfiguration(_unpack(x), degrees))
+        return _transport_hat_w_hess(f, _unpack(x), d)
 
     x, rn, its = _newton(_pack(init.points_array()), residual, jacobian, tol, max_iter)
-    loc = VortexConfiguration(_unpack(x), degrees)
-    h = transport_hat_w_hess(f, loc)
+    h = jacobian(x)
     return CriticalPointReport(
-        location=loc,
+        location=VortexConfiguration(_unpack(x), init.degrees),
         residual_norm=rn,
         hessian=h,
         nondegenerate=is_nondegenerate(h),
         iterations=its,
         converged=True,
-        value=transport_hat_w(f, loc),
+        value=float(_transport_hat_w(f, _unpack(x), d)),
     )
 
 
@@ -135,19 +138,21 @@ def find_critical_w(
     tol: float = TOL_NEWTON,
     max_iter: int = MAX_ITER,
 ) -> CriticalPointReport:
-    """Newton solve for a zero of the gradient of the full energy W."""
+    """Newton solve for a zero of the gradient of the full energy W.
+
+    init is validated once here, as in find_critical_hat_w."""
     validate_configuration(init)
     degrees = init.degrees
 
     def residual(x):
-        return transport_w_grad(f, ctx, VortexConfiguration(_unpack(x), degrees), psi)
+        return grad_to_vec(_transport_w_du(f, ctx, VortexConfiguration(_unpack(x), degrees), psi))
 
     def jacobian(x):
-        return transport_w_hess(f, ctx, VortexConfiguration(_unpack(x), degrees), psi)
+        return _transport_w_hess(f, ctx, VortexConfiguration(_unpack(x), degrees), psi)
 
     x, rn, its = _newton(_pack(init.points_array()), residual, jacobian, tol, max_iter)
     loc = VortexConfiguration(_unpack(x), degrees)
-    h = transport_w_hess(f, ctx, loc, psi)
+    h = jacobian(x)
     return CriticalPointReport(
         location=loc,
         residual_norm=rn,
@@ -159,29 +164,61 @@ def find_critical_w(
     )
 
 
-def _lattice_starts(multistart: int, k: int, degrees) -> list:
-    """Deterministic start list: radial-angular lattice of radius 0.8 for a
-    single vortex, seeded random draws for several."""
-    starts = []
+def _lattice_starts(multistart: int, k: int) -> np.ndarray:
+    """Deterministic starts, (starts, k): the origin and a radial-angular
+    lattice of radius 0.8 for a single vortex, seeded random draws for
+    several."""
     if k == 1:
-        starts.append(VortexConfiguration([0.0], degrees))
         n_r, n_t = 4, max(1, (multistart - 1) // 4)
-        for i in range(1, n_r + 1):
-            r = 0.8 * i / n_r
-            for j in range(n_t):
-                th = 2 * np.pi * j / n_t + 0.3 * i
-                starts.append(VortexConfiguration([r * np.exp(1j * th)], degrees))
-                if len(starts) >= multistart:
-                    return starts
-        return starts
+        starts = [0.0] + [
+            0.8 * i / n_r * np.exp(1j * (2 * np.pi * j / n_t + 0.3 * i))
+            for i in range(1, n_r + 1)
+            for j in range(n_t)
+        ]
+        return np.array(starts[: max(multistart, 2)], dtype=complex)[:, None]
+    starts = []
     rng = np.random.default_rng(2357)
     while len(starts) < multistart:
         pts = 0.8 * np.sqrt(rng.uniform(0, 1, k)) * np.exp(
             1j * rng.uniform(0, 2 * np.pi, k)
         )
         if configuration_is_admissible(pts):
-            starts.append(VortexConfiguration(pts, degrees))
-    return starts
+            starts.append(pts)
+    return np.array(starts, dtype=complex).reshape(-1, k)
+
+
+def _ascend(f: ConformalPolyMap, starts: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Up to 40 damped gradient-ascent steps on the transported hat_w from
+    every start at once, starts (starts, k) with degrees d (k,); pulls each
+    start into the Newton basin of a maximizer.
+
+    Each start keeps its own step size (0.05, halved on every rejected
+    step). A step is taken along g / max(1, |g|), g the real gradient in
+    complex form, and accepted when it stays admissible and raises hat_w.
+    A start stops when |g| < 1e-3 or its step falls below 1e-6."""
+    pts = starts.copy()
+    val = _transport_hat_w(f, pts, d)
+    step = np.full(len(pts), 0.05)
+    active = np.ones(len(pts), dtype=bool)
+    for _ in range(40):
+        g = 2.0 * np.conj(_transport_hat_w_du(f, pts, d))
+        # |g| summed as np.linalg.norm sums one start, so each start takes
+        # the steps it would take alone
+        gn = np.sqrt(np.vecdot(g.real, g.real) + np.vecdot(g.imag, g.imag))
+        active &= gn >= 1e-3
+        if not active.any():
+            break
+        cand = pts + step[:, None] * g / np.maximum(1.0, gn)[:, None]
+        ok = active & configuration_is_admissible(cand)
+        cand_val = _transport_hat_w(f, cand[ok], d)
+        up = np.zeros_like(ok)
+        up[ok] = cand_val > val[ok]
+        pts[up] = cand[up]
+        val[up] = cand_val[up[ok]]
+        down = active & ~up
+        step[down] *= 0.5
+        active &= ~(down & (step < 1e-6))
+    return pts
 
 
 def find_max_hat_w(
@@ -189,29 +226,20 @@ def find_max_hat_w(
     multistart: int = 16,
     degrees=(1,),
 ) -> CriticalPointReport:
-    """Multistart ascent + Newton polish for an interior maximizer of the
-    transported hat_w; returns the best critical point found."""
-    degrees = tuple(degrees)
-    k = len(degrees)
+    """Interior maximizer of the transported hat_w: the best critical point
+    found by Newton polish (find_critical_hat_w) of a batched ascent from
+    each of a fixed set of starts.
+
+    For one vortex the starts are the origin and a lattice of 4 radii times
+    max(1, (multistart - 1) // 4) angles, cut to the first
+    max(multistart, 2). That is 1 + 4 * ((multistart - 1) // 4) starts for
+    multistart >= 5 (13 for the default 16), multistart starts for 2 to 4
+    and 2 for multistart = 1. For several vortices the starts are multistart
+    seeded random configurations. Starts whose polish fails are dropped."""
+    degrees = tuple(int(x) for x in degrees)
+    d = np.asarray(degrees, dtype=float)
     results = []
-    for start in _lattice_starts(multistart, k, degrees):
-        pts = start.points_array()
-        # a few ascent steps pull the start into the Newton basin
-        step = 0.05
-        for _ in range(40):
-            cfg = VortexConfiguration(pts, degrees)
-            g = _unpack(transport_hat_w_grad(f, cfg))
-            if np.linalg.norm(g) < 1e-3:
-                break
-            cand = pts + step * g / max(1.0, np.linalg.norm(g))
-            if configuration_is_admissible(cand) and transport_hat_w(
-                f, VortexConfiguration(cand, degrees)
-            ) > transport_hat_w(f, cfg):
-                pts = cand
-            else:
-                step *= 0.5
-                if step < 1e-6:
-                    break
+    for pts in _ascend(f, _lattice_starts(multistart, len(degrees)), d):
         try:
             rep = find_critical_hat_w(f, VortexConfiguration(pts, degrees))
         except (NewtonDiverged, LeftAdmissibleRegion):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._calculus import m_matrix
+from ._calculus import grad_to_vec, m_matrix
 from .core import (
     ConformalPolyMap,
     FourierSeries,
@@ -23,9 +23,9 @@ from .core import (
     validate_map,
 )
 from .critpoint import CriticalPointReport, find_max_hat_w
-from .disc_energy import DiscEnergyContext, _n_disc_alpha_jacobian, n_disc
+from .disc_energy import DiscEnergyContext, _n_disc_alpha_jacobian
 from .errors import LeftAdmissibleRegion, NewtonDiverged, NoCriticalPointFound
-from .transport import transport_w_grad, transport_w_hess
+from .transport import transport_w_hess
 
 TOL_OP = 1e-3
 STABILITY_REL = 1e-2
@@ -83,15 +83,6 @@ def du_star_matrix_analytic_disc(trunc: int) -> OperatorMatrix:
     )
 
 
-def _basis_mode(m: int, trunc: int) -> FourierSeries:
-    """m-th real basis element in the standard index order."""
-    n, kind = OperatorMatrix.standard_index(trunc)[m]
-    cos = np.zeros(trunc)
-    sin = np.zeros(trunc)
-    (cos if kind == "cos" else sin)[n - 1] = 1.0
-    return FourierSeries.from_real(cos=cos, sin=sin, trunc=trunc)
-
-
 def _real_modes(c: np.ndarray) -> np.ndarray:
     """Real coefficients (cos_1, sin_1, ..., cos_N, sin_N) along axis 0 from
     the complex coefficients of modes 1..N."""
@@ -99,6 +90,23 @@ def _real_modes(c: np.ndarray) -> np.ndarray:
     out[0::2] = 2.0 * c.real
     out[1::2] = -2.0 * c.imag
     return out
+
+
+def _psi_columns(cfg: VortexConfiguration, trunc: int):
+    """Derivatives of N (mode-n coefficients, n = 1..trunc) and of
+    grad_alpha W (real 2k-vector) along the real modes of psi in the
+    standard index order, (trunc, 2 trunc) and (2k, 2 trunc).
+
+    Both are affine in psi. A real mode has complex coefficient
+    E[n - 1, m]: 1/2 for cos n theta and -i/2 for sin n theta. N has mode
+    coefficient n a_n, so dN/dpsi = n E. psi enters grad_alpha W only
+    through the seminorm term, whose Wirtinger derivative along alpha_j is
+    2 pi d_j sum_n alpha_j^(n-1) n c_n with c_n = -i a_n."""
+    n = np.arange(1, trunc + 1)
+    e = np.kron(np.eye(trunc), [0.5, -0.5j])
+    a, d = cfg.points_array(), cfg.degrees_array()
+    du = 2.0 * np.pi * d[:, None] * ((a[:, None] ** (n - 1) * n) @ (-1j * e))
+    return n[:, None] * e, grad_to_vec(du)
 
 
 def assemble_du_matrix(f: ConformalPolyMap, nd1: Nd1Report, trunc: int) -> OperatorMatrix:
@@ -110,23 +118,15 @@ def assemble_du_matrix(f: ConformalPolyMap, nd1: Nd1Report, trunc: int) -> Opera
 
     with H the alpha-Hessian of W at psi = 0 built at this truncation (its
     seminorm term depends on it). N and grad_alpha W are affine in psi, so
-    their psi-derivatives along a mode are exact differences.
+    their psi-derivatives are closed-form matrices (_psi_columns).
     Single vortex of degree one only.
     """
     if not nd1.passed or nd1.alpha0 is None:
         raise NoCriticalPointFound("no nondegenerate single-vortex critical point")
     cfg = VortexConfiguration([nd1.alpha0], (1,))
     ctx = DiscEnergyContext(cfg, trunc=trunc)
-    zero = FourierSeries.zeros(trunc)
-    n0 = n_disc(ctx, cfg, zero).coeffs[1:]
-    g0 = transport_w_grad(f, ctx, cfg, zero)
-    dn_dpsi = np.empty((trunc, 2 * trunc), dtype=complex)
-    dg_dpsi = np.empty((2, 2 * trunc))
-    for m in range(2 * trunc):
-        e = _basis_mode(m, trunc)
-        dn_dpsi[:, m] = n_disc(ctx, cfg, e).coeffs[1:] - n0
-        dg_dpsi[:, m] = transport_w_grad(f, ctx, cfg, e) - g0
-    h = transport_w_hess(f, ctx, cfg, zero)
+    dn_dpsi, dg_dpsi = _psi_columns(cfg, trunc)
+    h = transport_w_hess(f, ctx, cfg, FourierSeries.zeros(trunc))
     dn_dalpha = _n_disc_alpha_jacobian(ctx, cfg).T
     du = dn_dpsi - dn_dalpha @ np.linalg.solve(h, dg_dpsi)
     return OperatorMatrix(

@@ -57,6 +57,29 @@ def _transport_hat_w(f: ConformalPolyMap, a, d):
     return _hat_w(a, d) + _log_fprime(f, a, d)
 
 
+def _transport_hat_w_du(f: ConformalPolyMap, a, d):
+    """First Wirtinger derivatives of hat_w on Omega, (..., k)."""
+    return _hat_w_du(a, d) + _log_fprime_du(f, a, d)
+
+
+def _transport_hat_w_hess(f: ConformalPolyMap, a, d) -> np.ndarray:
+    """Hessian of hat_w on Omega for one configuration a (k,)."""
+    duv, duvbar = _hat_w_d2(a, d)
+    return assemble_hessian(duv + _log_fprime_d2(f, a, d), duvbar)
+
+
+def _transport_w_du(f, ctx, cfg, psi) -> np.ndarray:
+    """First Wirtinger derivatives of the full energy on Omega, (k,)."""
+    return _w_disc_du(ctx, cfg, psi) + _log_fprime_du(f, cfg.points_array(), cfg.degrees_array())
+
+
+def _transport_w_hess(f, ctx, cfg, psi) -> np.ndarray:
+    """Hessian of the full energy on Omega."""
+    duv, duvbar = _w_disc_d2(ctx, cfg, psi)
+    duv = duv + _log_fprime_d2(f, cfg.points_array(), cfg.degrees_array())
+    return assemble_hessian(duv, duvbar)
+
+
 def log_fprime_hessian(f: ConformalPolyMap, alpha: complex) -> np.ndarray:
     """Hessian of alpha -> pi log|f'(alpha)| at a single point."""
     duv = _log_fprime_d2(f, np.array([complex(alpha)]), np.ones(1))
@@ -71,15 +94,12 @@ def transport_hat_w(f: ConformalPolyMap, cfg: VortexConfiguration) -> float:
 
 def transport_hat_w_grad(f: ConformalPolyMap, cfg: VortexConfiguration) -> np.ndarray:
     validate_configuration(cfg)
-    a, d = cfg.points_array(), cfg.degrees_array()
-    return grad_to_vec(_hat_w_du(a, d) + _log_fprime_du(f, a, d))
+    return grad_to_vec(_transport_hat_w_du(f, cfg.points_array(), cfg.degrees_array()))
 
 
 def transport_hat_w_hess(f: ConformalPolyMap, cfg: VortexConfiguration) -> np.ndarray:
     validate_configuration(cfg)
-    a, d = cfg.points_array(), cfg.degrees_array()
-    duv, duvbar = _hat_w_d2(a, d)
-    return assemble_hessian(duv + _log_fprime_d2(f, a, d), duvbar)
+    return _transport_hat_w_hess(f, cfg.points_array(), cfg.degrees_array())
 
 
 def transport_w(
@@ -97,15 +117,12 @@ def transport_w(
 
 def transport_w_grad(f, ctx, cfg, psi) -> np.ndarray:
     validate_configuration(cfg)
-    du = _w_disc_du(ctx, cfg, psi)
-    return grad_to_vec(du + _log_fprime_du(f, cfg.points_array(), cfg.degrees_array()))
+    return grad_to_vec(_transport_w_du(f, ctx, cfg, psi))
 
 
 def transport_w_hess(f, ctx, cfg, psi) -> np.ndarray:
     validate_configuration(cfg)
-    duv, duvbar = _w_disc_d2(ctx, cfg, psi)
-    duv = duv + _log_fprime_d2(f, cfg.points_array(), cfg.degrees_array())
-    return assemble_hessian(duv, duvbar)
+    return _transport_w_hess(f, ctx, cfg, psi)
 
 
 def transport_n(

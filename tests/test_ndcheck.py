@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,8 +18,10 @@ from vortexw import (
     find_critical_w,
     magic_determinant_check,
     n_disc,
+    transport_w_grad,
     w_disc_hess,
 )
+from vortexw import core, ndcheck
 
 IDENTITY = ConformalPolyMap.identity()
 
@@ -60,6 +64,25 @@ def fd_du_matrix(f, nd1, trunc):
     return np.column_stack(cols)
 
 
+def loop_psi_columns(f, cfg, trunc):
+    """Derivatives of N and of grad_alpha W along each real mode of psi as
+    differences of the checked public functions, one mode at a time: the
+    oracle for the closed-form columns."""
+    ctx = DiscEnergyContext(cfg, trunc=trunc)
+    zero = FourierSeries.zeros(trunc)
+    n0 = n_disc(ctx, cfg, zero).coeffs[1:]
+    g0 = transport_w_grad(f, ctx, cfg, zero)
+    dn_dpsi = np.empty((trunc, 2 * trunc), dtype=complex)
+    dg_dpsi = np.empty((2 * cfg.k, 2 * trunc))
+    for m in range(2 * trunc):
+        modes = np.zeros((2, trunc))
+        modes[m % 2, m // 2] = 1.0
+        e = FourierSeries.from_real(cos=modes[0], sin=modes[1], trunc=trunc)
+        dn_dpsi[:, m] = n_disc(ctx, cfg, e).coeffs[1:] - n0
+        dg_dpsi[:, m] = transport_w_grad(f, ctx, cfg, e) - g0
+    return dn_dpsi, dg_dpsi
+
+
 class TestCheckNd1:
     def test_disc(self):
         rep = check_nd1(IDENTITY)
@@ -95,6 +118,24 @@ class TestCheckNd1:
             h_w = w_disc_hess(ctx, rep.location, FourierSeries.zeros(ctx.trunc))
             assert np.linalg.svd(h_w, compute_uv=False)[-1] > 1e-8 * np.pi
 
+    def test_validates_each_configuration_once(self, monkeypatch):
+        # the configuration is checked at each public entry, not in the
+        # ascent or Newton loops: once per polished start, plus the context
+        # and the full-energy Hessian
+        calls = []
+        check = core.validate_configuration
+
+        def counted(cfg):
+            calls.append(cfg)
+            return check(cfg)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("vortexw") and getattr(mod, "validate_configuration", None) is check:
+                monkeypatch.setattr(mod, "validate_configuration", counted)
+        check_nd1(ConformalPolyMap([0.0, 1.0, 0.1]))
+        starts = 13
+        assert 0 < len(calls) <= 2 * (starts + 2)
+
 
 class TestDuStarAnalytic:
     def test_spectrum(self):
@@ -127,6 +168,16 @@ class TestAssembleDu:
         nd1 = check_nd1(f)
         assembled = assemble_du_matrix(f, nd1, 8).matrix
         np.testing.assert_allclose(assembled, fd_du_matrix(f, nd1, 8), atol=1e-6)
+
+    @pytest.mark.parametrize("trunc", [8, 16, 32])
+    @pytest.mark.parametrize("coeffs", [[0.0, 1.0, 0.1], [0.0, 1.0, 0.08, 0.02j]])
+    def test_closed_form_columns_match_mode_loop(self, coeffs, trunc):
+        f = ConformalPolyMap(coeffs)
+        cfg = VortexConfiguration([check_nd1(f).alpha0], (1,))
+        dn, dg = ndcheck._psi_columns(cfg, trunc)
+        dn_loop, dg_loop = loop_psi_columns(f, cfg, trunc)
+        np.testing.assert_allclose(dn, dn_loop, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(dg, dg_loop, rtol=0, atol=1e-14)
 
     def test_higher_modes_are_pure_stiff_part(self):
         # rank-<=2 coupling: only the mode-1 block deviates from the diagonal n
