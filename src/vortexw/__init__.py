@@ -7,10 +7,8 @@ from .core import (
     BOUNDARY_MARGIN,
     ConformalPolyMap,
     DEFAULT_TRUNC,
-    EnergyReport,
     FourierSeries,
     ND_TOL,
-    OperatorMatrix,
     SEPARATION_MARGIN,
     VortexConfiguration,
     validate_configuration,
@@ -18,23 +16,17 @@ from .core import (
 )
 from .critpoint import (
     CriticalPointReport,
-    continue_critical,
     find_critical_hat_w,
     find_critical_w,
     find_max_hat_w,
 )
 from .disc_energy import (
     DiscEnergyContext,
-    canonical_datum_density,
-    hat_phi,
     hat_w,
     hat_w_grad,
     hat_w_hess,
     n_disc,
-    psi_star_base_boundary,
-    psi_star_base_grad,
     w_disc,
-    w_disc_grad,
     w_disc_hess,
 )
 from .errors import (
@@ -46,21 +38,12 @@ from .errors import (
     LeftAdmissibleRegion,
     NewtonDiverged,
     NoCriticalPointFound,
-    NondegeneracyLost,
-    TruncationUnstable,
     VortexTooCloseToBoundary,
     VortexwError,
     VorticesCollide,
 )
 from .expansion import ExpansionReport, expansion_report, grad_phi_ag, punctured_energy
-from .harmonic import (
-    AnnulusQuadrature,
-    h_half_seminorm_sq,
-    harmonic_conjugate,
-    integrate_annulus,
-    normal_derivative_of_extension,
-    tangential_derivative,
-)
+from .harmonic import AnnulusQuadrature, h_half_seminorm_sq, harmonic_conjugate
 from .ndcheck import (
     Nd1Report,
     Nd2Report,
@@ -71,11 +54,8 @@ from .ndcheck import (
     magic_determinant_check,
 )
 from .transport import (
-    log_fprime_hessian,
     transport_hat_w,
     transport_hat_w_grad,
-    transport_hat_w_hess,
-    transport_n,
     transport_w,
     transport_w_grad,
     transport_w_hess,
@@ -98,7 +78,6 @@ __all__ = [
     "DegenerateDerivative",
     "DiscEnergyContext",
     "EmptyConfiguration",
-    "EnergyReport",
     "EvaluationAtVortex",
     "ExpansionReport",
     "FourierSeries",
@@ -109,19 +88,14 @@ __all__ = [
     "Nd2Report",
     "NewtonDiverged",
     "NoCriticalPointFound",
-    "NondegeneracyLost",
-    "OperatorMatrix",
     "SEPARATION_MARGIN",
-    "TruncationUnstable",
     "VortexConfiguration",
     "VortexTooCloseToBoundary",
     "VortexwError",
     "VorticesCollide",
     "assemble_du_matrix",
-    "canonical_datum_density",
     "check_nd1",
     "check_nd2",
-    "continue_critical",
     "du_star_matrix_analytic_disc",
     "expansion_report",
     "find_critical_hat_w",
@@ -130,29 +104,19 @@ __all__ = [
     "grad_phi_ag",
     "h_half_seminorm_sq",
     "harmonic_conjugate",
-    "hat_phi",
     "hat_w",
     "hat_w_grad",
     "hat_w_hess",
-    "integrate_annulus",
-    "log_fprime_hessian",
     "magic_determinant_check",
     "n_disc",
-    "normal_derivative_of_extension",
-    "psi_star_base_boundary",
-    "psi_star_base_grad",
     "punctured_energy",
-    "tangential_derivative",
     "transport_hat_w",
     "transport_hat_w_grad",
-    "transport_hat_w_hess",
-    "transport_n",
     "transport_w",
     "transport_w_grad",
     "transport_w_hess",
     "validate_configuration",
     "validate_map",
     "w_disc",
-    "w_disc_grad",
     "w_disc_hess",
 ]

@@ -96,6 +96,20 @@ def _build_configuration(entries) -> VortexConfiguration:
     return cfg
 
 
+def _build_base(args, cfg: VortexConfiguration, default: VortexConfiguration) -> VortexConfiguration:
+    """The reference configuration: --base if given, default otherwise. W
+    is defined only when its total degree equals that of cfg."""
+    if not args.base:
+        return default
+    base = _build_configuration(_parse_vortex_flag(args.base))
+    if base.total_degree != cfg.total_degree:
+        raise InputError(
+            f"base total degree {base.total_degree} differs from the "
+            f"configuration's {cfg.total_degree}"
+        )
+    return base
+
+
 def _build_map(spec) -> ConformalPolyMap:
     if spec is None or spec == "identity":
         return ConformalPolyMap.identity()
@@ -201,12 +215,7 @@ def _cmd_energy(args, conf):
     )
     trunc = _trunc(args, conf, 64)
     psi = _build_psi(args.psi or conf.get("psi"), trunc)
-    base = (
-        _build_configuration(_parse_vortex_flag(args.base))
-        if args.base
-        else cfg
-    )
-    ctx = DiscEnergyContext(base, trunc=trunc)
+    ctx = DiscEnergyContext(_build_base(args, cfg, cfg), trunc=trunc)
     payload = {
         "hat_w": hat_w(cfg),
         "hat_w_grad": hat_w_grad(cfg),
@@ -227,14 +236,12 @@ def _cmd_crit(args, conf):
     init = _build_configuration(
         _parse_vortex_flag(args.vortex) if args.vortex else conf.get("vortices", [])
     )
+    base = _build_base(args, init, init)
     psi_spec = args.psi or conf.get("psi")
     if psi_spec is None:
         rep = find_critical_hat_w(f, init)
     else:
         trunc = _trunc(args, conf, 64)
-        base = (
-            _build_configuration(_parse_vortex_flag(args.base)) if args.base else init
-        )
         ctx = DiscEnergyContext(base, trunc=trunc)
         rep = find_critical_w(f, ctx, _build_psi(psi_spec, trunc), init)
     _emit(
@@ -281,13 +288,8 @@ def _cmd_expand(args, conf):
     )
     trunc = _trunc(args, conf, 64)
     psi = _build_psi(args.psi or conf.get("psi"), trunc)
-    if args.base:
-        base = _build_configuration(_parse_vortex_flag(args.base))
-    elif cfg.k == 1:
-        base = VortexConfiguration([0.0], cfg.degrees)
-    else:
-        base = cfg
-    ctx = DiscEnergyContext(base, trunc=trunc)
+    default = VortexConfiguration([0.0], cfg.degrees) if cfg.k == 1 else cfg
+    ctx = DiscEnergyContext(_build_base(args, cfg, default), trunc=trunc)
     rho_spec = args.rho or conf.get("rho")
     if not rho_spec:
         raise InputError("expand needs --rho r1,r2,r3 (decreasing)")
@@ -377,7 +379,7 @@ def _cmd_selfcheck(args, conf):
     add(
         "du_star_diagonal",
         lambda: np.allclose(
-            ndcheck.du_star_matrix_analytic_disc(8).matrix,
+            ndcheck.du_star_matrix_analytic_disc(8),
             np.diag([-1.0, -1.0, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8]),
         ),
     )
@@ -440,6 +442,8 @@ def _make_parser() -> argparse.ArgumentParser:
     return top
 
 
+_PARSER = _make_parser()
+
 _DISPATCH = {
     "energy": _cmd_energy,
     "crit": _cmd_crit,
@@ -467,9 +471,8 @@ def _glue_signed_values(argv) -> list:
 
 
 def run(argv) -> int:
-    parser = _make_parser()
     try:
-        args = parser.parse_args(_glue_signed_values(argv))
+        args = _PARSER.parse_args(_glue_signed_values(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -1,12 +1,12 @@
 """Domain types: vortex configurations, circle Fourier series, polynomial
-conformal maps, and the report containers shared by all modules.
+conformal maps, their admissibility checks, and the nondegeneracy verdict.
 
 All types are immutable after construction and safe for concurrent reads.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -29,6 +29,9 @@ SEPARATION_MARGIN = 1e-8
 ND_TOL = 1e-8 * np.pi
 
 DEFAULT_TRUNC = 64
+
+# validate_map samples |f'| on this many radii times four times as many angles
+MAP_GRID = 24
 
 
 def is_nondegenerate(hessian: np.ndarray) -> bool:
@@ -134,16 +137,6 @@ class FourierSeries:
         return cls(np.zeros(trunc + 1, dtype=complex))
 
     @classmethod
-    def from_modes(cls, modes: Mapping[int, complex], trunc: int) -> "FourierSeries":
-        c = np.zeros(trunc + 1, dtype=complex)
-        for n, a in modes.items():
-            if n < 0:
-                c[-n] = np.conj(a)
-            else:
-                c[n] = a
-        return cls(c)
-
-    @classmethod
     def from_real(
         cls,
         a0: float = 0.0,
@@ -183,9 +176,6 @@ class FourierSeries:
     @property
     def mean(self) -> float:
         return float(self._coeffs[0].real)
-
-    def is_zero_mean(self, tol: float = 1e-13) -> bool:
-        return abs(self.mean) <= tol
 
     def cos_coeffs(self) -> np.ndarray:
         return 2.0 * self._coeffs[1:].real
@@ -303,9 +293,6 @@ class ConformalPolyMap:
             return _horner(self._derivs[order], z)
         return _horner(_derivative_coeffs(self._derivs[top], order - top), z)
 
-    def map_configuration(self, cfg: VortexConfiguration) -> VortexConfiguration:
-        return VortexConfiguration(self(cfg.points_array()), cfg.degrees)
-
     def __repr__(self) -> str:
         return f"ConformalPolyMap({list(self._coeffs)})"
 
@@ -333,7 +320,7 @@ def _polygon_self_intersects(p) -> bool:
     return bool(np.any(hit))
 
 
-def validate_map(f: ConformalPolyMap, grid_density: int = 24) -> dict:
+def validate_map(f: ConformalPolyMap) -> dict:
     """Numerical check that f is a conformal bijection of the closed disc.
 
     Verifies c_1 != 0, that f' has no zero in the closed disc (polynomial
@@ -354,8 +341,8 @@ def validate_map(f: ConformalPolyMap, grid_density: int = 24) -> dict:
             raise DegenerateDerivative(
                 f"f' vanishes at {inside[0]} inside the closed disc"
             )
-    radii = np.linspace(0.0, 1.0, grid_density)
-    angles = np.linspace(0.0, 2 * np.pi, 4 * grid_density, endpoint=False)
+    radii = np.linspace(0.0, 1.0, MAP_GRID)
+    angles = np.linspace(0.0, 2 * np.pi, 4 * MAP_GRID, endpoint=False)
     grid = np.multiply.outer(radii, np.exp(1j * angles))
     min_abs_fprime = float(np.min(np.abs(f.derivative(grid))))
     if min_abs_fprime <= 0.0:
@@ -381,62 +368,3 @@ def validate_map(f: ConformalPolyMap, grid_density: int = 24) -> dict:
         "winding": winding,
         "samples": n_samples,
     }
-
-
-@dataclass(frozen=True)
-class EnergyReport:
-    """Value, gradient and Hessian of an energy at a configuration, with
-    the nondegeneracy verdict (smallest singular value above ND_TOL)."""
-
-    value: float
-    gradient: np.ndarray
-    hessian: np.ndarray
-    nondegenerate: bool
-    condition_number: float
-
-    @classmethod
-    def build(cls, value: float, gradient: np.ndarray, hessian: np.ndarray) -> "EnergyReport":
-        hessian = np.asarray(hessian, dtype=float)
-        sym_err = np.max(np.abs(hessian - hessian.T))
-        scale = max(1.0, float(np.max(np.abs(hessian))))
-        if sym_err > 1e-9 * scale:
-            raise ValueError(f"hessian not symmetric: max asymmetry {sym_err:.3e}")
-        svals = np.linalg.svd(hessian, compute_uv=False)
-        smin, smax = float(svals[-1]), float(svals[0])
-        cond = smax / smin if smin > 0 else np.inf
-        return cls(
-            value=float(value),
-            gradient=np.asarray(gradient, dtype=float),
-            hessian=hessian,
-            nondegenerate=is_nondegenerate(hessian),
-            condition_number=cond,
-        )
-
-
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Truncated matrix of a boundary operator over the real Fourier modes
-    {cos n theta, sin n theta}, 1 <= n <= trunc (mode 0 is quotiented out)."""
-
-    matrix: np.ndarray
-    mode_index: tuple
-    trunc: int
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (2 * self.trunc, 2 * self.trunc):
-            raise ValueError("matrix size inconsistent with trunc")
-        if len(self.mode_index) != 2 * self.trunc:
-            raise ValueError("mode_index size inconsistent with matrix")
-        object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def standard_index(cls, trunc: int) -> tuple:
-        idx = []
-        for n in range(1, trunc + 1):
-            idx.append((n, "cos"))
-            idx.append((n, "sin"))
-        return tuple(idx)
-
-    def smallest_singular_value(self) -> float:
-        return float(np.linalg.svd(self.matrix, compute_uv=False)[-1])

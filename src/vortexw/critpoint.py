@@ -1,5 +1,5 @@
-"""Newton search and continuation for critical points of the transported
-energies.
+"""Newton search for critical points of the transported energies, and the
+multistart maximizer of the prescribed-degree energy.
 
 The residual is the analytic gradient; the Jacobian is the analytic
 Hessian. Steps are damped by Armijo backtracking on the squared residual
@@ -7,7 +7,7 @@ norm and constrained to the admissible region (margins of core).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .core import (
     validate_configuration,
 )
 from .disc_energy import DiscEnergyContext
-from .errors import LeftAdmissibleRegion, NewtonDiverged, NondegeneracyLost
+from .errors import LeftAdmissibleRegion, NewtonDiverged
 from .transport import (
     _transport_hat_w,
     _transport_hat_w_du,
@@ -42,7 +42,6 @@ class CriticalPointReport:
     hessian: np.ndarray
     nondegenerate: bool
     iterations: int
-    converged: bool
     value: float
     global_candidate: bool = False
 
@@ -58,8 +57,9 @@ def _unpack(x: np.ndarray) -> np.ndarray:
     return x[0::2] + 1j * x[1::2]
 
 
-def _newton(x0, residual, jacobian, tol=TOL_NEWTON, max_iter=MAX_ITER):
-    """Damped Newton on residual(x) = 0 with admissibility guard.
+def _newton(x0, residual, jacobian):
+    """Damped Newton on residual(x) = 0 with admissibility guard: at most
+    MAX_ITER iterations, converged when |residual| <= TOL_NEWTON.
 
     Returns (x, |residual|, iterations). Raises NewtonDiverged or
     LeftAdmissibleRegion.
@@ -69,8 +69,8 @@ def _newton(x0, residual, jacobian, tol=TOL_NEWTON, max_iter=MAX_ITER):
         raise LeftAdmissibleRegion("initial point outside admissible region")
     r = residual(x)
     rn = np.linalg.norm(r)
-    for it in range(1, max_iter + 1):
-        if rn <= tol:
+    for it in range(1, MAX_ITER + 1):
+        if rn <= TOL_NEWTON:
             return x, rn, it - 1
         j = jacobian(x)
         try:
@@ -83,7 +83,7 @@ def _newton(x0, residual, jacobian, tol=TOL_NEWTON, max_iter=MAX_ITER):
             if configuration_is_admissible(_unpack(x_new)):
                 r_new = residual(x_new)
                 rn_new = np.linalg.norm(r_new)
-                if rn_new <= (1.0 - 1e-4 * lam) * rn or rn_new <= tol:
+                if rn_new <= (1.0 - 1e-4 * lam) * rn or rn_new <= TOL_NEWTON:
                     break
             lam *= 0.5
             if lam < 1e-12:
@@ -93,17 +93,12 @@ def _newton(x0, residual, jacobian, tol=TOL_NEWTON, max_iter=MAX_ITER):
                     f"line search stalled at |F| = {rn:.3e}"
                 )
         x, r, rn = x_new, r_new, rn_new
-    if rn <= tol:
-        return x, rn, max_iter
-    raise NewtonDiverged(f"|F| = {rn:.3e} after {max_iter} iterations")
+    if rn <= TOL_NEWTON:
+        return x, rn, MAX_ITER
+    raise NewtonDiverged(f"|F| = {rn:.3e} after {MAX_ITER} iterations")
 
 
-def find_critical_hat_w(
-    f: ConformalPolyMap,
-    init: VortexConfiguration,
-    tol: float = TOL_NEWTON,
-    max_iter: int = MAX_ITER,
-) -> CriticalPointReport:
+def find_critical_hat_w(f: ConformalPolyMap, init: VortexConfiguration) -> CriticalPointReport:
     """Newton solve for a zero of the gradient of hat_w + map correction.
 
     init is validated once here; _newton keeps every iterate admissible, so
@@ -117,7 +112,7 @@ def find_critical_hat_w(
     def jacobian(x):
         return _transport_hat_w_hess(f, _unpack(x), d)
 
-    x, rn, its = _newton(_pack(init.points_array()), residual, jacobian, tol, max_iter)
+    x, rn, its = _newton(_pack(init.points_array()), residual, jacobian)
     h = jacobian(x)
     return CriticalPointReport(
         location=VortexConfiguration(_unpack(x), init.degrees),
@@ -125,7 +120,6 @@ def find_critical_hat_w(
         hessian=h,
         nondegenerate=is_nondegenerate(h),
         iterations=its,
-        converged=True,
         value=float(_transport_hat_w(f, _unpack(x), d)),
     )
 
@@ -135,8 +129,6 @@ def find_critical_w(
     ctx: DiscEnergyContext,
     psi: FourierSeries,
     init: VortexConfiguration,
-    tol: float = TOL_NEWTON,
-    max_iter: int = MAX_ITER,
 ) -> CriticalPointReport:
     """Newton solve for a zero of the gradient of the full energy W.
 
@@ -150,7 +142,7 @@ def find_critical_w(
     def jacobian(x):
         return _transport_w_hess(f, ctx, VortexConfiguration(_unpack(x), degrees), psi)
 
-    x, rn, its = _newton(_pack(init.points_array()), residual, jacobian, tol, max_iter)
+    x, rn, its = _newton(_pack(init.points_array()), residual, jacobian)
     loc = VortexConfiguration(_unpack(x), degrees)
     h = jacobian(x)
     return CriticalPointReport(
@@ -159,7 +151,6 @@ def find_critical_w(
         hessian=h,
         nondegenerate=is_nondegenerate(h),
         iterations=its,
-        converged=True,
         value=transport_w(f, ctx, loc, psi),
     )
 
@@ -261,44 +252,5 @@ def find_max_hat_w(
         )
         for r in results
     )
-    return CriticalPointReport(
-        location=best.location,
-        residual_norm=best.residual_norm,
-        hessian=best.hessian,
-        nondegenerate=best.nondegenerate,
-        iterations=best.iterations,
-        converged=True,
-        value=best.value,
-        global_candidate=agree,
-    )
+    return replace(best, global_candidate=agree)
 
-
-def continue_critical(
-    path,
-    start: CriticalPointReport,
-    ctx: DiscEnergyContext | None = None,
-) -> list:
-    """Warm-started Newton along a path of (f, psi) pairs.
-
-    psi = None selects the prescribed-degree energy hat_w; otherwise the
-    full energy (ctx required). Raises NondegeneracyLost as soon as a step
-    produces a degenerate Hessian.
-    """
-    if not (start.converged and start.nondegenerate):
-        raise NondegeneracyLost("continuation requires a nondegenerate start")
-    reports = []
-    current = start.location
-    for f, psi in path:
-        if psi is None:
-            rep = find_critical_hat_w(f, current)
-        else:
-            if ctx is None:
-                raise ValueError("ctx required for full-energy continuation")
-            rep = find_critical_w(f, ctx, psi, current)
-        if not rep.nondegenerate:
-            raise NondegeneracyLost(
-                f"degenerate Hessian at {rep.location.points}"
-            )
-        reports.append(rep)
-        current = rep.location
-    return reports

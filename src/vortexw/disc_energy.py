@@ -1,7 +1,6 @@
-"""Explicit unit-disc quantities: the singular potential, the prescribed
-degree energy and its derivatives, the canonical boundary datum, the
-phase-relative boundary traces, the full energy W, and the semi-stiff
-normal trace N.
+"""Explicit unit-disc quantities: the prescribed-degree energy and its
+derivatives, the composite conjugate phase trace, the full energy W, and
+the semi-stiff normal trace N.
 
 Conventions. Configurations alpha live in the open unit disc; the
 reference configuration alpha^0 of a DiscEnergyContext fixes the
@@ -10,16 +9,12 @@ All boundary functions are truncated Fourier series on the circle.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._calculus import assemble_hessian, grad_to_vec
 from .core import DEFAULT_TRUNC, FourierSeries, VortexConfiguration, validate_configuration
-from .errors import EvaluationAtVortex
-from .harmonic import h_half_seminorm_sq, harmonic_conjugate
-
-_VORTEX_EVAL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -34,22 +29,6 @@ class DiscEnergyContext:
         validate_configuration(self.base)
         if self.trunc < 1:
             raise ValueError("trunc must be >= 1")
-
-
-def hat_phi(cfg: VortexConfiguration, z) -> np.ndarray:
-    """Singular potential sum_j d_j (log|z - a_j| - log|1 - conj(a_j) z|).
-
-    Vanishes on the unit circle; raises EvaluationAtVortex at the a_j.
-    """
-    zz = np.asarray(z, dtype=complex)
-    a = cfg.points_array()
-    d = cfg.degrees_array()
-    dist = np.abs(zz[..., None] - a)
-    if np.any(dist < _VORTEX_EVAL_TOL):
-        raise EvaluationAtVortex("z coincides with a vortex")
-    vals = d * (np.log(dist) - np.log(np.abs(1.0 - np.conj(a) * zz[..., None])))
-    out = np.sum(vals, axis=-1)
-    return out if out.ndim else float(out)
 
 
 def _pairs(a, d):
@@ -119,38 +98,18 @@ def hat_w_hess(cfg: VortexConfiguration) -> np.ndarray:
     return assemble_hessian(*_hat_w_d2(cfg.points_array(), cfg.degrees_array()))
 
 
-def canonical_datum_density(cfg: VortexConfiguration, trunc: int = DEFAULT_TRUNC) -> FourierSeries:
-    """Boundary density g^a wedge dg^a/dtau = normal derivative of the
-    singular potential; its circle mean equals the total degree d."""
-    validate_configuration(cfg)
-    a = cfg.points_array()
-    d = cfg.degrees_array()
-    c = np.zeros(trunc + 1, dtype=complex)
-    c[0] = cfg.total_degree
-    n = np.arange(1, trunc + 1)
-    c[1:] = np.sum(d[:, None] * np.conj(a[:, None]) ** n[None, :], axis=0)
-    return FourierSeries(c)
-
-
-def psi_star_base_boundary(ctx: DiscEnergyContext, cfg: VortexConfiguration) -> FourierSeries:
-    """Zero-mean boundary trace of the conjugate phase relating the canonical
-    data of cfg and of the reference configuration."""
-    validate_configuration(cfg)
-    b = _base_shift_coeffs(ctx, cfg)
-    c = np.zeros(ctx.trunc + 1, dtype=complex)
-    c[1:] = b
-    return FourierSeries(c)
-
-
 def _base_shift_coeffs(ctx: DiscEnergyContext, cfg: VortexConfiguration) -> np.ndarray:
-    """Coefficients b_n (n = 1..trunc) of the conjugate phase trace:
-    b_n = sum_j d_j (conj(alpha_j)^n - conj(alpha^0_j)^n) / n."""
-    a = cfg.points_array()
-    a0 = ctx.base.points_array()
-    d = cfg.degrees_array()
+    """Coefficients b_n (n = 1..trunc) of the conjugate phase trace that
+    relates the canonical data of cfg and of the reference configuration:
+    b_n = (sum_j d_j conj(alpha_j)^n - sum_l d0_l conj(alpha0_l)^n) / n.
+    The two configurations may differ in count and in degrees."""
     n = np.arange(1, ctx.trunc + 1)
-    pw = np.conj(a[:, None]) ** n[None, :] - np.conj(a0[:, None]) ** n[None, :]
-    return np.sum(d[:, None] * pw, axis=0) / n
+
+    def moments(c):
+        pw = np.conj(c.points_array()[:, None]) ** n[None, :]
+        return np.sum(c.degrees_array()[:, None] * pw, axis=0)
+
+    return (moments(cfg) - moments(ctx.base)) / n
 
 
 def _n_disc_alpha_jacobian(ctx: DiscEnergyContext, cfg: VortexConfiguration) -> np.ndarray:
@@ -169,26 +128,11 @@ def _n_disc_alpha_jacobian(ctx: DiscEnergyContext, cfg: VortexConfiguration) -> 
     return 1j * n * db
 
 
-def psi_star_base_grad(ctx: DiscEnergyContext, cfg: VortexConfiguration, z) -> np.ndarray:
-    """Gradient (as C = R^2) of the harmonic conjugate phase at z in the
-    closed disc; identically zero when cfg equals the reference."""
-    zz = np.asarray(z, dtype=complex)
-    a = cfg.points_array()
-    a0 = ctx.base.points_array()
-    d = cfg.degrees_array()
-
-    def term(al):
-        q = 1.0 - np.conj(al) * zz[..., None]
-        return al * q / np.abs(q) ** 2
-
-    out = 2.0 * np.sum(d * (term(a) - term(a0)), axis=-1)
-    return out if out.ndim else complex(out)
-
-
 def _composite_coeffs(ctx: DiscEnergyContext, cfg: VortexConfiguration, psi: FourierSeries) -> np.ndarray:
-    """Coefficients u_n = b_n + c_n of the total conjugate phase trace,
-    where c_n comes from the user phase psi (c_n = -i a_n)."""
-    u = _base_shift_coeffs(ctx, cfg).copy()
+    """Coefficients u_n = b_n + c_n (n = 1..trunc) of the composite
+    conjugate phase trace, where c_n = -i a_n comes from the user phase psi
+    (its modes beyond ctx.trunc are dropped)."""
+    u = _base_shift_coeffs(ctx, cfg)
     m = min(psi.trunc, ctx.trunc)
     u[:m] += -1j * psi.coeffs[1 : m + 1]
     return u
@@ -196,11 +140,13 @@ def _composite_coeffs(ctx: DiscEnergyContext, cfg: VortexConfiguration, psi: Fou
 
 def w_disc(ctx: DiscEnergyContext, cfg: VortexConfiguration, psi: FourierSeries) -> float:
     """Full renormalized energy W(alpha, g^0 e^{i psi}) on the disc:
-    hat_w plus half the squared H^{1/2} seminorm of the composite phase."""
+    hat_w plus half the squared H^{1/2} seminorm of the composite phase,
+    W = hat_w + 2 pi sum_n n |u_n|^2."""
     validate_configuration(cfg)
-    composite = psi_star_base_boundary(ctx, cfg) + harmonic_conjugate(psi)
+    u = _composite_coeffs(ctx, cfg, psi)
+    n = np.arange(1, u.size + 1)
     hat = float(_hat_w(cfg.points_array(), cfg.degrees_array()))
-    return hat + 0.5 * h_half_seminorm_sq(composite)
+    return hat + float(2.0 * np.pi * np.sum(n * np.abs(u) ** 2))
 
 
 def _seminorm_du(a, d, u):
@@ -238,12 +184,6 @@ def _w_disc_d2(ctx, cfg, psi):
     duv_h, duvbar_h = _hat_w_d2(a, d)
     duv_s, duvbar_s = _seminorm_d2(a, d, _composite_coeffs(ctx, cfg, psi))
     return duv_h + duv_s, duvbar_h + duvbar_s
-
-
-def w_disc_grad(ctx: DiscEnergyContext, cfg: VortexConfiguration, psi: FourierSeries) -> np.ndarray:
-    """Analytic alpha-gradient of w_disc as a real 2k-vector."""
-    validate_configuration(cfg)
-    return grad_to_vec(_w_disc_du(ctx, cfg, psi))
 
 
 def w_disc_hess(ctx: DiscEnergyContext, cfg: VortexConfiguration, psi: FourierSeries) -> np.ndarray:

@@ -41,13 +41,5 @@ class LeftAdmissibleRegion(VortexwError):
     pass
 
 
-class NondegeneracyLost(VortexwError):
-    pass
-
-
 class NoCriticalPointFound(VortexwError):
-    pass
-
-
-class TruncationUnstable(VortexwError):
     pass

@@ -99,7 +99,6 @@ def punctured_energy(
     cfg: VortexConfiguration,
     psi: FourierSeries,
     rho: float,
-    quad: AnnulusQuadrature | None = None,
 ) -> float:
     """Half the Dirichlet integral of the phase gradient over the disc with
     the discs of radius rho about the vortices removed."""
@@ -134,8 +133,7 @@ def punctured_energy(
 
     # global grid carries the complementary weight; nodes under any patch
     # core (weight zero) are skipped so the singularities are never touched
-    if quad is None:
-        quad = AnnulusQuadrature.build(0.0)
+    quad = AnnulusQuadrature.build(0.0)
     r_glob = quad.radial_nodes[:, None]
     z = r_glob * np.exp(1j * quad.angular_nodes[None, :])
     w0 = np.ones_like(z, dtype=float)
@@ -168,7 +166,6 @@ def expansion_report(
     cfg: VortexConfiguration,
     psi: FourierSeries,
     rho_list,
-    quad: AnnulusQuadrature | None = None,
 ) -> ExpansionReport:
     """Fit E(rho) = pi (sum d^2) log(1/rho) + W + C rho with the log
     coefficient held fixed, and compare the fitted W with the closed form.
@@ -180,7 +177,7 @@ def expansion_report(
     if len(rho) < 3 or any(r2 >= r1 for r1, r2 in zip(rho, rho[1:])):
         raise InvalidRadius("need at least 3 strictly decreasing rho values")
     coeff_log = np.pi * float(np.sum(cfg.degrees_array() ** 2))
-    energies = tuple(punctured_energy(ctx, cfg, psi, r, quad=quad) for r in rho)
+    energies = tuple(punctured_energy(ctx, cfg, psi, r) for r in rho)
     y = np.array(energies) - coeff_log * np.log(1.0 / np.array(rho))
     design = np.column_stack([np.ones(len(rho)), np.array(rho)])
     (w_est, slope), *_ = np.linalg.lstsq(design, y, rcond=None)

@@ -1,21 +1,22 @@
 """Fourier-side harmonic calculus on the unit circle and disc.
 
 Everything acts mode-wise on truncated series: the harmonic extension of
-a mode e^{i n theta} is r^{|n|} e^{i n theta}, which makes conjugation,
-boundary derivatives and the H^{1/2} seminorm exact coefficient maps.
+a mode e^{i n theta} is r^{|n|} e^{i n theta}, which makes conjugation
+and the H^{1/2} seminorm exact coefficient maps. The annulus rule carries
+the global grid of the punctured-energy quadrature.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .core import FourierSeries
 from .errors import InvalidRadius
 
-DEFAULT_RADIAL = 128
-DEFAULT_ANGULAR = 512
+# nodes of the annulus rule: Gauss-Legendre radially, uniform angularly
+N_RADIAL = 128
+N_ANGULAR = 512
 
 
 def harmonic_conjugate(psi: FourierSeries) -> FourierSeries:
@@ -27,18 +28,6 @@ def harmonic_conjugate(psi: FourierSeries) -> FourierSeries:
     c[0] = 0.0
     c[1:] *= -1j
     return FourierSeries(c)
-
-
-def tangential_derivative(psi: FourierSeries) -> FourierSeries:
-    """d/dtheta on the circle: a_n -> i n a_n."""
-    n = np.arange(psi.trunc + 1)
-    return FourierSeries(1j * n * psi.coeffs)
-
-
-def normal_derivative_of_extension(psi: FourierSeries) -> FourierSeries:
-    """Trace of d/dr of the harmonic extension at r = 1: a_n -> |n| a_n."""
-    n = np.arange(psi.trunc + 1)
-    return FourierSeries(n * psi.coeffs)
 
 
 def h_half_seminorm_sq(psi: FourierSeries) -> float:
@@ -58,15 +47,13 @@ class AnnulusQuadrature:
     angular_nodes: np.ndarray
 
     @classmethod
-    def build(
-        cls, rho: float, n_radial: int = DEFAULT_RADIAL, n_angular: int = DEFAULT_ANGULAR
-    ) -> "AnnulusQuadrature":
+    def build(cls, rho: float) -> "AnnulusQuadrature":
         if not 0.0 <= rho < 1.0:
             raise InvalidRadius(f"rho = {rho} outside [0, 1)")
-        x, w = np.polynomial.legendre.leggauss(n_radial)
+        x, w = np.polynomial.legendre.leggauss(N_RADIAL)
         r = 0.5 * (rho + 1.0) + 0.5 * (1.0 - rho) * x
         wr = 0.5 * (1.0 - rho) * w
-        theta = np.linspace(0.0, 2 * np.pi, n_angular, endpoint=False)
+        theta = np.linspace(0.0, 2 * np.pi, N_ANGULAR, endpoint=False)
         return cls(
             rho=float(rho),
             radial_nodes=r,
@@ -74,27 +61,3 @@ class AnnulusQuadrature:
             angular_nodes=theta,
         )
 
-
-def integrate_annulus(
-    field: Callable[[np.ndarray], np.ndarray],
-    rho: float,
-    quad: AnnulusQuadrature | None = None,
-) -> float:
-    """Integrate field(z) dA over the annulus rho <= |z| <= 1.
-
-    field must accept a complex ndarray and return real values of the
-    same shape.
-    """
-    if quad is None:
-        quad = AnnulusQuadrature.build(rho)
-    elif abs(quad.rho - rho) > 1e-14:
-        raise InvalidRadius(
-            f"quadrature built for rho={quad.rho}, asked for rho={rho}"
-        )
-    r = quad.radial_nodes[:, None]
-    theta = quad.angular_nodes[None, :]
-    z = r * np.exp(1j * theta)
-    vals = np.asarray(field(z), dtype=float)
-    dtheta = 2 * np.pi / quad.angular_nodes.size
-    # fixed summation order keeps the result deterministic
-    return float(np.sum(quad.radial_weights @ (vals * r)) * dtheta)

@@ -5,7 +5,15 @@ semi-stiff trace operator at that point is invertible on truncated
 Fourier space.
 
 The operator check is implemented for one vortex of degree one, where
-the trace U(f, psi) is available in closed form through n_disc.
+the trace U(f, psi) is available in closed form through n_disc. The
+operator is taken on the disc side: it maps psi to the disc trace N, not
+to the Omega-side trace N / |f'|. The positive weight 1/|f'| does not
+change invertibility, but it would change the truncated smallest singular
+value that nd reports.
+
+Operator matrices are (2N, 2N) arrays over the real Fourier modes in the
+order (cos theta, sin theta, cos 2 theta, sin 2 theta, ..., cos N theta,
+sin N theta); mode 0 is quotiented out.
 """
 from __future__ import annotations
 
@@ -17,7 +25,6 @@ from ._calculus import grad_to_vec, m_matrix
 from .core import (
     ConformalPolyMap,
     FourierSeries,
-    OperatorMatrix,
     VortexConfiguration,
     is_nondegenerate,
     validate_map,
@@ -29,6 +36,7 @@ from .transport import transport_w_hess
 
 TOL_OP = 1e-3
 STABILITY_REL = 1e-2
+MULTISTART = 16
 
 
 @dataclass(frozen=True)
@@ -41,12 +49,13 @@ class Nd1Report:
     critical: CriticalPointReport
 
 
-def check_nd1(f: ConformalPolyMap, multistart: int = 16) -> Nd1Report:
-    """Locate the maximizer of the transported hat_w and test that it is a
-    nondegenerate critical point of both energies."""
+def check_nd1(f: ConformalPolyMap) -> Nd1Report:
+    """Locate the maximizer of the transported hat_w (from MULTISTART
+    starts) and test that it is a nondegenerate critical point of both
+    energies."""
     validate_map(f)
     try:
-        rep = find_max_hat_w(f, multistart=multistart)
+        rep = find_max_hat_w(f, multistart=MULTISTART)
     except (NewtonDiverged, LeftAdmissibleRegion) as exc:
         raise NoCriticalPointFound(str(exc)) from exc
     cfg = rep.location
@@ -64,7 +73,7 @@ def check_nd1(f: ConformalPolyMap, multistart: int = 16) -> Nd1Report:
     )
 
 
-def du_star_matrix_analytic_disc(trunc: int) -> OperatorMatrix:
+def du_star_matrix_analytic_disc(trunc: int) -> np.ndarray:
     """Exact matrix of the linearized trace operator on the disc with the
     vortex at the origin: diagonal (-1, -1, 2, 2, 3, 3, ..., N, N) over the
     real modes {cos n theta, sin n theta}.
@@ -76,11 +85,7 @@ def du_star_matrix_analytic_disc(trunc: int) -> OperatorMatrix:
         raise ValueError("trunc must be >= 2")
     diag = np.repeat(np.arange(1, trunc + 1), 2).astype(float)
     diag[:2] = -1.0
-    return OperatorMatrix(
-        matrix=np.diag(diag),
-        mode_index=OperatorMatrix.standard_index(trunc),
-        trunc=trunc,
-    )
+    return np.diag(diag)
 
 
 def _real_modes(c: np.ndarray) -> np.ndarray:
@@ -109,7 +114,7 @@ def _psi_columns(cfg: VortexConfiguration, trunc: int):
     return n[:, None] * e, grad_to_vec(du)
 
 
-def assemble_du_matrix(f: ConformalPolyMap, nd1: Nd1Report, trunc: int) -> OperatorMatrix:
+def assemble_du_matrix(f: ConformalPolyMap, nd1: Nd1Report, trunc: int) -> np.ndarray:
     """Matrix of the linearized trace operator psi -> N(alpha(psi), psi),
     where alpha(psi) is the critical point of the full energy W that
     continues nd1.alpha0, by the implicit function theorem:
@@ -129,11 +134,7 @@ def assemble_du_matrix(f: ConformalPolyMap, nd1: Nd1Report, trunc: int) -> Opera
     h = transport_w_hess(f, ctx, cfg, FourierSeries.zeros(trunc))
     dn_dalpha = _n_disc_alpha_jacobian(ctx, cfg).T
     du = dn_dpsi - dn_dalpha @ np.linalg.solve(h, dg_dpsi)
-    return OperatorMatrix(
-        matrix=_real_modes(du),
-        mode_index=OperatorMatrix.standard_index(trunc),
-        trunc=trunc,
-    )
+    return _real_modes(du)
 
 
 @dataclass(frozen=True)
@@ -153,8 +154,10 @@ def check_nd2(f: ConformalPolyMap, nd1: Nd1Report, trunc: int = 16) -> Nd2Report
     The doubling test is a heuristic surrogate for the untruncated
     operator; the report exposes the observed relative change.
     """
-    sv = assemble_du_matrix(f, nd1, trunc).smallest_singular_value()
-    sv2 = assemble_du_matrix(f, nd1, 2 * trunc).smallest_singular_value()
+    sv, sv2 = (
+        float(np.linalg.svd(assemble_du_matrix(f, nd1, n), compute_uv=False)[-1])
+        for n in (trunc, 2 * trunc)
+    )
     rel = abs(sv2 - sv) / sv if sv > 0 else np.inf
     stable = rel < STABILITY_REL
     return Nd2Report(

@@ -1,8 +1,7 @@
 """Transport of the disc quantities onto Omega = f(D).
 
 Every Omega-side quantity is represented by pullback to disc coordinates;
-the energies pick up the exact correction pi sum_j d_j^2 log|f'(alpha_j)|
-and the normal trace a 1/|f'| weight on the circle.
+the energies pick up the exact correction pi sum_j d_j^2 log|f'(alpha_j)|.
 """
 from __future__ import annotations
 
@@ -17,7 +16,6 @@ from .disc_energy import (
     _hat_w_du,
     _w_disc_d2,
     _w_disc_du,
-    n_disc,
     w_disc,
 )
 from .errors import DegenerateDerivative
@@ -80,12 +78,6 @@ def _transport_w_hess(f, ctx, cfg, psi) -> np.ndarray:
     return assemble_hessian(duv, duvbar)
 
 
-def log_fprime_hessian(f: ConformalPolyMap, alpha: complex) -> np.ndarray:
-    """Hessian of alpha -> pi log|f'(alpha)| at a single point."""
-    duv = _log_fprime_d2(f, np.array([complex(alpha)]), np.ones(1))
-    return assemble_hessian(duv, np.zeros((1, 1)))
-
-
 def transport_hat_w(f: ConformalPolyMap, cfg: VortexConfiguration) -> float:
     """hat_w on Omega = f(D), evaluated at a = f(alpha) in disc coordinates."""
     validate_configuration(cfg)
@@ -95,11 +87,6 @@ def transport_hat_w(f: ConformalPolyMap, cfg: VortexConfiguration) -> float:
 def transport_hat_w_grad(f: ConformalPolyMap, cfg: VortexConfiguration) -> np.ndarray:
     validate_configuration(cfg)
     return grad_to_vec(_transport_hat_w_du(f, cfg.points_array(), cfg.degrees_array()))
-
-
-def transport_hat_w_hess(f: ConformalPolyMap, cfg: VortexConfiguration) -> np.ndarray:
-    validate_configuration(cfg)
-    return _transport_hat_w_hess(f, cfg.points_array(), cfg.degrees_array())
 
 
 def transport_w(
@@ -124,26 +111,3 @@ def transport_w_hess(f, ctx, cfg, psi) -> np.ndarray:
     validate_configuration(cfg)
     return _transport_w_hess(f, ctx, cfg, psi)
 
-
-def transport_n(
-    f: ConformalPolyMap,
-    ctx: DiscEnergyContext,
-    cfg: VortexConfiguration,
-    psi: FourierSeries,
-) -> FourierSeries:
-    """Pullback to the circle of the Omega-side semi-stiff trace:
-    N_Omega(f(e^{i theta})) = N_disc(theta) / |f'(e^{i theta})|.
-
-    The arc-length integral of the result against |f'| dtheta vanishes.
-    """
-    nd = n_disc(ctx, cfg, psi)
-    if f.is_identity():
-        return nd
-    m = 4 * max(nd.trunc, f.degree) + 4
-    theta = np.linspace(0.0, 2 * np.pi, m, endpoint=False)
-    vals = nd.evaluate(theta) / np.abs(f.derivative(np.exp(1j * theta)))
-    spec = np.fft.rfft(vals) / m
-    c = np.zeros(nd.trunc + 1, dtype=complex)
-    c[0] = spec[0].real
-    c[1 : nd.trunc + 1] = spec[1 : nd.trunc + 1]
-    return FourierSeries(c)

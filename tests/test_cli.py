@@ -14,6 +14,8 @@ from vortexw import (
     DiscEnergyContext,
     FourierSeries,
     VortexConfiguration,
+    cli,
+    hat_w,
     ndcheck,
     transport_hat_w,
     transport_w,
@@ -229,6 +231,69 @@ class TestLandscape:
         assert capture(capsys, argv) == (0, json_text)
 
 
+class TestBase:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--vortex=0.3,0,1", "--vortex=-0.3,0,-1", "--base=0.2,0,-1", "--base=-0.2,0,1"],
+            ["--vortex=0.3,0,2", "--base=0,0,1", "--base=0.5,0,1"],
+        ],
+    )
+    def test_expand_fit_matches_closed_form(self, capsys, argv):
+        code, out = capture(capsys, ["expand", *argv, "--rho", "0.02,0.01,0.005"])
+        assert code == 0
+        assert json.loads(out)["abs_err"] <= 5e-3
+
+    def test_energy_with_base_of_other_count(self, capsys):
+        points, degrees = [0.3, -0.3 + 0.2j], (1, 1)
+        base_points, base_degrees = [0.1, 0.2j, -0.2], (1, -1, 2)
+        argv = ["energy", "--vortex=0.3,0,1", "--vortex=-0.3,0.2,1"]
+        argv += ["--base=0.1,0,1", "--base=0,0.2,-1", "--base=-0.2,0,2", "--trunc", "32"]
+        code, out = capture(capsys, argv)
+        assert code == 0
+        # W = hat_w + 2 pi sum n |b_n|^2 with the base weighed by its own degrees
+        n = np.arange(1, 33)
+        b = sum(d * np.conj(a) ** n for a, d in zip(points, degrees))
+        b = (b - sum(d * np.conj(a) ** n for a, d in zip(base_points, base_degrees))) / n
+        cfg = VortexConfiguration(points, degrees)
+        expected = hat_w(cfg) + 2 * np.pi * np.sum(n * np.abs(b) ** 2)
+        assert json.loads(out)["w"] == pytest.approx(expected, rel=1e-12)
+
+    def test_crit_with_base_of_other_count(self, capsys):
+        base_points, base_degrees = [0.1, -0.1 + 0.1j], (2, -1)
+        argv = ["crit", "--vortex=0.1,0,1", "--base=0.1,0,2", "--base=-0.1,0.1,-1"]
+        code, out = capture(capsys, argv + ["--psi", "zero", "--trunc", "32"])
+        assert code == 0
+        loc = json.loads(out)["location"][0]
+        n = np.arange(1, 33)
+        b0 = sum(d * np.conj(a) ** n for a, d in zip(base_points, base_degrees))
+
+        def w(p):
+            b = (np.conj(p) ** n - b0) / n
+            return np.pi * np.log(1 - abs(p) ** 2) + 2 * np.pi * np.sum(n * np.abs(b) ** 2)
+
+        p, h = complex(loc["re"], loc["im"]), 1e-6
+        grad = [(w(p + s) - w(p - s)) / (2 * h) for s in (h, 1j * h)]
+        np.testing.assert_allclose(grad, 0.0, atol=1e-7)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["energy", "--vortex=0.3,0,1", "--base=0.1,0,2"],
+            ["energy", "--vortex=0.3,0,1", "--vortex=-0.3,0,1", "--base=0.1,0,1"],
+            ["crit", "--vortex=0.3,0,1", "--base=0.1,0,-1"],
+            ["crit", "--vortex=0.3,0,1", "--base=0.1,0,1", "--base=0.2,0,1", "--psi", "zero"],
+            ["expand", "--vortex=0.3,0,2", "--base=0,0,1", "--rho", "0.02,0.01,0.005"],
+        ],
+    )
+    def test_base_of_other_total_degree_is_input_error(self, capsys, argv):
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+
+
 class TestSelfcheckAndErrors:
     def test_selfcheck_passes(self, capsys):
         code, out = capture(capsys, ["selfcheck"])
@@ -259,6 +324,14 @@ class TestSelfcheckAndErrors:
 
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"]) == 2
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        def rebuild():
+            raise AssertionError("parser rebuilt")
+
+        monkeypatch.setattr(cli, "_make_parser", rebuild)
+        assert capture(capsys, ["energy", "--vortex", "0,0,1"])[0] == 0
+        assert run(["energy", "--trunc", "0"]) == 2
 
     @pytest.mark.parametrize(
         "argv",
@@ -309,6 +382,7 @@ _number = st.one_of(
 )
 _numbers = st.lists(_number, min_size=1, max_size=3).map(lambda xs: ",".join(map(repr, xs)))
 _count = st.one_of(st.integers(1, 4).map(str), _number.map(repr))
+_point = st.one_of(st.floats(-0.6, 0.6), _number)
 _radii = st.lists(st.floats(1e-3, 0.2), min_size=3, max_size=3, unique=True).map(
     lambda rs: ",".join(map(repr, sorted(rs, reverse=True)))
 )
@@ -321,8 +395,11 @@ def _argv(draw):
     argv.append("--trunc=" + draw(_count))
     if command == "landscape":
         return argv + ["--grid=" + draw(_count)]
-    re, im = draw(_number), draw(_number)
-    argv.append(f"--vortex={re!r},{im!r},{draw(st.sampled_from([-1, 1, 2]))}")
+    # configuration and base of 1 to 3 and 0 to 3 vortices
+    for flag, least in (("--vortex", 1), ("--base", 0)):
+        for _ in range(draw(st.integers(least, 3))):
+            re, im = draw(_point), draw(_point)
+            argv.append(f"{flag}={re!r},{im!r},{draw(st.sampled_from([-1, 1, 2]))}")
     if draw(st.booleans()):
         modes = st.lists(_number, max_size=3)
         argv += ["--psi", json.dumps({"cos": draw(modes), "sin": draw(modes)})]
@@ -331,16 +408,50 @@ def _argv(draw):
     return argv
 
 
+_degree = st.sampled_from([-2, -1, 1, 2])
+_disc_flag = st.tuples(st.floats(-0.6, 0.6), st.floats(-0.6, 0.6), _degree)
+
+
+@st.composite
+def _base_argv(draw):
+    """A valid configuration and base of 1 to 3 vortices each, of any degrees."""
+    command = draw(st.sampled_from(["energy", "crit", "expand"]))
+    argv = [command, "--trunc=8"]
+    degrees = {}
+    for flag in ("--vortex", "--base"):
+        vortices = draw(st.lists(_disc_flag, min_size=1, max_size=3))
+        argv += [f"{flag}={re!r},{im!r},{d}" for re, im, d in vortices]
+        degrees[flag] = sum(d for _, _, d in vortices)
+    if command == "crit":
+        argv += ["--psi", "zero"]
+    if command == "expand":
+        argv += ["--rho", "0.004,0.002,0.001"]
+    return argv, degrees["--vortex"] != degrees["--base"]
+
+
+def _run_strict(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+    else:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+    return code
+
+
 class TestFuzz:
     @given(_argv())
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_exit_code_and_strict_json(self, argv):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run(argv)
-        assert code in (0, 1, 2)
-        assert "Traceback" not in err.getvalue()
-        if code == 2:
-            assert out.getvalue() == ""
-        else:
-            json.loads(out.getvalue(), parse_constant=_reject_constant)
+        _run_strict(argv)
+
+    @given(_base_argv())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_base_of_any_count_and_degrees(self, drawn):
+        argv, degrees_differ = drawn
+        code = _run_strict(argv)
+        if degrees_differ:
+            assert code == 2

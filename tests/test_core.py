@@ -7,16 +7,14 @@ from vortexw import (
     ConformalPolyMap,
     DegenerateDerivative,
     EmptyConfiguration,
-    EnergyReport,
     FourierSeries,
-    OperatorMatrix,
     VortexConfiguration,
     VortexTooCloseToBoundary,
     VorticesCollide,
     validate_configuration,
     validate_map,
 )
-from vortexw.core import _polygon_self_intersects, configuration_is_admissible
+from vortexw.core import _polygon_self_intersects, configuration_is_admissible, is_nondegenerate
 
 
 class TestVortexConfiguration:
@@ -136,13 +134,6 @@ class TestConformalPolyMap:
         assert np.isclose(f.derivative(z, 3), 3.0)
         assert f.derivative(z, 4) == 0.0
 
-    def test_map_configuration(self):
-        f = ConformalPolyMap.scaling(2.0)
-        cfg = VortexConfiguration([0.1, 0.2j], (1, 1))
-        mapped = f.map_configuration(cfg)
-        assert mapped.points == (0.2, 0.4j)
-        assert mapped.degrees == (1, 1)
-
 
 def segments_intersect_pairwise(p, q):
     """Proper crossing of any two non-adjacent segments p[i] -> q[i], by
@@ -207,22 +198,7 @@ class TestValidateMap:
             validate_map(ConformalPolyMap([0.0, 0.0, 1.0]))
 
 
-class TestReports:
-    def test_energy_report_verdict(self):
-        rep = EnergyReport.build(1.0, np.zeros(2), 2 * np.pi * np.eye(2))
-        assert rep.nondegenerate
-        assert np.isclose(rep.condition_number, 1.0)
-        degenerate = EnergyReport.build(0.0, np.zeros(2), np.zeros((2, 2)))
-        assert not degenerate.nondegenerate
-
-    def test_energy_report_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            EnergyReport.build(0.0, np.zeros(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_operator_matrix_shape_checks(self):
-        idx = OperatorMatrix.standard_index(3)
-        assert idx[0] == (1, "cos") and idx[-1] == (3, "sin")
-        m = OperatorMatrix(np.eye(6), idx, 3)
-        assert m.smallest_singular_value() == 1.0
-        with pytest.raises(ValueError):
-            OperatorMatrix(np.eye(5), idx, 3)
+class TestNondegeneracy:
+    def test_verdict(self):
+        assert is_nondegenerate(2 * np.pi * np.eye(2))
+        assert not is_nondegenerate(np.zeros((2, 2)))

@@ -5,10 +5,8 @@ from vortexw import (
     ConformalPolyMap,
     DiscEnergyContext,
     FourierSeries,
-    NondegeneracyLost,
     VortexConfiguration,
     VortexTooCloseToBoundary,
-    continue_critical,
     find_critical_hat_w,
     find_critical_w,
     find_max_hat_w,
@@ -45,7 +43,6 @@ def ascend_loop(f, pts, degrees):
 class TestFindCriticalHatW:
     def test_disc_single_vortex(self):
         rep = find_critical_hat_w(IDENTITY, VortexConfiguration([0.3], (1,)))
-        assert rep.converged
         assert abs(rep.location.points[0]) < 1e-10
         assert rep.residual_norm <= 1e-12
         np.testing.assert_allclose(rep.hessian, -2 * np.pi * np.eye(2), atol=1e-9)
@@ -188,50 +185,3 @@ class TestBatchedAscent:
         find_max_hat_w(ConformalPolyMap([0.0, 1.0, 0.1]))
         assert len(calls) == 13
 
-
-class TestContinueCritical:
-    def test_constant_path(self):
-        start = find_critical_hat_w(IDENTITY, VortexConfiguration([0.1], (1,)))
-        reports = continue_critical([(IDENTITY, None)] * 3, start)
-        for rep in reports:
-            assert abs(rep.location.points[0]) < 1e-10
-
-    def test_map_family_drift(self):
-        start = find_critical_hat_w(IDENTITY, VortexConfiguration([0.0], (1,)))
-        path = [
-            (ConformalPolyMap([0.0, 1.0, t * 0.05]), None)
-            for t in np.linspace(0.1, 1.0, 10)
-        ]
-        reports = continue_critical(path, start)
-        assert all(r.nondegenerate for r in reports)
-        # endpoint agrees with a cold solve
-        cold = find_critical_hat_w(
-            ConformalPolyMap([0.0, 1.0, 0.05]), VortexConfiguration([0.0], (1,))
-        )
-        assert reports[-1].location.points[0] == pytest.approx(
-            cold.location.points[0], abs=1e-10
-        )
-
-    def test_psi_shrinks_to_zero(self):
-        ctx = DiscEnergyContext(VortexConfiguration([0.0], (1,)))
-        psi_of = lambda s: FourierSeries.from_real(cos=[s], trunc=ctx.trunc)  # noqa: E731
-        start = find_critical_w(
-            IDENTITY, ctx, psi_of(0.1), VortexConfiguration([0.0], (1,))
-        )
-        path = [(IDENTITY, psi_of(s)) for s in np.linspace(0.08, 0.0, 5)]
-        reports = continue_critical(path, start, ctx=ctx)
-        assert abs(reports[-1].location.points[0]) < 1e-10
-
-    def test_degenerate_start_rejected(self):
-        start = find_critical_hat_w(IDENTITY, VortexConfiguration([0.1], (1,)))
-        bad = type(start)(
-            location=start.location,
-            residual_norm=start.residual_norm,
-            hessian=start.hessian,
-            nondegenerate=False,
-            iterations=start.iterations,
-            converged=start.converged,
-            value=start.value,
-        )
-        with pytest.raises(NondegeneracyLost):
-            continue_critical([(IDENTITY, None)], bad)

@@ -2,24 +2,22 @@ import numpy as np
 import pytest
 
 from vortexw import (
+    ConformalPolyMap,
     DiscEnergyContext,
-    EvaluationAtVortex,
     FourierSeries,
     VortexConfiguration,
-    canonical_datum_density,
+    grad_phi_ag,
     h_half_seminorm_sq,
-    hat_phi,
     hat_w,
     hat_w_grad,
     hat_w_hess,
     n_disc,
-    psi_star_base_boundary,
-    psi_star_base_grad,
+    transport_w_grad,
     w_disc,
-    w_disc_grad,
     w_disc_hess,
 )
 from vortexw.disc_energy import (
+    _base_shift_coeffs,
     _composite_coeffs,
     _hat_w,
     _hat_w_d2,
@@ -28,7 +26,10 @@ from vortexw.disc_energy import (
     _seminorm_du,
 )
 
+from reference import fd_complex_gradient, hat_phi
+
 ORIGIN = VortexConfiguration([0.0], (1,))
+IDENTITY = ConformalPolyMap.identity()
 
 
 def fd_gradient(fn, pts, h=1e-6):
@@ -43,6 +44,8 @@ def fd_gradient(fn, pts, h=1e-6):
 
 
 class TestHatPhi:
+    """Closed-form checks of the reference potential of the FD tests."""
+
     def test_single_vortex_at_origin_is_log_r(self):
         z = 0.3 + 0.4j
         assert hat_phi(ORIGIN, z) == pytest.approx(np.log(0.5))
@@ -51,10 +54,6 @@ class TestHatPhi:
         cfg = VortexConfiguration([0.5, -0.2 + 0.3j], (1, 2))
         z = np.exp(1j * np.linspace(0, 2 * np.pi, 9))
         np.testing.assert_allclose(hat_phi(cfg, z), 0.0, atol=1e-12)
-
-    def test_evaluation_at_vortex(self):
-        with pytest.raises(EvaluationAtVortex):
-            hat_phi(ORIGIN, 0.0)
 
 
 class TestHatW:
@@ -99,52 +98,59 @@ class TestHatW:
         )
 
 
+def canonical_density(cfg, m=64):
+    """Boundary density g^a wedge dg^a/dtau of the canonical datum on m
+    circle points: the normal derivative Re(conj(z) grad Phi) of the phase
+    potential with psi = 0 and the reference configuration equal to cfg."""
+    z = np.exp(2j * np.pi * np.arange(m) / m)
+    ctx = DiscEnergyContext(cfg, trunc=16)
+    return np.real(np.conj(z) * grad_phi_ag(ctx, cfg, FourierSeries.zeros(16), z))
+
+
 class TestCanonicalDatum:
     def test_mean_is_total_degree(self):
         cfg = VortexConfiguration([0.3, -0.2 + 0.1j], (1, 2))
-        assert canonical_datum_density(cfg).mean == pytest.approx(3.0)
+        assert np.mean(canonical_density(cfg)) == pytest.approx(3.0, rel=1e-12)
 
     def test_origin_constant(self):
-        dens = canonical_datum_density(ORIGIN, trunc=16)
-        assert dens.mean == 1.0
-        np.testing.assert_allclose(dens.coeffs[1:], 0.0, atol=1e-15)
+        np.testing.assert_allclose(canonical_density(ORIGIN), 1.0, rtol=0, atol=1e-15)
 
 
 class TestPsiStarBase:
+    """The conjugate phase trace b_n that relates the canonical data of a
+    configuration and of the reference configuration."""
+
     def test_zero_when_cfg_is_base(self):
-        base = VortexConfiguration([0.3 + 0.1j], (1,))
+        base = VortexConfiguration([0.3 + 0.1j, -0.2j], (1, 2))
         ctx = DiscEnergyContext(base)
-        trace = psi_star_base_boundary(ctx, base)
-        np.testing.assert_allclose(trace.coeffs, 0.0, atol=1e-15)
-        z = np.array([0.1, -0.4j, 0.6 + 0.2j])
-        np.testing.assert_allclose(psi_star_base_grad(ctx, base, z), 0.0, atol=1e-14)
+        assert not np.any(_base_shift_coeffs(ctx, base))
 
     def test_real_shift_closed_form(self):
-        # base at 0, vortex at t in (0,1): trace = -log|1 - t e^{i theta}|^2
+        # base at 0, vortex at t in (0,1): the conjugate phase trace is
+        # -log|1 - t e^{i theta}|^2 = 2 sum t^n cos(n theta) / n, so the
+        # energy above hat_w is 2 pi sum t^(2n) / n = -2 pi log(1 - t^2)
         t = 0.5
         ctx = DiscEnergyContext(VortexConfiguration([0.0], (1,)), trunc=96)
         cfg = VortexConfiguration([t], (1,))
-        theta = np.linspace(0, 2 * np.pi, 25)
-        expected = -np.log(np.abs(1 - t * np.exp(1j * theta)) ** 2)
-        got = psi_star_base_boundary(ctx, cfg).evaluate(theta)
-        np.testing.assert_allclose(got, expected, atol=1e-10)
+        gap = w_disc(ctx, cfg, FourierSeries.zeros(ctx.trunc)) - hat_w(cfg)
+        assert gap == pytest.approx(-2 * np.pi * np.log(1 - t**2), rel=1e-12)
 
     def test_grad_matches_fd_of_potential(self):
-        ctx = DiscEnergyContext(VortexConfiguration([0.2j], (1,)), trunc=128)
+        # the field kernel's reference-vortex terms against the trace b_n of
+        # the closed form: moving the reference from cfg to the base changes
+        # the phase gradient by minus the gradient of 2 Re sum b_n z^n
+        ctx = DiscEnergyContext(VortexConfiguration([0.2j, -0.3], (2, -1)), trunc=128)
         cfg = VortexConfiguration([0.4 - 0.1j], (1,))
-        # harmonic extension of the boundary trace, summed explicitly
-        trace = psi_star_base_boundary(ctx, cfg)
-        n = np.arange(1, trace.trunc + 1)
+        b = _base_shift_coeffs(ctx, cfg)
+        n = np.arange(1, b.size + 1)
 
         def ext(z):
-            return trace.mean + 2 * np.real(np.sum(trace.coeffs[1:] * z**n))
+            return 2 * np.real(np.sum(b * z**n))
 
         z0 = 0.3 + 0.35j
-        h = 1e-6
-        fd = (ext(z0 + h) - ext(z0 - h)) / (2 * h) + 1j * (
-            ext(z0 + 1j * h) - ext(z0 - 1j * h)
-        ) / (2 * h)
-        assert psi_star_base_grad(ctx, cfg, z0) == pytest.approx(fd, abs=1e-7)
+        psi = FourierSeries.zeros(128)
+        shift = grad_phi_ag(ctx, cfg, psi, z0) - grad_phi_ag(DiscEnergyContext(cfg), cfg, psi, z0)
+        assert -shift == pytest.approx(fd_complex_gradient(ext, z0), abs=1e-7)
 
 
 class TestWDisc:
@@ -176,7 +182,7 @@ class TestWDisc:
         ctx = DiscEnergyContext(VortexConfiguration([0.1, 0.3j], (1, 1)))
         cfg = VortexConfiguration([0.35 + 0.1j, -0.2 - 0.25j], (1, 1))
         psi = FourierSeries.from_real(cos=[0.2, -0.1], sin=[0.15], trunc=ctx.trunc)
-        g = w_disc_grad(ctx, cfg, psi)
+        g = transport_w_grad(IDENTITY, ctx, cfg, psi)
         fd = fd_gradient(
             lambda p: w_disc(ctx, cfg.with_points(p), psi), cfg.points_array()
         )
@@ -188,10 +194,25 @@ class TestWDisc:
         psi = FourierSeries.from_real(cos=[0.1], sin=[0.3], trunc=ctx.trunc)
         h = w_disc_hess(ctx, cfg, psi)
         cols = fd_gradient(
-            lambda p: w_disc_grad(ctx, cfg.with_points(p), psi), cfg.points_array()
+            lambda p: transport_w_grad(IDENTITY, ctx, cfg.with_points(p), psi),
+            cfg.points_array(),
         )
         fdh = np.column_stack(cols)
         np.testing.assert_allclose(h, 0.5 * (fdh + fdh.T), rtol=1e-5, atol=1e-6)
+
+    def test_base_of_other_count_and_degrees(self):
+        # b_n = (sum_j d_j conj(a_j)^n - sum_l d0_l conj(a0_l)^n) / n: the base
+        # weighs its own points by its own degrees
+        base = VortexConfiguration([0.2 + 0.1j, -0.3j, 0.5], (2, 1, -1))
+        cfg = VortexConfiguration([0.4 - 0.3j, -0.1 + 0.2j], (1, 1))
+        ctx = DiscEnergyContext(base, trunc=48)
+        psi = FourierSeries.from_real(cos=[0.1], sin=[0.05, 0.02], trunc=48)
+        n = np.arange(1, 49)
+        b = sum(d * np.conj(a) ** n for a, d in zip(cfg.points, cfg.degrees))
+        b = (b - sum(d * np.conj(a) ** n for a, d in zip(base.points, base.degrees))) / n
+        u = b - 1j * psi.coeffs[1:]
+        expected = hat_w(cfg) + 2 * np.pi * np.sum(n * np.abs(u) ** 2)
+        assert w_disc(ctx, cfg, psi) == pytest.approx(expected, rel=1e-12)
 
     def test_origin_hessian_fixture(self):
         ctx = DiscEnergyContext(ORIGIN)

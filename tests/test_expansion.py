@@ -14,6 +14,8 @@ from vortexw import (
 )
 from vortexw.expansion import _gprime_coeffs
 
+from reference import fd_complex_gradient, phase_potential
+
 ORIGIN = VortexConfiguration([0.0], (1,))
 CTX0 = DiscEnergyContext(ORIGIN)
 PSI0 = FourierSeries.zeros(CTX0.trunc)
@@ -40,24 +42,22 @@ class TestGradPhiAg:
         assert delta == pytest.approx(-1j, abs=1e-13)
 
     def test_matches_fd_of_scalar_potential(self):
-        from vortexw import hat_phi, harmonic_conjugate, psi_star_base_boundary
-
         ctx = DiscEnergyContext(VortexConfiguration([0.2 + 0.1j], (1,)), trunc=64)
         cfg = VortexConfiguration([0.4 - 0.3j], (1,))
         psi = FourierSeries.from_real(cos=[0.1], sin=[0.05, 0.02], trunc=64)
-        comp = psi_star_base_boundary(ctx, cfg) + harmonic_conjugate(psi)
-        n = np.arange(1, comp.trunc + 1)
-
-        def potential(z):
-            ext = comp.mean + 2 * np.real(np.sum(comp.coeffs[1:] * z**n))
-            return hat_phi(cfg, z) - ext
-
         z0 = 0.1 + 0.55j
-        h = 1e-6
-        fd = (potential(z0 + h) - potential(z0 - h)) / (2 * h) + 1j * (
-            potential(z0 + 1j * h) - potential(z0 - 1j * h)
-        ) / (2 * h)
+        fd = fd_complex_gradient(lambda z: phase_potential(ctx, cfg, psi, z), z0)
         assert grad_phi_ag(ctx, cfg, psi, z0) == pytest.approx(fd, abs=1e-8)
+
+    def test_matches_fd_with_base_of_other_count_and_degrees(self):
+        # three reference vortices against two, degrees (2, 1, -1) against (1, 1)
+        base = VortexConfiguration([0.2 + 0.1j, -0.3j, 0.5], (2, 1, -1))
+        ctx = DiscEnergyContext(base, trunc=64)
+        cfg = VortexConfiguration([0.4 - 0.3j, -0.1 + 0.2j], (1, 1))
+        psi = FourierSeries.from_real(cos=[0.1], sin=[0.05, 0.02], trunc=64)
+        for z0 in (0.1 + 0.55j, -0.5 - 0.2j):
+            fd = fd_complex_gradient(lambda z: phase_potential(ctx, cfg, psi, z), z0)
+            assert grad_phi_ag(ctx, cfg, psi, z0) == pytest.approx(fd, abs=1e-8)
 
     def test_zero_modes_of_psi_are_not_evaluated(self):
         cfg = VortexConfiguration([0.4 - 0.3j], (1,))

@@ -7,18 +7,22 @@ from vortexw import (
     FourierSeries,
     VortexConfiguration,
     hat_w,
-    log_fprime_hessian,
-    n_disc,
     transport_hat_w,
     transport_hat_w_grad,
-    transport_hat_w_hess,
-    transport_n,
     transport_w,
     transport_w_grad,
     w_disc,
 )
+from vortexw._calculus import assemble_hessian
+from vortexw.transport import _log_fprime_d2, _transport_hat_w_hess
 
 IDENTITY = ConformalPolyMap.identity()
+
+
+def log_fprime_hessian(f, alpha):
+    """Hessian of alpha -> pi log|f'(alpha)| at a single point."""
+    duv = _log_fprime_d2(f, np.array([complex(alpha)]), np.ones(1))
+    return assemble_hessian(duv, np.zeros((1, 1)))
 
 
 def mobius(beta, z):
@@ -81,7 +85,7 @@ class TestTransportHatW:
     def test_hess_matches_fd(self):
         f = ConformalPolyMap([0.0, 1.0, 0.05, 0.03])
         cfg = VortexConfiguration([0.2 - 0.25j], (1,))
-        hess = transport_hat_w_hess(f, cfg)
+        hess = _transport_hat_w_hess(f, cfg.points_array(), cfg.degrees_array())
         h = 1e-6
         cols = []
         for step in (h, 1j * h):
@@ -144,38 +148,3 @@ class TestLogFprimeHessian:
                 ) / (4 * h * h)
         np.testing.assert_allclose(hess, fd, atol=1e-5)
 
-
-class TestTransportN:
-    def test_identity_unchanged(self):
-        ctx = DiscEnergyContext(VortexConfiguration([0.1j], (1,)), trunc=16)
-        cfg = VortexConfiguration([0.3], (1,))
-        psi = FourierSeries.from_real(cos=[0.2], sin=[0.1], trunc=16)
-        base = n_disc(ctx, cfg, psi)
-        out = transport_n(IDENTITY, ctx, cfg, psi)
-        np.testing.assert_allclose(out.coeffs, base.coeffs, atol=1e-15)
-
-    def test_scaling_divides_by_r(self):
-        r = 2.5
-        ctx = DiscEnergyContext(VortexConfiguration([0.0], (1,)), trunc=16)
-        cfg = VortexConfiguration([0.4], (1,))
-        psi = FourierSeries.zeros(16)
-        base = n_disc(ctx, cfg, psi)
-        out = transport_n(ConformalPolyMap.scaling(r), ctx, cfg, psi)
-        np.testing.assert_allclose(out.coeffs, base.coeffs / r, atol=1e-12)
-
-    def test_weighted_integral_vanishes(self):
-        # arc-length integral over the image boundary is zero
-        rng = np.random.default_rng(9)
-        f = ConformalPolyMap([0.0, 1.0, 0.12, 0.02j])
-        ctx = DiscEnergyContext(VortexConfiguration([0.15 - 0.1j], (1,)), trunc=32)
-        for _ in range(5):
-            cfg = VortexConfiguration(
-                [0.6 * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1))], (1,)
-            )
-            psi = FourierSeries.from_real(
-                cos=rng.normal(0, 0.5, 3), sin=rng.normal(0, 0.5, 3), trunc=32
-            )
-            tn = transport_n(f, ctx, cfg, psi)
-            theta = np.linspace(0, 2 * np.pi, 4096, endpoint=False)
-            ds = np.abs(f.derivative(np.exp(1j * theta)))
-            assert abs(np.mean(tn.evaluate(theta) * ds)) < 1e-10
