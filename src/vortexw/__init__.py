@@ -32,6 +32,7 @@ from .disc_energy import (
 from .errors import (
     BoundaryNotSimple,
     DegenerateDerivative,
+    DegreeMismatch,
     EmptyConfiguration,
     EvaluationAtVortex,
     InvalidRadius,
@@ -76,6 +77,7 @@ __all__ = [
     "CriticalPointReport",
     "DEFAULT_TRUNC",
     "DegenerateDerivative",
+    "DegreeMismatch",
     "DiscEnergyContext",
     "EmptyConfiguration",
     "EvaluationAtVortex",

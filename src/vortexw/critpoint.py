@@ -33,6 +33,7 @@ from .transport import (
 
 TOL_NEWTON = 1e-12
 MAX_ITER = 50
+MULTISTART = 16
 
 
 @dataclass(frozen=True)
@@ -155,27 +156,19 @@ def find_critical_w(
     )
 
 
-def _lattice_starts(multistart: int, k: int) -> np.ndarray:
-    """Deterministic starts, (starts, k): the origin and a radial-angular
-    lattice of radius 0.8 for a single vortex, seeded random draws for
-    several."""
-    if k == 1:
-        n_r, n_t = 4, max(1, (multistart - 1) // 4)
-        starts = [0.0] + [
-            0.8 * i / n_r * np.exp(1j * (2 * np.pi * j / n_t + 0.3 * i))
-            for i in range(1, n_r + 1)
-            for j in range(n_t)
-        ]
-        return np.array(starts[: max(multistart, 2)], dtype=complex)[:, None]
-    starts = []
-    rng = np.random.default_rng(2357)
-    while len(starts) < multistart:
-        pts = 0.8 * np.sqrt(rng.uniform(0, 1, k)) * np.exp(
-            1j * rng.uniform(0, 2 * np.pi, k)
-        )
-        if configuration_is_admissible(pts):
-            starts.append(pts)
-    return np.array(starts, dtype=complex).reshape(-1, k)
+def _lattice_starts(multistart: int) -> np.ndarray:
+    """Deterministic single-vortex starts, (starts, 1): the origin and a
+    lattice of 4 radii up to 0.8 times max(1, (multistart - 1) // 4)
+    angles, cut to the first max(multistart, 2). That is
+    1 + 4 * ((multistart - 1) // 4) starts for multistart >= 5, multistart
+    starts for 2 to 4 and 2 for multistart = 1."""
+    n_r, n_t = 4, max(1, (multistart - 1) // 4)
+    starts = [0.0] + [
+        0.8 * i / n_r * np.exp(1j * (2 * np.pi * j / n_t + 0.3 * i))
+        for i in range(1, n_r + 1)
+        for j in range(n_t)
+    ]
+    return np.array(starts[: max(multistart, 2)], dtype=complex)[:, None]
 
 
 def _ascend(f: ConformalPolyMap, starts: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -212,44 +205,25 @@ def _ascend(f: ConformalPolyMap, starts: np.ndarray, d: np.ndarray) -> np.ndarra
     return pts
 
 
-def find_max_hat_w(
-    f: ConformalPolyMap,
-    multistart: int = 16,
-    degrees=(1,),
-) -> CriticalPointReport:
-    """Interior maximizer of the transported hat_w: the best critical point
-    found by Newton polish (find_critical_hat_w) of a batched ascent from
-    each of a fixed set of starts.
-
-    For one vortex the starts are the origin and a lattice of 4 radii times
-    max(1, (multistart - 1) // 4) angles, cut to the first
-    max(multistart, 2). That is 1 + 4 * ((multistart - 1) // 4) starts for
-    multistart >= 5 (13 for the default 16), multistart starts for 2 to 4
-    and 2 for multistart = 1. For several vortices the starts are multistart
-    seeded random configurations. Starts whose polish fails are dropped."""
-    degrees = tuple(int(x) for x in degrees)
-    d = np.asarray(degrees, dtype=float)
+def find_max_hat_w(f: ConformalPolyMap) -> CriticalPointReport:
+    """Interior maximizer of the transported hat_w for one vortex of degree
+    one: the best critical point found by Newton polish
+    (find_critical_hat_w) of a batched ascent from each of the 13 starts of
+    _lattice_starts(MULTISTART). Starts whose polish fails are dropped."""
     results = []
-    for pts in _ascend(f, _lattice_starts(multistart, len(degrees)), d):
+    for pts in _ascend(f, _lattice_starts(MULTISTART), np.ones(1)):
         try:
-            rep = find_critical_hat_w(f, VortexConfiguration(pts, degrees))
+            rep = find_critical_hat_w(f, VortexConfiguration(pts, (1,)))
         except (NewtonDiverged, LeftAdmissibleRegion):
             continue
         results.append(rep)
     if not results:
         raise NewtonDiverged("no start converged")
-    # largest value wins; near-ties resolved by smallest max |alpha|
-    def key(rep):
-        return (-rep.value, max(abs(p) for p in rep.location.points))
-
-    results.sort(key=key)
+    # largest value wins; near-ties resolved by smallest |alpha|
+    results.sort(key=lambda rep: (-rep.value, abs(rep.location.points[0])))
     best = results[0]
     agree = all(
-        np.allclose(
-            np.sort_complex(r.location.points_array()),
-            np.sort_complex(best.location.points_array()),
-            atol=1e-8,
-        )
+        np.allclose(r.location.points_array(), best.location.points_array(), atol=1e-8)
         for r in results
     )
     return replace(best, global_candidate=agree)

@@ -15,12 +15,15 @@ import numpy as np
 
 from ._calculus import assemble_hessian, grad_to_vec
 from .core import DEFAULT_TRUNC, FourierSeries, VortexConfiguration, validate_configuration
+from .errors import DegreeMismatch
 
 
 @dataclass(frozen=True)
 class DiscEnergyContext:
     """Reference configuration alpha^0 (defining the canonical datum) plus
-    the series truncation used for all expansions."""
+    the series truncation used for all expansions. W and N are defined only
+    for configurations of the base's total degree; the others raise
+    DegreeMismatch."""
 
     base: VortexConfiguration
     trunc: int = DEFAULT_TRUNC
@@ -98,11 +101,23 @@ def hat_w_hess(cfg: VortexConfiguration) -> np.ndarray:
     return assemble_hessian(*_hat_w_d2(cfg.points_array(), cfg.degrees_array()))
 
 
+def _check_total_degree(ctx: DiscEnergyContext, cfg: VortexConfiguration) -> None:
+    """Raise DegreeMismatch unless cfg has the total degree of ctx.base:
+    otherwise the phase between their canonical data keeps a multivalued
+    log term and W is not defined."""
+    if cfg.total_degree != ctx.base.total_degree:
+        raise DegreeMismatch(
+            f"configuration total degree {cfg.total_degree} differs from "
+            f"the base's {ctx.base.total_degree}"
+        )
+
+
 def _base_shift_coeffs(ctx: DiscEnergyContext, cfg: VortexConfiguration) -> np.ndarray:
     """Coefficients b_n (n = 1..trunc) of the conjugate phase trace that
     relates the canonical data of cfg and of the reference configuration:
     b_n = (sum_j d_j conj(alpha_j)^n - sum_l d0_l conj(alpha0_l)^n) / n.
     The two configurations may differ in count and in degrees."""
+    _check_total_degree(ctx, cfg)
     n = np.arange(1, ctx.trunc + 1)
 
     def moments(c):

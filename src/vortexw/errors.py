@@ -25,6 +25,10 @@ class BoundaryNotSimple(VortexwError):
     pass
 
 
+class DegreeMismatch(VortexwError):
+    pass
+
+
 class EvaluationAtVortex(VortexwError):
     pass
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._kernels import grad_phi_field
 from .core import FourierSeries, VortexConfiguration, validate_configuration
-from .disc_energy import DiscEnergyContext, w_disc
+from .disc_energy import DiscEnergyContext, _check_total_degree, w_disc
 from .errors import EvaluationAtVortex, InvalidRadius
 from .harmonic import AnnulusQuadrature
 
@@ -45,6 +45,7 @@ def grad_phi_ag(ctx: DiscEnergyContext, cfg: VortexConfiguration, psi: FourierSe
     the canonical datum of ctx.base.
     """
     validate_configuration(cfg)
+    _check_total_degree(ctx, cfg)
     zz = np.asarray(z, dtype=complex)
     a = cfg.points_array()
     if np.any(np.abs(zz[..., None] - a) < _VORTEX_EVAL_TOL):
@@ -103,6 +104,7 @@ def punctured_energy(
     """Half the Dirichlet integral of the phase gradient over the disc with
     the discs of radius rho about the vortices removed."""
     validate_configuration(cfg)
+    _check_total_degree(ctx, cfg)
     if not 0.0 < rho < 1.0:
         raise InvalidRadius(f"rho = {rho} outside (0, 1)")
     a = cfg.points_array()

@@ -36,7 +36,6 @@ from .transport import transport_w_hess
 
 TOL_OP = 1e-3
 STABILITY_REL = 1e-2
-MULTISTART = 16
 
 
 @dataclass(frozen=True)
@@ -50,22 +49,22 @@ class Nd1Report:
 
 
 def check_nd1(f: ConformalPolyMap) -> Nd1Report:
-    """Locate the maximizer of the transported hat_w (from MULTISTART
-    starts) and test that it is a nondegenerate critical point of both
+    """Locate the maximizer of the transported hat_w for one vortex of
+    degree one and test that it is a nondegenerate critical point of both
     energies."""
     validate_map(f)
     try:
-        rep = find_max_hat_w(f, multistart=MULTISTART)
+        rep = find_max_hat_w(f)
     except (NewtonDiverged, LeftAdmissibleRegion) as exc:
         raise NoCriticalPointFound(str(exc)) from exc
     cfg = rep.location
     ctx = DiscEnergyContext(cfg)
     h_w = transport_w_hess(f, ctx, cfg, FourierSeries.zeros(ctx.trunc))
     passed = rep.nondegenerate and is_nondegenerate(h_w)
-    alpha0 = cfg.points[0] if cfg.k == 1 else None
+    alpha0 = cfg.points[0]
     return Nd1Report(
         alpha0=alpha0,
-        a0=complex(f(alpha0)) if alpha0 is not None else None,
+        a0=complex(f(alpha0)),
         hessian_hat=rep.hessian,
         hessian_w=h_w,
         passed=passed,

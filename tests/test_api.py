@@ -11,7 +11,7 @@ import vortexw
 KEPT = {
     "AnnulusQuadrature", "BACKEND", "BOUNDARY_MARGIN", "BoundaryNotSimple",
     "ConformalPolyMap", "CriticalPointReport", "DEFAULT_TRUNC",
-    "DegenerateDerivative", "DiscEnergyContext", "EmptyConfiguration",
+    "DegenerateDerivative", "DegreeMismatch", "DiscEnergyContext", "EmptyConfiguration",
     "EvaluationAtVortex", "ExpansionReport", "FourierSeries", "InvalidRadius",
     "LeftAdmissibleRegion", "ND_TOL", "Nd1Report", "Nd2Report", "NewtonDiverged",
     "NoCriticalPointFound", "SEPARATION_MARGIN", "VortexConfiguration",

@@ -153,7 +153,7 @@ class TestBatchedAscent:
     )
     def test_single_vortex_matches_loop_bit_for_bit(self, coeffs):
         f = ConformalPolyMap(coeffs)
-        starts = critpoint._lattice_starts(16, 1)
+        starts = critpoint._lattice_starts(critpoint.MULTISTART)
         assert starts.shape == (13, 1)
         batch = critpoint._ascend(f, starts, np.ones(1))
         loop = np.array([ascend_loop(f, s, (1,)) for s in starts])
@@ -162,7 +162,12 @@ class TestBatchedAscent:
     @pytest.mark.parametrize("coeffs", [[0.0, 1.0], [0.0, 1.0, 0.1]])
     def test_pair_matches_loop_bit_for_bit(self, coeffs):
         f = ConformalPolyMap(coeffs)
-        starts = critpoint._lattice_starts(16, 2)
+        # the batched ascent is written for any k; 16 seeded admissible pairs
+        rng = np.random.default_rng(2357)
+        starts = 0.8 * np.sqrt(rng.uniform(0, 1, (24, 2))) * np.exp(
+            2j * np.pi * rng.uniform(0, 1, (24, 2))
+        )
+        starts = starts[configuration_is_admissible(starts)][:16]
         assert starts.shape == (16, 2)
         batch = critpoint._ascend(f, starts, np.ones(2))
         loop = np.array([ascend_loop(f, s, (1, 1)) for s in starts])
@@ -170,7 +175,7 @@ class TestBatchedAscent:
 
     @pytest.mark.parametrize("multistart,count", [(1, 2), (2, 2), (4, 4), (5, 5), (16, 13), (17, 17)])
     def test_start_count(self, multistart, count):
-        assert critpoint._lattice_starts(multistart, 1).shape == (count, 1)
+        assert critpoint._lattice_starts(multistart).shape == (count, 1)
 
     def test_polishes_through_module_attribute(self, monkeypatch):
         # vwbench counts Newton solves by wrapping this module attribute

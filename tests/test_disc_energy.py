@@ -3,6 +3,7 @@ import pytest
 
 from vortexw import (
     ConformalPolyMap,
+    DegreeMismatch,
     DiscEnergyContext,
     FourierSeries,
     VortexConfiguration,
@@ -12,6 +13,8 @@ from vortexw import (
     hat_w_grad,
     hat_w_hess,
     n_disc,
+    punctured_energy,
+    transport_w,
     transport_w_grad,
     w_disc,
     w_disc_hess,
@@ -213,6 +216,24 @@ class TestWDisc:
         u = b - 1j * psi.coeffs[1:]
         expected = hat_w(cfg) + 2 * np.pi * np.sum(n * np.abs(u) ** 2)
         assert w_disc(ctx, cfg, psi) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda ctx, cfg, psi: w_disc(ctx, cfg, psi),
+            lambda ctx, cfg, psi: w_disc_hess(ctx, cfg, psi),
+            lambda ctx, cfg, psi: n_disc(ctx, cfg, psi),
+            lambda ctx, cfg, psi: transport_w(ConformalPolyMap([0.0, 1.0, 0.1]), ctx, cfg, psi),
+            lambda ctx, cfg, psi: grad_phi_ag(ctx, cfg, psi, 0.5j),
+            lambda ctx, cfg, psi: punctured_energy(ctx, cfg, psi, 0.01),
+        ],
+    )
+    def test_base_of_other_total_degree_raises(self, call):
+        # W is defined only when the base has the configuration's total degree
+        ctx = DiscEnergyContext(VortexConfiguration([0.2, -0.3j], (1, 1)))
+        cfg = VortexConfiguration([0.4 - 0.3j, -0.1 + 0.2j], (1, -1))
+        with pytest.raises(DegreeMismatch):
+            call(ctx, cfg, FourierSeries.zeros(ctx.trunc))
 
     def test_origin_hessian_fixture(self):
         ctx = DiscEnergyContext(ORIGIN)

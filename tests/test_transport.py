@@ -19,12 +19,6 @@ from vortexw.transport import _log_fprime_d2, _transport_hat_w_hess
 IDENTITY = ConformalPolyMap.identity()
 
 
-def log_fprime_hessian(f, alpha):
-    """Hessian of alpha -> pi log|f'(alpha)| at a single point."""
-    duv = _log_fprime_d2(f, np.array([complex(alpha)]), np.ones(1))
-    return assemble_hessian(duv, np.zeros((1, 1)))
-
-
 def mobius(beta, z):
     return (z + beta) / (1 + np.conj(beta) * z)
 
@@ -118,9 +112,11 @@ class TestTransportW:
 
 
 class TestLogFprimeHessian:
+    # Hessian of alpha -> pi log|f'(alpha)| at one point, from its Wirtinger
+    # kernel; the mixed second derivative of a harmonic function is zero
     def test_identity_zero(self):
         np.testing.assert_allclose(
-            log_fprime_hessian(IDENTITY, 0.3 + 0.1j), 0.0, atol=1e-15
+            assemble_hessian(_log_fprime_d2(IDENTITY, np.array([0.3 + 0.1j]), np.ones(1)), 0), 0.0, atol=1e-15
         )
 
     def test_cubic_fixture(self):
@@ -128,12 +124,12 @@ class TestLogFprimeHessian:
         f = ConformalPolyMap([0.0, 1.0, 0.0, eps])
         w = 6 * eps  # f'''(0) / f'(0)
         expected = np.pi * np.array([[w, 0.0], [0.0, -w]])
-        np.testing.assert_allclose(log_fprime_hessian(f, 0.0), expected, atol=1e-14)
+        np.testing.assert_allclose(assemble_hessian(_log_fprime_d2(f, np.zeros(1, complex), np.ones(1)), 0), expected, atol=1e-14)
 
     def test_matches_fd(self):
         f = ConformalPolyMap([0.0, 1.0, 0.07, -0.02])
         a = 0.2 - 0.3j
-        hess = log_fprime_hessian(f, a)
+        hess = assemble_hessian(_log_fprime_d2(f, np.array([a]), np.ones(1)), 0)
         h = 1e-5
 
         def val(p):
