@@ -189,14 +189,14 @@ def _jsonable(x):
     return x
 
 
-def _emit(payload, out_path: str | None, csv: bool = False):
-    if csv:
-        text = payload
-    else:
-        text = (
-            json.dumps(_jsonable(payload), indent=2, sort_keys=True, allow_nan=False)
-            + "\n"
-        )
+def _emit(payload, out_path: str | None):
+    _write(
+        json.dumps(_jsonable(payload), indent=2, sort_keys=True, allow_nan=False) + "\n",
+        out_path,
+    )
+
+
+def _write(text: str, out_path: str | None):
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -336,14 +336,28 @@ def _cmd_landscape(args, conf):
     ok = configuration_is_admissible(configs)
     values = np.full(p.size, np.nan)
     values[ok] = _transport_hat_w(f, configs[ok], np.array([float(args.degree)]))
-    records = zip(p.real.tolist(), p.imag.tolist(), values.tolist())
-    if args.csv:
-        lines = ["x,y,hat_w"]
-        lines += [f"{x:.6f},{y:.6f},{v}" for x, y, v in records]
-        _emit("\n".join(lines) + "\n", args.out, csv=True)
-    else:
-        _emit({"rows": [{"x": x, "y": y, "hat_w": v} for x, y, v in records]}, args.out)
+    _write(_landscape_text(xs.tolist(), values.tolist(), args.csv), args.out)
     return 0
+
+
+# The rows of {"rows": [{"x": x, "y": y, "hat_w": v}, ...]} as _emit would
+# write them, keys sorted; a row of the CSV is "{x:.6f},{y:.6f},{v}".
+_JSON_ROW = '    {\n      "hat_w": %s,\n      "x": %s,\n      "y": %s\n    }'
+
+
+def _landscape_text(axis: list, values: list, csv: bool) -> str:
+    """The landscape output without the generic encoder: the n coordinates
+    of an axis are formatted once and shared by x and y, and only the n^2
+    values one by one. Rows run over y, x fastest."""
+    n = len(axis)
+    ax = ["{:.6f}".format(t) for t in axis] if csv else list(map(repr, axis))
+    xs, ys = ax * n, [t for t in ax for _ in range(n)]
+    if csv:
+        rows = map(",".join, zip(xs, ys, map(repr, values)))
+        return "x,y,hat_w\n" + "\n".join(rows) + "\n"
+    vs = [repr(v) if math.isfinite(v) else "null" for v in values]
+    rows = map(_JSON_ROW.__mod__, zip(vs, xs, ys))
+    return '{\n  "rows": [\n' + ",\n".join(rows) + "\n  ]\n}\n"
 
 
 def _cmd_selfcheck(args, conf):

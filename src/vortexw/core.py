@@ -101,9 +101,13 @@ def configuration_is_admissible(points):
     (k,)) and a boolean array over the leading axes for a batch."""
     pts = np.asarray(points, dtype=complex)
     # written so that a NaN point fails it too
-    ok = np.all(np.abs(pts) < 1.0 - BOUNDARY_MARGIN, axis=-1)
+    inside = np.abs(pts) < 1.0 - BOUNDARY_MARGIN
+    ok = np.all(inside, axis=-1)
     k = pts.shape[-1]
     if k > 1:
+        # a point outside already fails its configuration; zeroed, a huge or
+        # infinite one cannot overflow the differences
+        pts = np.where(inside, pts, 0.0)
         gap = np.abs(pts[..., :, None] - pts[..., None, :])
         apart = (gap >= SEPARATION_MARGIN) | np.eye(k, dtype=bool)
         ok &= np.all(apart, axis=(-2, -1))
@@ -258,8 +262,11 @@ class ConformalPolyMap:
         c.setflags(write=False)
         self._coeffs = c
         # coefficients of f, f', f'' and f''', taken once since the map is
-        # immutable
-        self._derivs = tuple(_derivative_coeffs(c, m) for m in range(4))
+        # immutable. Near the top of the float range m c_m overflows to inf
+        # (and its imaginary part to nan); validate_map tests f' on a scaled
+        # copy, and a map whose f' coefficients overflow fails that test.
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._derivs = tuple(_derivative_coeffs(c, m) for m in range(4))
 
     @classmethod
     def identity(cls) -> "ConformalPolyMap":
@@ -313,7 +320,8 @@ def _polygon_self_intersects(p) -> bool:
     ex, ey = np.roll(x, -1) - x, np.roll(y, -1) - y
     c = ex[:, None] * (y[None, :] - y[:, None]) - ey[:, None] * (x[None, :] - x[:, None])
     c_next = np.roll(c, -1, axis=1)
-    hit = (c * c_next < 0) & (c.T * c_next.T < 0)
+    cross = c * c_next < 0
+    hit = cross & cross.T
     # pairs i < j - 1 only; the first and last edges are adjacent on the loop
     hit = np.triu(hit, 2)
     hit[0, s - 1] = False
@@ -333,7 +341,12 @@ def validate_map(f: ConformalPolyMap) -> dict:
     c = f.coeffs
     if c[1] == 0.0:
         raise DegenerateDerivative("c_1 = 0")
-    dcoef = f._derivs[1]
+    # g = f / max|c_m| has the zeros of f' and the boundary curve of f up to
+    # scale; its coefficients are at most 1 in modulus and the curve is
+    # bounded by deg + 1, so none of the tests below can overflow
+    scale = float(np.max(np.abs(c)))
+    g = ConformalPolyMap(c / scale)
+    dcoef = g._derivs[1]
     if dcoef.size > 1:
         roots = np.polynomial.polynomial.polyroots(dcoef)
         inside = roots[np.abs(roots) <= 1.0 + 1e-12]
@@ -344,15 +357,12 @@ def validate_map(f: ConformalPolyMap) -> dict:
     radii = np.linspace(0.0, 1.0, MAP_GRID)
     angles = np.linspace(0.0, 2 * np.pi, 4 * MAP_GRID, endpoint=False)
     grid = np.multiply.outer(radii, np.exp(1j * angles))
-    min_abs_fprime = float(np.min(np.abs(f.derivative(grid))))
-    if min_abs_fprime <= 0.0:
+    min_abs_gprime = float(np.min(np.abs(g.derivative(grid))))
+    if min_abs_gprime <= 0.0:
         raise DegenerateDerivative("|f'| vanishes on the validation grid")
 
     n_samples = 512
     theta = np.linspace(0.0, 2 * np.pi, n_samples, endpoint=False)
-    # the curve of f / max|c_m| is the same up to scale and is bounded by
-    # deg + 1, so neither sampling it nor the tests below can overflow
-    g = ConformalPolyMap(c / np.max(np.abs(c)))
     bdry = g(np.exp(1j * theta))
     rel = bdry - complex(g(0.0))
     if np.any(np.abs(rel) == 0.0):
@@ -364,7 +374,7 @@ def validate_map(f: ConformalPolyMap) -> dict:
     if _polygon_self_intersects(bdry):
         raise BoundaryNotSimple("boundary curve self-intersects")
     return {
-        "min_abs_fprime": min_abs_fprime,
+        "min_abs_fprime": scale * min_abs_gprime,
         "winding": winding,
         "samples": n_samples,
     }

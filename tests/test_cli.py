@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vortexw import (
@@ -20,7 +20,7 @@ from vortexw import (
     transport_hat_w,
     transport_w,
 )
-from vortexw.cli import run
+from vortexw.cli import _jsonable, run
 
 
 def capture(capsys, argv):
@@ -230,6 +230,52 @@ class TestLandscape:
         assert capture(capsys, argv + ["--csv"]) == (0, csv)
         assert capture(capsys, argv) == (0, json_text)
 
+    @pytest.mark.parametrize(
+        "coeffs, grid, degree",
+        [
+            ([0.0, 1.0], 20, 1),  # even grid: no centre point
+            ([0.0, 1.0, 0.1], 1, 1),
+            ([0.0, 1.0, 0.05, 0.02j], 15, 2),
+        ],
+    )
+    def test_same_bytes_as_generic_encoder(self, capsys, tmp_path, coeffs, grid, degree):
+        f = ConformalPolyMap(coeffs)
+        xs = np.linspace(-0.95, 0.95, grid)
+        records = []
+        for y in xs:
+            for x in xs:
+                p = complex(x, y)
+                v = float("nan")
+                if abs(p) < 1.0 - BOUNDARY_MARGIN:
+                    v = transport_hat_w(f, VortexConfiguration([p], (degree,)))
+                records.append((float(x), float(y), v))
+        csv = "".join(["x,y,hat_w\n"] + [f"{x:.6f},{y:.6f},{v}\n" for x, y, v in records])
+        rows = [{"x": x, "y": y, "hat_w": v} for x, y, v in records]
+        json_text = json.dumps(_jsonable({"rows": rows}), indent=2, sort_keys=True) + "\n"
+
+        argv = ["landscape", "--map", ",".join(map(str, coeffs)), "--grid", str(grid)]
+        argv += ["--degree", str(degree)]
+        assert capture(capsys, argv + ["--csv"]) == (0, csv)
+        assert capture(capsys, argv) == (0, json_text)
+        for extra, want in (["--csv"], csv), ([], json_text):
+            target = tmp_path / "landscape.out"
+            assert capture(capsys, argv + extra + ["--out", str(target)]) == (0, "")
+            assert target.read_text() == want
+
+    def test_writes_without_the_generic_encoder(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("landscape went through the generic encoder")
+
+        monkeypatch.setattr(cli, "_jsonable", refuse)
+        monkeypatch.setattr(cli.json, "dumps", refuse)
+        argv = ["landscape", "--map", "0,1,0.1", "--grid", "9"]
+        code, out = capture(capsys, argv)
+        assert code == 0
+        assert len(json.loads(out)["rows"]) == 9 * 9
+        code, out = capture(capsys, argv + ["--csv"])
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 9 * 9
+
 
 class TestBase:
     @pytest.mark.parametrize(
@@ -355,6 +401,26 @@ class TestSelfcheckAndErrors:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            # f' = 1 + 2e308 z: its coefficient overflows, and f' vanishes at -5e-309
+            (["energy", "--map", "0,1,1e308", "--vortex", "0,0,1"], 1),
+            (["energy", "--vortex", "inf,0,1", "--vortex=0,inf,1"], 2),
+        ],
+    )
+    def test_overflowing_input_prints_no_warning(self, capsys, argv, want):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(argv)
+        captured = capsys.readouterr()
+        assert [str(w.message) for w in caught] == []
+        assert code == want
+        if want == 1:
+            assert json.loads(captured.out)["error"] == "DegenerateDerivative"
+        else:
+            assert captured.err.startswith("error:")
+
     def test_psi_without_finite_seminorm_is_input_error(self, capsys):
         argv = ["energy", "--vortex", "0.5,0,1", "--trunc", "3", "--psi"]
         with warnings.catch_warnings():
@@ -394,7 +460,8 @@ def _argv(draw):
     argv = [command, "--map", draw(st.one_of(st.just("identity"), _numbers))]
     argv.append("--trunc=" + draw(_count))
     if command == "landscape":
-        return argv + ["--grid=" + draw(_count)]
+        argv += ["--grid=" + draw(_count), f"--degree={draw(st.integers(-2, 2))}"]
+        return argv + (["--csv"] if draw(st.booleans()) else [])
     # configuration and base of 1 to 3 and 0 to 3 vortices
     for flag, least in (("--vortex", 1), ("--base", 0)):
         for _ in range(draw(st.integers(least, 3))):
@@ -437,6 +504,13 @@ def _run_strict(argv):
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert out.getvalue() == ""
+    elif code == 0 and "--csv" in argv:
+        n = int(next(a for a in argv if a.startswith("--grid=")).partition("=")[2])
+        lines = out.getvalue().split("\n")
+        assert lines[0] == "x,y,hat_w"
+        assert len(lines) == n * n + 2 and lines[-1] == ""
+        for line in lines[1:-1]:
+            x, y, v = map(float, line.split(","))
     else:
         json.loads(out.getvalue(), parse_constant=_reject_constant)
     return code
@@ -444,6 +518,9 @@ def _run_strict(argv):
 
 class TestFuzz:
     @given(_argv())
+    @example(["energy", "--map", "0,1,1e308", "--vortex", "0,0,1"])
+    @example(["energy", "--vortex", "inf,0,1", "--vortex=0,inf,1"])
+    @example(["landscape", "--map", "0,1,0.1", "--trunc=2", "--grid=4", "--degree=-2", "--csv"])
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_exit_code_and_strict_json(self, argv):
         _run_strict(argv)

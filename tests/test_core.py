@@ -80,6 +80,16 @@ class TestVortexConfiguration:
         assert got.tolist() == [configuration_is_admissible(row) for row in batch]
         assert got.tolist() == [True, False, False, True, False]
 
+    def test_huge_and_infinite_points_fail_without_warning(self):
+        inf = float("inf")
+        batch = np.array(
+            [[0.0, -1e308, 1e308], [complex(inf, 0), complex(0, inf), 0.1], [0.1, 0.2, 0.3]]
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = configuration_is_admissible(batch)
+        assert got.tolist() == [False, False, True]
+
 
 class TestFourierSeries:
     def test_real_roundtrip(self):
@@ -192,6 +202,60 @@ class TestValidateMap:
             assert _polygon_self_intersects(p) == want
             verdicts.append(want)
         assert 50 <= sum(verdicts) <= len(verdicts) - 50
+
+    def test_self_intersection_verdict_matches_both_products(self):
+        # reference: the transposed test as its own product of the transposed
+        # tables, which holds the same floats as the transpose of C * C_next
+        def both_products(p):
+            s = p.size
+            x, y = p.real, p.imag
+            ex, ey = np.roll(x, -1) - x, np.roll(y, -1) - y
+            c = ex[:, None] * (y[None, :] - y[:, None]) - ey[:, None] * (x[None, :] - x[:, None])
+            c_next = np.roll(c, -1, axis=1)
+            hit = np.triu((c * c_next < 0) & (c.T * c_next.T < 0), 2)
+            hit[0, s - 1] = False
+            return bool(np.any(hit))
+
+        t = np.linspace(0.0, 2 * np.pi, 512, endpoint=False)
+        z = np.exp(1j * t)
+        boundaries = [
+            z,  # circle
+            z + 0.45 * z**2,  # simple, near a cusp
+            0.5 * z + z**2,  # limacon with an inner loop
+            np.sin(t + 0.01) + 0.5j * np.sin(2 * t + 0.02),  # figure eight
+            z + 0.3 * z**3 + 0.2j * z**5,
+        ]
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            c = np.zeros(rng.integers(3, 7), dtype=complex)
+            c[1] = 1.0
+            c[2:] = rng.uniform(0.05, 0.6) * (
+                rng.normal(size=c.size - 2) + 1j * rng.normal(size=c.size - 2)
+            )
+            boundaries.append(np.polynomial.polynomial.polyval(z, c))
+        verdicts = []
+        for p in boundaries:
+            p = p / np.max(np.abs(p))
+            verdicts.append(_polygon_self_intersects(p))
+            assert verdicts[-1] == both_products(p)
+        assert verdicts[:4] == [False, False, True, True]
+        assert 5 <= sum(verdicts[5:]) <= 35
+
+    @pytest.mark.parametrize("coeffs", [[0.0, 1.0, 1e308], [0.0, 1e308, 1e308]])
+    def test_overflowing_derivative_is_degenerate_without_warning(self, coeffs):
+        # m c_m overflows, and f' has a zero inside the disc
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = ConformalPolyMap(coeffs)
+            with pytest.raises(DegenerateDerivative):
+                validate_map(f)
+
+    def test_scaled_tests_do_not_overflow(self):
+        # |f'| reaches 1.8e308 on the unit circle; the tests run on f / 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = validate_map(ConformalPolyMap([0.0, 1e308, 4e307]))
+        assert report["min_abs_fprime"] == pytest.approx(2e307, rel=1e-3)
 
     def test_zero_linear_coefficient_fails(self):
         with pytest.raises(DegenerateDerivative):
