@@ -18,6 +18,7 @@ import numpy as np
 
 from . import ndcheck
 from .core import (
+    DEFAULT_TRUNC,
     ConformalPolyMap,
     FourierSeries,
     VortexConfiguration,
@@ -213,7 +214,7 @@ def _cmd_energy(args, conf):
     cfg = _build_configuration(
         _parse_vortex_flag(args.vortex) if args.vortex else conf.get("vortices", [])
     )
-    trunc = _trunc(args, conf, 64)
+    trunc = _trunc(args, conf, DEFAULT_TRUNC)
     psi = _build_psi(args.psi or conf.get("psi"), trunc)
     ctx = DiscEnergyContext(_build_base(args, cfg, cfg), trunc=trunc)
     payload = {
@@ -241,7 +242,7 @@ def _cmd_crit(args, conf):
     if psi_spec is None:
         rep = find_critical_hat_w(f, init)
     else:
-        trunc = _trunc(args, conf, 64)
+        trunc = _trunc(args, conf, DEFAULT_TRUNC)
         ctx = DiscEnergyContext(base, trunc=trunc)
         rep = find_critical_w(f, ctx, _build_psi(psi_spec, trunc), init)
     _emit(
@@ -286,7 +287,7 @@ def _cmd_expand(args, conf):
     cfg = _build_configuration(
         _parse_vortex_flag(args.vortex) if args.vortex else conf.get("vortices", [])
     )
-    trunc = _trunc(args, conf, 64)
+    trunc = _trunc(args, conf, DEFAULT_TRUNC)
     psi = _build_psi(args.psi or conf.get("psi"), trunc)
     default = VortexConfiguration([0.0], cfg.degrees) if cfg.k == 1 else cfg
     ctx = DiscEnergyContext(_build_base(args, cfg, default), trunc=trunc)
@@ -390,11 +391,15 @@ def _cmd_selfcheck(args, conf):
             atol=1e-8,
         ),
     )
+    # the operator as nd assembles it, against its exact disc spectrum
+    identity = ConformalPolyMap.identity()
     add(
         "du_star_diagonal",
         lambda: np.allclose(
+            ndcheck.assemble_du_matrix(identity, ndcheck.check_nd1(identity), 8),
             ndcheck.du_star_matrix_analytic_disc(8),
-            np.diag([-1.0, -1.0, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8]),
+            rtol=0.0,
+            atol=1e-6,
         ),
     )
     add(
@@ -420,39 +425,42 @@ def _cmd_selfcheck(args, conf):
 # -------------------------------------------------------------- parsing
 
 
+_FLAGS = {
+    "--config": dict(help="JSON config file; flags override it"),
+    "--map": dict(help="'identity' or comma-separated coefficients c0,c1,..."),
+    "--vortex": dict(action="append", help="re,im,degree (repeatable)"),
+    "--trunc": dict(type=int, help="Fourier truncation order"),
+    "--out": dict(help="write output to file instead of stdout"),
+    "--base": dict(action="append", help="reference vortex re,im,degree"),
+    "--psi": dict(help="'zero' or JSON {\"cos\": [...], \"sin\": [...]}"),
+    "--rho": dict(help="comma-separated decreasing radii"),
+    "--grid": dict(type=int, default=61, help="grid points per axis"),
+    "--degree": dict(type=int, default=1, help="vortex degree"),
+    "--csv": dict(action="store_true", help="emit CSV rows x,y,hat_w"),
+}
+_ENERGY_FLAGS = ("--config", "--map", "--vortex", "--trunc", "--out", "--base", "--psi")
+
+
 def _make_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="vortexw", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, rho=False, base=True, psi=True):
-        p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--map", help="'identity' or comma-separated coefficients c0,c1,...")
-        p.add_argument("--vortex", action="append", help="re,im,degree (repeatable)")
-        p.add_argument("--trunc", type=int, help="Fourier truncation order")
-        p.add_argument("--out", help="write output to file instead of stdout")
-        if base:
-            p.add_argument(
-                "--base", action="append", help="reference vortex re,im,degree"
-            )
-        if psi:
-            p.add_argument(
-                "--psi", help="'zero' or JSON {\"cos\": [...], \"sin\": [...]}"
-            )
-        if rho:
-            p.add_argument("--rho", help="comma-separated decreasing radii")
-
-    common(sub.add_parser("energy", help="energy values and gradients"))
-    common(sub.add_parser("crit", help="Newton search for a critical point"))
-    p_nd = sub.add_parser("nd", help="nondegeneracy certification")
-    common(p_nd, base=False, psi=False)
-    common(sub.add_parser("expand", help="small-core expansion fit"), rho=True)
-    p_land = sub.add_parser("landscape", help="grid of energy values")
-    common(p_land, base=False, psi=False)
-    p_land.add_argument("--grid", type=int, default=61, help="grid points per axis")
-    p_land.add_argument("--degree", type=int, default=1, help="vortex degree")
-    p_land.add_argument("--csv", action="store_true", help="emit CSV rows x,y,hat_w")
-    p_self = sub.add_parser("selfcheck", help="run the analytic fixtures")
-    p_self.add_argument("--out", help="write output to file instead of stdout")
+    # each subcommand takes only the flags it reads
+    for name, help_text, flags in (
+        ("energy", "energy values and gradients", _ENERGY_FLAGS),
+        ("crit", "Newton search for a critical point", _ENERGY_FLAGS),
+        ("nd", "nondegeneracy certification", ("--config", "--map", "--trunc", "--out")),
+        ("expand", "small-core expansion fit", _ENERGY_FLAGS + ("--rho",)),
+        (
+            "landscape",
+            "grid of energy values",
+            ("--config", "--map", "--out", "--grid", "--degree", "--csv"),
+        ),
+        ("selfcheck", "run the analytic fixtures", ("--out",)),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return top
 
 

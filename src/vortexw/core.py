@@ -64,9 +64,6 @@ class VortexConfiguration:
     def degrees_array(self) -> np.ndarray:
         return np.asarray(self.degrees, dtype=float)
 
-    def with_points(self, points: Iterable[complex]) -> "VortexConfiguration":
-        return VortexConfiguration(points, self.degrees)
-
 
 def validate_configuration(cfg: VortexConfiguration) -> VortexConfiguration:
     """Check the admissibility invariants; returns cfg unchanged on success.
@@ -87,7 +84,7 @@ def validate_configuration(cfg: VortexConfiguration) -> VortexConfiguration:
     if not np.all(radii < 1.0 - BOUNDARY_MARGIN):
         worst = pts[int(np.argmax(radii))]
         raise VortexTooCloseToBoundary(
-            f"|{worst}| = {abs(worst):.6f} >= {1.0 - BOUNDARY_MARGIN}"
+            f"|{worst}| = {abs(worst):.6g} >= {1.0 - BOUNDARY_MARGIN}"
         )
     gap = np.abs(pts[:, None] - pts[None, :])
     i, j = np.argwhere(np.triu(gap < SEPARATION_MARGIN, 1))[0]
@@ -172,52 +169,9 @@ class FourierSeries:
         """Read-only coefficients for modes 0..trunc."""
         return self._coeffs
 
-    def coeff(self, n: int) -> complex:
-        if abs(n) > self.trunc:
-            return 0.0 + 0.0j
-        return complex(self._coeffs[n]) if n >= 0 else complex(np.conj(self._coeffs[-n]))
-
     @property
     def mean(self) -> float:
         return float(self._coeffs[0].real)
-
-    def cos_coeffs(self) -> np.ndarray:
-        return 2.0 * self._coeffs[1:].real
-
-    def sin_coeffs(self) -> np.ndarray:
-        return -2.0 * self._coeffs[1:].imag
-
-    def evaluate(self, theta) -> np.ndarray:
-        th = np.asarray(theta, dtype=float)
-        n = np.arange(1, self.trunc + 1)
-        phases = np.exp(1j * np.multiply.outer(th, n))
-        vals = self.mean + 2.0 * (phases @ self._coeffs[1:]).real
-        return vals
-
-    # -- algebra ------------------------------------------------------
-    def _aligned(self, other: "FourierSeries"):
-        n = max(self.trunc, other.trunc)
-        a = np.zeros(n + 1, dtype=complex)
-        b = np.zeros(n + 1, dtype=complex)
-        a[: self.trunc + 1] = self._coeffs
-        b[: other.trunc + 1] = other._coeffs
-        return a, b
-
-    def __add__(self, other: "FourierSeries") -> "FourierSeries":
-        a, b = self._aligned(other)
-        return FourierSeries(a + b)
-
-    def __sub__(self, other: "FourierSeries") -> "FourierSeries":
-        a, b = self._aligned(other)
-        return FourierSeries(a - b)
-
-    def __mul__(self, scalar: float) -> "FourierSeries":
-        return FourierSeries(self._coeffs * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "FourierSeries":
-        return FourierSeries(-self._coeffs)
 
     def with_zero_mean(self) -> "FourierSeries":
         c = self._coeffs.copy()
@@ -272,17 +226,9 @@ class ConformalPolyMap:
     def identity(cls) -> "ConformalPolyMap":
         return cls([0.0, 1.0])
 
-    @classmethod
-    def scaling(cls, r: complex) -> "ConformalPolyMap":
-        return cls([0.0, r])
-
     @property
     def coeffs(self) -> np.ndarray:
         return self._coeffs
-
-    @property
-    def degree(self) -> int:
-        return self._coeffs.size - 1
 
     def is_identity(self) -> bool:
         return (

@@ -74,14 +74,12 @@ def _patch_radii(cfg: VortexConfiguration, rho: float) -> np.ndarray:
     """Outer radius of each vortex patch: well inside the disc, clear of the
     other vortices, and leaving room for the window above rho."""
     a = cfg.points_array()
-    k = cfg.k
-    margins = np.empty(k)
-    for j in range(k):
-        m = 1.0 - abs(a[j])
-        for l in range(k):
-            if l != j:
-                m = min(m, abs(a[j] - a[l]))
-        margins[j] = m
+    diff = a[:, None] - a[None, :]
+    # moduli by np.hypot, which rounds as abs of one complex scalar does;
+    # np.abs over a complex array can differ from it in the last place
+    gap = np.hypot(diff.real, diff.imag)
+    gap[np.eye(cfg.k, dtype=bool)] = np.inf
+    margins = np.minimum(1.0 - np.hypot(a.real, a.imag), np.min(gap, axis=1))
     if np.any(rho >= 0.5 * margins):
         raise InvalidRadius(
             f"rho = {rho} not below half the vortex separation margins"
@@ -158,7 +156,6 @@ class ExpansionReport:
     w_estimate: float
     w_formula: float
     fitted_slope: float
-    slope_values: tuple
     slope_check: bool
     residuals: tuple
 
@@ -184,20 +181,17 @@ def expansion_report(
     design = np.column_stack([np.ones(len(rho)), np.array(rho)])
     (w_est, slope), *_ = np.linalg.lstsq(design, y, rcond=None)
     residuals = tuple(y - design @ [w_est, slope])
-    slope_values = tuple(
+    slopes = (
         (e1 - e2) / (np.log(1.0 / r1) - np.log(1.0 / r2))
-        for (e1, r1), (e2, r2) in zip(
-            zip(energies, rho), list(zip(energies, rho))[1:]
-        )
+        for e1, e2, r1, r2 in zip(energies, energies[1:], rho, rho[1:])
     )
-    slope_ok = all(abs(s - coeff_log) <= 0.05 * coeff_log for s in slope_values)
+    slope_ok = all(abs(s - coeff_log) <= 0.05 * coeff_log for s in slopes)
     return ExpansionReport(
         rho=rho,
         energies=energies,
         w_estimate=float(w_est),
         w_formula=w_disc(ctx, cfg, psi),
         fitted_slope=float(slope),
-        slope_values=slope_values,
         slope_check=bool(slope_ok),
         residuals=residuals,
     )

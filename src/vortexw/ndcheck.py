@@ -29,7 +29,7 @@ from .core import (
     is_nondegenerate,
     validate_map,
 )
-from .critpoint import CriticalPointReport, find_max_hat_w
+from .critpoint import find_max_hat_w
 from .disc_energy import DiscEnergyContext, _n_disc_alpha_jacobian
 from .errors import LeftAdmissibleRegion, NewtonDiverged, NoCriticalPointFound
 from .transport import transport_w_hess
@@ -45,7 +45,6 @@ class Nd1Report:
     hessian_hat: np.ndarray
     hessian_w: np.ndarray
     passed: bool
-    critical: CriticalPointReport
 
 
 def check_nd1(f: ConformalPolyMap) -> Nd1Report:
@@ -68,7 +67,6 @@ def check_nd1(f: ConformalPolyMap) -> Nd1Report:
         hessian_hat=rep.hessian,
         hessian_w=h_w,
         passed=passed,
-        critical=rep,
     )
 
 
@@ -85,15 +83,6 @@ def du_star_matrix_analytic_disc(trunc: int) -> np.ndarray:
     diag = np.repeat(np.arange(1, trunc + 1), 2).astype(float)
     diag[:2] = -1.0
     return np.diag(diag)
-
-
-def _real_modes(c: np.ndarray) -> np.ndarray:
-    """Real coefficients (cos_1, sin_1, ..., cos_N, sin_N) along axis 0 from
-    the complex coefficients of modes 1..N."""
-    out = np.empty((2 * c.shape[0],) + c.shape[1:])
-    out[0::2] = 2.0 * c.real
-    out[1::2] = -2.0 * c.imag
-    return out
 
 
 def _psi_columns(cfg: VortexConfiguration, trunc: int):
@@ -125,7 +114,7 @@ def assemble_du_matrix(f: ConformalPolyMap, nd1: Nd1Report, trunc: int) -> np.nd
     their psi-derivatives are closed-form matrices (_psi_columns).
     Single vortex of degree one only.
     """
-    if not nd1.passed or nd1.alpha0 is None:
+    if not nd1.passed:
         raise NoCriticalPointFound("no nondegenerate single-vortex critical point")
     cfg = VortexConfiguration([nd1.alpha0], (1,))
     ctx = DiscEnergyContext(cfg, trunc=trunc)
@@ -133,17 +122,17 @@ def assemble_du_matrix(f: ConformalPolyMap, nd1: Nd1Report, trunc: int) -> np.nd
     h = transport_w_hess(f, ctx, cfg, FourierSeries.zeros(trunc))
     dn_dalpha = _n_disc_alpha_jacobian(ctx, cfg).T
     du = dn_dpsi - dn_dalpha @ np.linalg.solve(h, dg_dpsi)
-    return _real_modes(du)
+    # mode coefficient c on cos n theta, sin n theta: (2 Re c, -2 Im c), the
+    # packing of grad_to_vec
+    return grad_to_vec(du)
 
 
 @dataclass(frozen=True)
 class Nd2Report:
     smallest_singular_value: float
     smallest_singular_value_refined: float
-    relative_change: float
     stable: bool
     passed: bool
-    trunc: int
 
 
 def check_nd2(f: ConformalPolyMap, nd1: Nd1Report, trunc: int = 16) -> Nd2Report:
@@ -151,7 +140,7 @@ def check_nd2(f: ConformalPolyMap, nd1: Nd1Report, trunc: int = 16) -> Nd2Report
     above tolerance and stable under doubling the truncation.
 
     The doubling test is a heuristic surrogate for the untruncated
-    operator; the report exposes the observed relative change.
+    operator; smallest_singular_value_refined shows the observed change.
     """
     sv, sv2 = (
         float(np.linalg.svd(assemble_du_matrix(f, nd1, n), compute_uv=False)[-1])
@@ -162,10 +151,8 @@ def check_nd2(f: ConformalPolyMap, nd1: Nd1Report, trunc: int = 16) -> Nd2Report
     return Nd2Report(
         smallest_singular_value=sv,
         smallest_singular_value_refined=sv2,
-        relative_change=rel,
         stable=stable,
         passed=bool(sv > TOL_OP and stable),
-        trunc=trunc,
     )
 
 

@@ -29,6 +29,14 @@ def phase_potential(ctx, cfg, psi, z):
     return hat_phi(cfg, z) - 2 * np.real(np.sum(u * z**n))
 
 
+def fourier_values(series, theta):
+    """A FourierSeries at the angles theta, summed mode by mode:
+    a_0 + sum_n 2 Re(a_n e^{i n theta})."""
+    th = np.asarray(theta, dtype=float)
+    c = series.coeffs
+    return c[0].real + sum(2 * np.real(c[n] * np.exp(1j * n * th)) for n in range(1, c.size))
+
+
 def fd_complex_gradient(fn, z0, h=1e-6):
     """Central-difference gradient dx + i dy of a real function at z0."""
     return (fn(z0 + h) - fn(z0 - h)) / (2 * h) + 1j * (

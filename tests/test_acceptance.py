@@ -198,16 +198,16 @@ def test_criterion_8_property_suite():
             worst_rel,
             rel(
                 hat_w_grad(cfg),
-                _fd_gradient(lambda p: hat_w(cfg.with_points(p)), pts),
+                _fd_gradient(lambda p: hat_w(VortexConfiguration(p, cfg.degrees)), pts),
             ),
             rel(
                 transport_w_grad(IDENTITY, ctx, cfg, psi),
-                _fd_gradient(lambda p: w_disc(ctx, cfg.with_points(p), psi), pts),
+                _fd_gradient(lambda p: w_disc(ctx, VortexConfiguration(p, cfg.degrees), psi), pts),
             ),
             rel(
                 transport_w_grad(f, ctx, cfg, psi),
                 _fd_gradient(
-                    lambda p: transport_w(f, ctx, cfg.with_points(p), psi), pts
+                    lambda p: transport_w(f, ctx, VortexConfiguration(p, cfg.degrees), psi), pts
                 ),
             ),
         )

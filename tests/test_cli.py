@@ -346,6 +346,19 @@ class TestSelfcheckAndErrors:
         assert code == 0
         assert json.loads(out)["all_passed"] is True
 
+    def test_selfcheck_fails_on_a_broken_assembly(self, capsys, monkeypatch):
+        def assemble(f, nd1, trunc):
+            m = ndcheck.du_star_matrix_analytic_disc(trunc)
+            m[4, 4] += 1e-3
+            return m
+
+        monkeypatch.setattr(ndcheck, "assemble_du_matrix", assemble)
+        code, out = capture(capsys, ["selfcheck"])
+        checks = {c["name"]: c["passed"] for c in json.loads(out)["checks"]}
+        assert code == 1
+        assert checks["du_star_diagonal"] is False
+        assert sum(not ok for ok in checks.values()) == 1
+
     def test_bad_vortex_is_input_error(self, capsys):
         code, _ = capture(capsys, ["energy", "--map", "identity", "--vortex", "nope"])
         assert code == 2
@@ -371,6 +384,21 @@ class TestSelfcheckAndErrors:
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["nd", "--vortex=0.5,0,1"],
+            ["landscape", "--vortex=0.5,0,1", "--trunc", "99"],
+            ["landscape", "--trunc", "99"],
+        ],
+    )
+    def test_flag_the_command_does_not_read_is_input_error(self, capsys, argv):
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "unrecognized arguments" in captured.err
+        assert captured.out == ""
+
     def test_parser_is_built_once(self, capsys, monkeypatch):
         def rebuild():
             raise AssertionError("parser rebuilt")
@@ -383,6 +411,7 @@ class TestSelfcheckAndErrors:
         "argv",
         [
             ["energy", "--vortex", "nan,0,1"],
+            ["energy", "--vortex=1e308,0,1", "--vortex=-1e308,0,1"],
             ["energy", "--map", "nan,1", "--vortex", "0,0,1"],
             ["energy", "--map", "0,inf", "--vortex", "0,0,1"],
             ["energy", "--vortex", "0,0,1", "--trunc", "-3"],
@@ -398,6 +427,8 @@ class TestSelfcheckAndErrors:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith("error:")
+        # one line, however large the number
+        assert captured.err.count("\n") == 1 and len(captured.err) < 120
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
@@ -458,10 +489,10 @@ _radii = st.lists(st.floats(1e-3, 0.2), min_size=3, max_size=3, unique=True).map
 def _argv(draw):
     command = draw(st.sampled_from(["energy", "crit", "expand", "landscape"]))
     argv = [command, "--map", draw(st.one_of(st.just("identity"), _numbers))]
-    argv.append("--trunc=" + draw(_count))
     if command == "landscape":
         argv += ["--grid=" + draw(_count), f"--degree={draw(st.integers(-2, 2))}"]
         return argv + (["--csv"] if draw(st.booleans()) else [])
+    argv.append("--trunc=" + draw(_count))
     # configuration and base of 1 to 3 and 0 to 3 vortices
     for flag, least in (("--vortex", 1), ("--base", 0)):
         for _ in range(draw(st.integers(least, 3))):
@@ -520,7 +551,8 @@ class TestFuzz:
     @given(_argv())
     @example(["energy", "--map", "0,1,1e308", "--vortex", "0,0,1"])
     @example(["energy", "--vortex", "inf,0,1", "--vortex=0,inf,1"])
-    @example(["landscape", "--map", "0,1,0.1", "--trunc=2", "--grid=4", "--degree=-2", "--csv"])
+    @example(["landscape", "--map", "0,1,0.1", "--grid=4", "--degree=-2", "--csv"])
+    @example(["landscape", "--map", "0,1,0.1,0.02j", "--grid=3", "--degree=2"])
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_exit_code_and_strict_json(self, argv):
         _run_strict(argv)

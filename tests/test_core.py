@@ -25,12 +25,6 @@ class TestVortexConfiguration:
         assert cfg.points == (0.3 + 0.2j, -0.1j)
         np.testing.assert_allclose(cfg.degrees_array(), [1.0, 2.0])
 
-    def test_with_points_keeps_degrees(self):
-        cfg = VortexConfiguration([0.1, 0.2], (1, -1))
-        moved = cfg.with_points([0.3, 0.4j])
-        assert moved.degrees == (1, -1)
-        assert moved.points[1] == 0.4j
-
     def test_immutable(self):
         cfg = VortexConfiguration([0.1], (1,))
         with pytest.raises(AttributeError):
@@ -95,28 +89,8 @@ class TestFourierSeries:
     def test_real_roundtrip(self):
         s = FourierSeries.from_real(a0=0.5, cos=[1.0, 0.25], sin=[0.0, -0.75])
         assert s.mean == 0.5
-        np.testing.assert_allclose(s.cos_coeffs(), [1.0, 0.25])
-        np.testing.assert_allclose(s.sin_coeffs(), [0.0, -0.75])
-
-    def test_evaluate_matches_direct_sum(self):
-        s = FourierSeries.from_real(a0=0.2, cos=[0.3], sin=[0.0, 0.7])
-        theta = np.linspace(0, 2 * np.pi, 17)
-        direct = 0.2 + 0.3 * np.cos(theta) + 0.7 * np.sin(2 * theta)
-        np.testing.assert_allclose(s.evaluate(theta), direct, atol=1e-14)
-
-    def test_negative_mode_is_conjugate(self):
-        s = FourierSeries([0.0, 1 + 2j, 3 - 1j])
-        assert s.coeff(-2) == np.conj(s.coeff(2))
-        assert s.coeff(5) == 0.0
-
-    def test_algebra_aligns_truncations(self):
-        a = FourierSeries([0.0, 1.0])
-        b = FourierSeries([1.0, 0.0, 2.0j])
-        c = a + 2.0 * b
-        assert c.trunc == 2
-        assert c.mean == 2.0
-        assert c.coeff(2) == 4.0j
-        assert (-c).coeff(2) == -4.0j
+        np.testing.assert_allclose(2 * s.coeffs[1:].real, [1.0, 0.25])
+        np.testing.assert_allclose(-2 * s.coeffs[1:].imag, [0.0, -0.75])
 
     def test_mode0_must_be_real(self):
         with pytest.raises(ValueError):

@@ -131,7 +131,7 @@ class TestFindMaxHatW:
         assert rep.global_candidate
 
     def test_scaling(self):
-        rep = find_max_hat_w(ConformalPolyMap.scaling(2.0))
+        rep = find_max_hat_w(ConformalPolyMap([0.0, 2.0]))
         assert abs(rep.location.points[0]) < 1e-10
         assert rep.value == pytest.approx(np.pi * np.log(2.0))
 

@@ -35,7 +35,7 @@ class TestTransportHatW:
     def test_scaling(self):
         for r in (0.5, 2.0, 3.5):
             val = transport_hat_w(
-                ConformalPolyMap.scaling(r), VortexConfiguration([0.0], (1,))
+                ConformalPolyMap([0.0, r]), VortexConfiguration([0.0], (1,))
             )
             assert val == pytest.approx(np.pi * np.log(r))
 
@@ -71,8 +71,8 @@ class TestTransportHatW:
         h = 1e-6
         fd = []
         for step in (h, 1j * h):
-            up = transport_hat_w(f, cfg.with_points([cfg.points[0] + step]))
-            dn = transport_hat_w(f, cfg.with_points([cfg.points[0] - step]))
+            up = transport_hat_w(f, VortexConfiguration([cfg.points[0] + step], cfg.degrees))
+            dn = transport_hat_w(f, VortexConfiguration([cfg.points[0] - step], cfg.degrees))
             fd.append((up - dn) / (2 * h))
         np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-8)
 
@@ -83,8 +83,8 @@ class TestTransportHatW:
         h = 1e-6
         cols = []
         for step in (h, 1j * h):
-            up = transport_hat_w_grad(f, cfg.with_points([cfg.points[0] + step]))
-            dn = transport_hat_w_grad(f, cfg.with_points([cfg.points[0] - step]))
+            up = transport_hat_w_grad(f, VortexConfiguration([cfg.points[0] + step], cfg.degrees))
+            dn = transport_hat_w_grad(f, VortexConfiguration([cfg.points[0] - step], cfg.degrees))
             cols.append((up - dn) / (2 * h))
         fdh = np.column_stack(cols)
         np.testing.assert_allclose(hess, 0.5 * (fdh + fdh.T), rtol=1e-5, atol=1e-6)
