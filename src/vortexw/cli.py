@@ -238,11 +238,11 @@ def _cmd_crit(args, conf):
         _parse_vortex_flag(args.vortex) if args.vortex else conf.get("vortices", [])
     )
     base = _build_base(args, init, init)
+    trunc = _trunc(args, conf, DEFAULT_TRUNC)  # validated even when unread
     psi_spec = args.psi or conf.get("psi")
     if psi_spec is None:
         rep = find_critical_hat_w(f, init)
     else:
-        trunc = _trunc(args, conf, DEFAULT_TRUNC)
         ctx = DiscEnergyContext(base, trunc=trunc)
         rep = find_critical_w(f, ctx, _build_psi(psi_spec, trunc), init)
     _emit(

@@ -87,66 +87,87 @@ def _patch_radii(cfg: VortexConfiguration, rho: float) -> np.ndarray:
     return np.maximum(0.4 * margins, np.minimum(1.8 * rho, 0.9 * margins))
 
 
-def _window(r: np.ndarray, rho: float, r_out: float) -> np.ndarray:
-    """Weight 1 near the vortex, smoothly 0 beyond r_out."""
-    r_in = max(0.5 * r_out, rho)
+def _window(r: np.ndarray, r_in: float, r_out: float) -> np.ndarray:
+    """Weight 1 inside r_in, smoothly 0 beyond r_out."""
     return 1.0 - _smoothstep((r - r_in) / (r_out - r_in))
+
+
+def _global_term(quad: AnnulusQuadrature, a, windows, field) -> float:
+    """The global grid carries the complementary weight; nodes under any
+    patch core (weight zero) are skipped so the singularities are never
+    touched."""
+    r_glob = quad.radial_nodes[:, None]
+    z = r_glob * np.exp(1j * quad.angular_nodes[None, :])
+    w0 = np.ones_like(z, dtype=float)
+    for a_j, (r_in, r_out) in zip(a, windows):
+        w0 *= 1.0 - _window(np.abs(z - a_j), r_in, r_out)
+    mask = w0 > 0.0
+    vals = np.zeros_like(w0)
+    vals[mask] = 0.5 * np.abs(field(z[mask])) ** 2 * w0[mask]
+    dtheta = 2 * np.pi / quad.angular_nodes.size
+    return float(np.sum(quad.radial_weights @ (vals * r_glob)) * dtheta)
 
 
 def punctured_energy(
     ctx: DiscEnergyContext,
     cfg: VortexConfiguration,
     psi: FourierSeries,
-    rho: float,
-) -> float:
+    rho,
+):
     """Half the Dirichlet integral of the phase gradient over the disc with
-    the discs of radius rho about the vortices removed."""
+    the discs of radius rho about the vortices removed.
+
+    rho is one radius (the result is a float) or a sequence of radii (the
+    result is a tuple of floats, in the same order). The quadrature rules
+    are built once per call, and the global term is computed once per
+    distinct set of patch windows.
+    """
     validate_configuration(cfg)
     _check_total_degree(ctx, cfg)
-    if not 0.0 < rho < 1.0:
-        raise InvalidRadius(f"rho = {rho} outside (0, 1)")
+    scalar = np.ndim(rho) == 0
+    radii = (rho,) if scalar else tuple(rho)
+    r_outs = []
+    for r in radii:
+        if not 0.0 < r < 1.0:
+            raise InvalidRadius(f"rho = {r} outside (0, 1)")
+        r_outs.append(_patch_radii(cfg, r))
     a = cfg.points_array()
     d = cfg.degrees_array()
     a0 = ctx.base.points_array()
     d0 = ctx.base.degrees_array()
     gp = _gprime_coeffs(psi)
-    r_out = _patch_radii(cfg, rho)
 
-    def density(z):
-        g = grad_phi_field(z, a, d, a0, d0, gp)
-        return 0.5 * (g.real**2 + g.imag**2)
+    def field(z):
+        return grad_phi_field(z, a, d, a0, d0, gp)
 
-    # polar patches in log-radial coordinates around each vortex
-    total = 0.0
     x, w = np.polynomial.legendre.leggauss(PATCH_RADIAL)
     theta = np.linspace(0.0, 2 * np.pi, PATCH_ANGULAR, endpoint=False)
     dtheta = 2 * np.pi / PATCH_ANGULAR
-    for j in range(cfg.k):
-        t_lo, t_hi = np.log(rho), np.log(r_out[j])
-        t = 0.5 * (t_lo + t_hi) + 0.5 * (t_hi - t_lo) * x
-        wt = 0.5 * (t_hi - t_lo) * w
-        r = np.exp(t)
-        z = a[j] + r[:, None] * np.exp(1j * theta[None, :])
-        vals = density(z) * _window(r, rho, r_out[j])[:, None]
-        # area element r dr dtheta = r^2 dt dtheta in log-radial coordinates
-        total += float(np.sum(wt @ (vals * r[:, None] ** 2)) * dtheta)
-
-    # global grid carries the complementary weight; nodes under any patch
-    # core (weight zero) are skipped so the singularities are never touched
     quad = AnnulusQuadrature.build(0.0)
-    r_glob = quad.radial_nodes[:, None]
-    z = r_glob * np.exp(1j * quad.angular_nodes[None, :])
-    w0 = np.ones_like(z, dtype=float)
-    for j in range(cfg.k):
-        w0 *= 1.0 - _window(np.abs(z - a[j]), rho, r_out[j])
-    mask = w0 > 0.0
-    vals = np.zeros_like(w0)
-    vals[mask] = 0.5 * np.abs(
-        grad_phi_field(z[mask], a, d, a0, d0, gp)
-    ) ** 2 * w0[mask]
-    dtheta = 2 * np.pi / quad.angular_nodes.size
-    total += float(np.sum(quad.radial_weights @ (vals * r_glob)) * dtheta)
-    return total
+    global_terms = {}
+    energies = []
+    for rho_i, r_out in zip(radii, r_outs):
+        # (r_in, r_out) of each patch window: the windows, and so the
+        # global term, depend on rho only through these pairs
+        windows = tuple((max(0.5 * r, rho_i), r) for r in r_out)
+        # before the patches: at the first radius no patch array is alive
+        # yet to add to the peak memory of the global grid
+        if windows not in global_terms:
+            global_terms[windows] = _global_term(quad, a, windows, field)
+        # polar patches in log-radial coordinates around each vortex
+        total = 0.0
+        for j in range(cfg.k):
+            t_lo, t_hi = np.log(rho_i), np.log(r_out[j])
+            t = 0.5 * (t_lo + t_hi) + 0.5 * (t_hi - t_lo) * x
+            wt = 0.5 * (t_hi - t_lo) * w
+            r = np.exp(t)
+            z = a[j] + r[:, None] * np.exp(1j * theta[None, :])
+            g = field(z)
+            vals = 0.5 * (g.real**2 + g.imag**2) * _window(r, *windows[j])[:, None]
+            # area element r dr dtheta = r^2 dt dtheta in log-radial coordinates
+            total += float(np.sum(wt @ (vals * r[:, None] ** 2)) * dtheta)
+        energies.append(total + global_terms[windows])
+    return energies[0] if scalar else tuple(energies)
 
 
 @dataclass(frozen=True)
@@ -176,7 +197,7 @@ def expansion_report(
     if len(rho) < 3 or any(r2 >= r1 for r1, r2 in zip(rho, rho[1:])):
         raise InvalidRadius("need at least 3 strictly decreasing rho values")
     coeff_log = np.pi * float(np.sum(cfg.degrees_array() ** 2))
-    energies = tuple(punctured_energy(ctx, cfg, psi, r) for r in rho)
+    energies = punctured_energy(ctx, cfg, psi, rho)
     y = np.array(energies) - coeff_log * np.log(1.0 / np.array(rho))
     design = np.column_stack([np.ones(len(rho)), np.array(rho)])
     (w_est, slope), *_ = np.linalg.lstsq(design, y, rcond=None)

@@ -121,6 +121,13 @@ class TestCrit:
         assert abs(complex(payload["location"][0]["re"], payload["location"][0]["im"])) < 1e-9
         assert payload["nondegenerate"] is True
 
+    def test_bad_trunc_without_psi_is_input_error(self, capsys):
+        code = run(["crit", "--vortex=0.1,0,1", "--trunc", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+
 
 class TestNd:
     def test_identity(self, capsys):
@@ -163,6 +170,33 @@ class TestExpand:
         assert payload["w_estimate"] == pytest.approx(-np.pi * np.log(0.75), abs=5e-3)
         assert payload["abs_err"] <= 5e-3
         assert payload["slope_check"] is True
+
+    def test_bytes_of_a_benchmark_operation(self, capsys):
+        # three vortices, four radii; the reprs are those the summation
+        # order of the punctured-energy quadrature gave when it was pinned
+        code, out = capture(
+            capsys,
+            [
+                "expand",
+                "--map=identity",
+                "--vortex=-0.11272645038628784,-0.22505744017870793,2",
+                "--vortex=-0.3683592693024358,-0.03426079919646207,-1",
+                "--vortex=0.19521006021448217,0.028573767378831626,1",
+                "--psi",
+                "zero",
+                "--rho",
+                "0.01,0.005,0.0025,0.00125",
+            ],
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert [repr(e) for e in payload["energies"]] == [
+            "79.51914427138352",
+            "92.59409524581397",
+            "105.66196925101866",
+            "118.72807450218124",
+        ]
+        assert repr(payload["w_estimate"]) == "-7.2710420909231015"
 
     def test_non_identity_map_rejected(self, capsys):
         code, _ = capture(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vortexw import expansion
 from vortexw import (
     DiscEnergyContext,
     EvaluationAtVortex,
@@ -13,12 +14,42 @@ from vortexw import (
     punctured_energy,
 )
 from vortexw.expansion import _gprime_coeffs
+from vortexw.harmonic import AnnulusQuadrature
 
 from reference import fd_complex_gradient, phase_potential
 
 ORIGIN = VortexConfiguration([0.0], (1,))
 CTX0 = DiscEnergyContext(ORIGIN)
 PSI0 = FourierSeries.zeros(CTX0.trunc)
+
+# a configuration as the expand benchmark draws them: |a| <= 0.55, at least
+# 0.3 apart, so every patch has the same window at every radius below 0.02
+TRIPLE = VortexConfiguration(
+    [-0.11272645038628784 - 0.22505744017870793j, -0.3683592693024358 - 0.03426079919646207j,
+     0.19521006021448217 + 0.028573767378831626j],
+    (2, -1, 1),
+)
+PAIR = VortexConfiguration([0.3 + 0.1j, -0.25 - 0.2j], (1, -1))
+RADII = (0.01, 0.005, 0.0025, 0.00125)
+
+
+def count_work(monkeypatch):
+    """Count the field-kernel calls of the expansion module and the
+    annulus rules it builds."""
+    counts = {"kernel": 0, "build": 0}
+    kernel, build = expansion.grad_phi_field, AnnulusQuadrature.build
+
+    def counting_kernel(*args):
+        counts["kernel"] += 1
+        return kernel(*args)
+
+    def counting_build(rho):
+        counts["build"] += 1
+        return build(rho)
+
+    monkeypatch.setattr(expansion, "grad_phi_field", counting_kernel)
+    monkeypatch.setattr(AnnulusQuadrature, "build", staticmethod(counting_build))
+    return counts
 
 
 class TestGradPhiAg:
@@ -106,7 +137,56 @@ class TestPuncturedEnergy:
             )
 
 
+    @pytest.mark.parametrize(
+        "ctx, cfg, psi, radii",
+        [
+            # the global term is shared by all four radii
+            (DiscEnergyContext(TRIPLE), TRIPLE, FourierSeries.zeros(64), RADII),
+            # 1.8 rho > 0.4 margin: the outer radius, and so the window,
+            # changes with rho and no global term may be shared
+            (CTX0, ORIGIN, PSI0, (0.3, 0.25, 0.2)),
+            (
+                CTX0,
+                VortexConfiguration([0.4 - 0.3j], (1,)),
+                FourierSeries.from_real(cos=[0.1], sin=[0.05, 0.02], trunc=CTX0.trunc),
+                (0.02, 0.01, 0.005),
+            ),
+        ],
+    )
+    def test_radii_in_one_call_give_the_same_floats(self, ctx, cfg, psi, radii):
+        batched = punctured_energy(ctx, cfg, psi, radii)
+        assert isinstance(batched, tuple)
+        assert batched == tuple(punctured_energy(ctx, cfg, psi, r) for r in radii)
+
+    @pytest.mark.parametrize("bad", [0.25, 0.0])
+    def test_bad_radius_in_a_sequence(self, monkeypatch, bad):
+        # half the boundary clearance of 0.6 is 0.2
+        cfg = VortexConfiguration([0.6], (1,))
+        with pytest.raises(InvalidRadius) as scalar:
+            punctured_energy(CTX0, cfg, PSI0, bad)
+        counts = count_work(monkeypatch)
+        with pytest.raises(InvalidRadius) as batched:
+            punctured_energy(CTX0, cfg, PSI0, (0.1, 0.05, bad, 0.01))
+        assert str(batched.value) == str(scalar.value)
+        # every radius is checked before any quadrature runs
+        assert counts == {"kernel": 0, "build": 0}
+
+
 class TestExpansionReport:
+    @pytest.mark.parametrize(
+        "ctx, cfg",
+        [
+            (CTX0, VortexConfiguration([0.5], (1,))),
+            (DiscEnergyContext(PAIR), PAIR),
+            (DiscEnergyContext(TRIPLE), TRIPLE),
+        ],
+    )
+    def test_global_grid_and_rules_once_per_report(self, monkeypatch, ctx, cfg):
+        counts = count_work(monkeypatch)
+        expansion_report(ctx, cfg, FourierSeries.zeros(ctx.trunc), RADII)
+        # one patch per vortex and radius, one global grid for all radii
+        assert counts == {"kernel": len(RADII) * cfg.k + 1, "build": 1}
+
     def test_centered_vortex_estimate_is_zero(self):
         rep = expansion_report(CTX0, ORIGIN, PSI0, [0.02, 0.01, 0.005])
         assert rep.w_formula == 0.0
