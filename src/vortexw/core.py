@@ -217,8 +217,9 @@ class ConformalPolyMap:
         self._coeffs = c
         # coefficients of f, f', f'' and f''', taken once since the map is
         # immutable. Near the top of the float range m c_m overflows to inf
-        # (and its imaginary part to nan); validate_map tests f' on a scaled
-        # copy, and a map whose f' coefficients overflow fails that test.
+        # (and its imaginary part to nan); validate_map tests f' on the copy
+        # (f - c_0) / max_{m>=1} |c_m|, and a map whose f' coefficients
+        # overflow fails that test.
         with np.errstate(over="ignore", invalid="ignore"):
             self._derivs = tuple(_derivative_coeffs(c, m) for m in range(4))
 
@@ -250,6 +251,19 @@ class ConformalPolyMap:
         return f"ConformalPolyMap({list(self._coeffs)})"
 
 
+def _star_shaped(p) -> bool:
+    """Whether every edge of the closed polygon p[0], ..., p[S-1] turns
+    counterclockwise about 0: p_i x p_{i+1} > 0, the orientation test of
+    _polygon_self_intersects taken about the origin.
+
+    If the polygon also winds once about 0, edge i lies in the angular
+    sector from arg p_i to arg p_{i+1}. These sectors tile one full turn,
+    so non-adjacent edges cannot meet and the polygon is simple.
+    """
+    x, y = p.real, p.imag
+    return bool(np.all(x * np.roll(y, -1) - y * np.roll(x, -1) > 0.0))
+
+
 def _polygon_self_intersects(p) -> bool:
     """Whether two non-adjacent edges of the closed polygon p[0], ..., p[S-1]
     properly cross (edge i runs from p[i] to p[i+1 mod S]).
@@ -278,8 +292,14 @@ def validate_map(f: ConformalPolyMap) -> dict:
     """Numerical check that f is a conformal bijection of the closed disc.
 
     Verifies c_1 != 0, that f' has no zero in the closed disc (polynomial
-    root test backed by a grid minimum), and that the boundary curve is a
-    simple loop of winding number one.
+    root test backed by a grid minimum), and that the boundary curve, sampled
+    at 512 points, is a simple loop of winding number one. The loop is simple
+    when it is star-shaped about f(0), which takes one pass over the samples;
+    only a loop that is not is checked pair by pair for crossing edges.
+
+    The tests run on g = (f - c_0) / max_{m>=1} |c_m|, so neither the verdict
+    nor the report depends on c_0: a translated domain is accepted exactly
+    when the domain itself is.
 
     Returns a small report dict; raises DegenerateDerivative or
     BoundaryNotSimple.
@@ -287,11 +307,11 @@ def validate_map(f: ConformalPolyMap) -> dict:
     c = f.coeffs
     if c[1] == 0.0:
         raise DegenerateDerivative("c_1 = 0")
-    # g = f / max|c_m| has the zeros of f' and the boundary curve of f up to
-    # scale; its coefficients are at most 1 in modulus and the curve is
-    # bounded by deg + 1, so none of the tests below can overflow
-    scale = float(np.max(np.abs(c)))
-    g = ConformalPolyMap(c / scale)
+    # g has the zeros of f' and the boundary curve of f up to translation and
+    # scale, and g(0) = 0; its coefficients are at most 1 in modulus and the
+    # curve is bounded by deg, so none of the tests below can overflow
+    scale = float(np.max(np.abs(c[1:])))
+    g = ConformalPolyMap(np.concatenate(([0.0], c[1:] / scale)))
     dcoef = g._derivs[1]
     if dcoef.size > 1:
         roots = np.polynomial.polynomial.polyroots(dcoef)
@@ -310,14 +330,13 @@ def validate_map(f: ConformalPolyMap) -> dict:
     n_samples = 512
     theta = np.linspace(0.0, 2 * np.pi, n_samples, endpoint=False)
     bdry = g(np.exp(1j * theta))
-    rel = bdry - complex(g(0.0))
-    if np.any(np.abs(rel) == 0.0):
+    if np.any(np.abs(bdry) == 0.0):
         raise BoundaryNotSimple("boundary passes through f(0)")
-    dtheta = np.angle(np.roll(rel, -1) / rel)
+    dtheta = np.angle(np.roll(bdry, -1) / bdry)
     winding = float(np.sum(dtheta) / (2 * np.pi))
     if abs(winding - 1.0) > 1e-6:
         raise BoundaryNotSimple(f"winding number {winding:.3f} != 1 about f(0)")
-    if _polygon_self_intersects(bdry):
+    if not _star_shaped(bdry) and _polygon_self_intersects(bdry):
         raise BoundaryNotSimple("boundary curve self-intersects")
     return {
         "min_abs_fprime": scale * min_abs_gprime,

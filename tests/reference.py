@@ -1,11 +1,14 @@
-"""Reference formulas for the finite-difference tests of the phase field.
+"""Reference formulas for the finite-difference tests of the phase field,
+and the map check that always builds the crossing table.
 
 They are written from the definitions, term by term, and are not part of
 the package.
 """
 import numpy as np
 
+from vortexw.core import MAP_GRID, ConformalPolyMap, _polygon_self_intersects
 from vortexw.disc_energy import _composite_coeffs
+from vortexw.errors import BoundaryNotSimple, DegenerateDerivative
 
 
 def hat_phi(cfg, z):
@@ -42,3 +45,47 @@ def fd_complex_gradient(fn, z0, h=1e-6):
     return (fn(z0 + h) - fn(z0 - h)) / (2 * h) + 1j * (
         fn(z0 + 1j * h) - fn(z0 - 1j * h)
     ) / (2 * h)
+
+
+def validate_map_with_table(f):
+    """core.validate_map as it was before the star-shaped check: every
+    accepted boundary goes through the O(S^2) crossing table. The tests run
+    on f / max_m |c_m|, c_0 included, so it agrees with validate_map on maps
+    with c_0 = 0."""
+    c = f.coeffs
+    if c[1] == 0.0:
+        raise DegenerateDerivative("c_1 = 0")
+    scale = float(np.max(np.abs(c)))
+    g = ConformalPolyMap(c / scale)
+    dcoef = g._derivs[1]
+    if dcoef.size > 1:
+        roots = np.polynomial.polynomial.polyroots(dcoef)
+        inside = roots[np.abs(roots) <= 1.0 + 1e-12]
+        if inside.size:
+            raise DegenerateDerivative(
+                f"f' vanishes at {inside[0]} inside the closed disc"
+            )
+    radii = np.linspace(0.0, 1.0, MAP_GRID)
+    angles = np.linspace(0.0, 2 * np.pi, 4 * MAP_GRID, endpoint=False)
+    grid = np.multiply.outer(radii, np.exp(1j * angles))
+    min_abs_gprime = float(np.min(np.abs(g.derivative(grid))))
+    if min_abs_gprime <= 0.0:
+        raise DegenerateDerivative("|f'| vanishes on the validation grid")
+
+    n_samples = 512
+    theta = np.linspace(0.0, 2 * np.pi, n_samples, endpoint=False)
+    bdry = g(np.exp(1j * theta))
+    rel = bdry - complex(g(0.0))
+    if np.any(np.abs(rel) == 0.0):
+        raise BoundaryNotSimple("boundary passes through f(0)")
+    dtheta = np.angle(np.roll(rel, -1) / rel)
+    winding = float(np.sum(dtheta) / (2 * np.pi))
+    if abs(winding - 1.0) > 1e-6:
+        raise BoundaryNotSimple(f"winding number {winding:.3f} != 1 about f(0)")
+    if _polygon_self_intersects(bdry):
+        raise BoundaryNotSimple("boundary curve self-intersects")
+    return {
+        "min_abs_fprime": scale * min_abs_gprime,
+        "winding": winding,
+        "samples": n_samples,
+    }

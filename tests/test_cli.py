@@ -105,6 +105,13 @@ class TestEnergy:
             np.pi * (np.log(0.75) + np.log(scale)), rel=1e-12
         )
 
+    def test_translated_disc(self, capsys):
+        # 1 + 1e-17 z rounds to 1; the domain is still a disc
+        code, out = capture(capsys, ["energy", "--map=1e17,1", "--vortex=0.1,0,1"])
+        assert code == 0
+        _, disc = capture(capsys, ["energy", "--map=identity", "--vortex=0.1,0,1"])
+        assert json.loads(out)["w"] == json.loads(disc)["w"] == -0.03157406128347026
+
     def test_leading_minus_values(self, capsys):
         glued = ["energy", "--map=-0.1,1", "--vortex=-0.2,0.4,1", "--base=-0.1,0.3,1"]
         split = ["energy", "--map", "-0.1,1", "--vortex", "-0.2,0.4,1", "--base", "-0.1,0.3,1"]

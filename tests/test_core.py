@@ -1,9 +1,11 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 from vortexw import (
+    BoundaryNotSimple,
     ConformalPolyMap,
     DegenerateDerivative,
     EmptyConfiguration,
@@ -14,7 +16,15 @@ from vortexw import (
     validate_configuration,
     validate_map,
 )
-from vortexw.core import _polygon_self_intersects, configuration_is_admissible, is_nondegenerate
+from vortexw import core
+from vortexw.core import (
+    _polygon_self_intersects,
+    _star_shaped,
+    configuration_is_admissible,
+    is_nondegenerate,
+)
+
+from reference import validate_map_with_table
 
 
 class TestVortexConfiguration:
@@ -234,6 +244,130 @@ class TestValidateMap:
     def test_zero_linear_coefficient_fails(self):
         with pytest.raises(DegenerateDerivative):
             validate_map(ConformalPolyMap([0.0, 0.0, 1.0]))
+
+    @pytest.mark.parametrize("c0", [1e17, -3.0 + 2.0j, 1e300])
+    def test_translation_does_not_change_the_verdict(self, c0):
+        # 1 + 1e-17 z rounds to 1: scaled by a max over c_0 too, the boundary
+        # of the translated disc collapsed onto f(0)
+        for coeffs in (
+            [0.0, 1.0],
+            [0.0, 1.0, 0.2],
+            [0.0, 1.0, 0.1 - 0.05j, 0.02j],
+            [0.0, 1e-10, 3e-11],
+            exp_taylor(3.0, 20),
+            exp_taylor(3.5, 20),
+            [0.0, 1.0, 0.6],
+        ):
+            shifted = [c0, *coeffs[1:]]
+            assert map_outcome(ConformalPolyMap(shifted)) == map_outcome(
+                ConformalPolyMap(coeffs)
+            )
+
+
+def exp_taylor(a, deg):
+    """Degree-deg Taylor polynomial of (e^{az} - 1) / a."""
+    return [0.0] + [a ** (m - 1) / math.factorial(m) for m in range(1, deg + 1)]
+
+
+def map_outcome(f, check=validate_map):
+    """The report dict, or the type and message of the error raised."""
+    try:
+        return check(f)
+    except (DegenerateDerivative, BoundaryNotSimple) as exc:
+        return type(exc), str(exc)
+
+
+def count_table_calls(monkeypatch):
+    calls = []
+
+    def counted(p):
+        calls.append(p.size)
+        return _polygon_self_intersects(p)
+
+    monkeypatch.setattr(core, "_polygon_self_intersects", counted)
+    return calls
+
+
+def near_disc_coeffs(rng, cubic):
+    """z + c z^2, or z + c2 z^2 + c3 z^3, with |f'| reaching 0 on the disc
+    for the largest coefficients drawn."""
+    phase = np.exp(2j * np.pi * rng.uniform(size=2))
+    if not cubic:
+        return [0.0, 1.0, rng.uniform(0.0, 0.6) * phase[0]]
+    return [0.0, 1.0, rng.uniform(0.0, 0.4) * phase[0], rng.uniform(0.0, 0.25) * phase[1]]
+
+
+class TestStarShapedBoundary:
+    def test_same_verdict_as_the_table(self, monkeypatch):
+        calls = count_table_calls(monkeypatch)
+        rng = np.random.default_rng(14)
+        maps = [near_disc_coeffs(rng, cubic) for cubic in [False] * 60 + [True] * 60]
+        maps += [exp_taylor(a, deg) for deg in (16, 22, 28) for a in np.linspace(0.5, 6.0, 23)]
+        maps += [[0.0, 0.0, 1.0], [0.0, 1.0, 0.5], [0.0, 1.0, -0.5j], [0.0, 1.0, 0.0, 1.0 / 3.0]]
+        seen = set()
+        for coeffs in maps:
+            f = ConformalPolyMap(coeffs)
+            del calls[:]
+            got = map_outcome(f)
+            assert got == map_outcome(f, validate_map_with_table), coeffs
+            if isinstance(got, dict):
+                seen.add("table" if calls else "star-shaped")
+            else:
+                seen.add(got[0])
+        assert seen == {"star-shaped", "table", BoundaryNotSimple, DegenerateDerivative}
+
+    def test_near_disc_maps_skip_the_table(self, monkeypatch):
+        def refuse(p):
+            raise AssertionError("crossing table built for a star-shaped boundary")
+
+        monkeypatch.setattr(core, "_polygon_self_intersects", refuse)
+        maps = [[0.0, 1.0]]
+        for r in (0.02, 0.1, 0.25):
+            maps += [[0.0, 1.0, r * np.exp(1j * t)] for t in np.linspace(0.0, 2 * np.pi, 8, endpoint=False)]
+        # the cubic family of the benchmark's near-disc maps
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            phase = np.exp(2j * np.pi * rng.uniform(size=2))
+            maps.append([0.0, 1.0, rng.uniform(0.02, 0.12) * phase[0], rng.uniform(0.005, 0.03) * phase[1]])
+        for coeffs in maps:
+            validate_map(ConformalPolyMap(coeffs))
+
+    def test_table_decides_a_boundary_that_is_not_star_shaped(self, monkeypatch):
+        # (e^{3z} - 1) / 3 is univalent but not starlike; at a = 3.5 the
+        # image of the disc overlaps itself (e^w is one-to-one only on
+        # strips of height 2 pi)
+        calls = count_table_calls(monkeypatch)
+        validate_map(ConformalPolyMap(exp_taylor(3.0, 20)))
+        assert calls == [512]
+        del calls[:]
+        with pytest.raises(BoundaryNotSimple, match="^boundary curve self-intersects$"):
+            validate_map(ConformalPolyMap(exp_taylor(3.5, 20)))
+        assert calls == [512]
+
+    def test_star_shaped_polygons_do_not_cross(self):
+        # every edge turning counterclockwise about 0, winding once: the
+        # table must find no crossing, for smooth radii, angles jittered
+        # within one turn and thin spikes
+        rng = np.random.default_rng(2026)
+        for trial in range(150):
+            s = int(rng.integers(4, 600))
+            theta = 2 * np.pi * (np.arange(s) + rng.uniform(0.0, 0.95, s)) / s
+            modes = np.arange(1, 6)
+            phases = rng.uniform(0.0, 2 * np.pi, (5, 1))
+            r = np.exp((rng.normal(size=5) / modes) @ np.cos(np.outer(modes, theta) + phases))
+            spikes = rng.integers(0, s, size=int(rng.integers(0, 6)))
+            r[spikes] *= 10.0 ** rng.uniform(0.5, 4.0, spikes.size)
+            p = r * np.exp(1j * theta)
+            p /= np.max(np.abs(p))
+            assert _star_shaped(p), trial
+            assert not _polygon_self_intersects(p), trial
+
+    def test_star_shaped_needs_winding_once(self):
+        # a loop that turns counterclockwise twice about 0 crosses itself
+        theta = np.linspace(0.0, 4 * np.pi, 200, endpoint=False)
+        p = (1.0 + 0.3 * np.cos(theta / 2)) * np.exp(1j * theta)
+        assert _star_shaped(p)
+        assert _polygon_self_intersects(p)
 
 
 class TestNondegeneracy:
