@@ -48,6 +48,11 @@ from .transport import (
 
 # ---------------------------------------------------------------- input
 
+# Largest --trunc and --grid accepted, checked before anything is allocated:
+# nd at trunc 512 takes seconds, and a grid of 1001 writes a million rows.
+MAX_TRUNC = 512
+MAX_GRID = 1001
+
 
 class InputError(Exception):
     """Bad user input; maps to exit code 2."""
@@ -86,9 +91,12 @@ def _build_configuration(entries) -> VortexConfiguration:
         raise InputError("no vortices given (flag --vortex or config 'vortices')")
     try:
         pts = [complex(e["re"], e["im"]) for e in entries]
-        degs = [int(e["degree"]) for e in entries]
+        degs = [e["degree"] for e in entries]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad vortex entry: {exc}") from exc
+    for deg in degs:
+        if isinstance(deg, bool) or not isinstance(deg, int):
+            raise InputError(f"vortex degree must be an integer, got {deg!r}")
     cfg = VortexConfiguration(pts, degs)
     try:
         validate_configuration(cfg)
@@ -157,15 +165,15 @@ def _build_psi(spec, trunc: int) -> FourierSeries:
     return psi
 
 
-def _positive_int(name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise InputError(f"{name} must be a positive integer, got {value!r}")
+def _size(name: str, value, largest: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= largest:
+        raise InputError(f"{name} must be an integer from 1 to {largest}, got {value!r}")
     return value
 
 
 def _trunc(args, conf, default: int) -> int:
     value = args.trunc if args.trunc is not None else conf.get("trunc", default)
-    return _positive_int("trunc", value)
+    return _size("trunc", value, MAX_TRUNC)
 
 
 # --------------------------------------------------------------- output
@@ -199,8 +207,11 @@ def _emit(payload, out_path: str | None):
 
 def _write(text: str, out_path: str | None):
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write output: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -327,7 +338,7 @@ def _cmd_expand(args, conf):
 def _cmd_landscape(args, conf):
     f = _build_map(args.map or conf.get("map"))
     validate_map(f)
-    n = _positive_int("grid", args.grid)
+    n = _size("grid", args.grid, MAX_GRID)
     xs = np.linspace(-0.95, 0.95, n)
     gx, gy = np.meshgrid(xs, xs)  # rows run over y, columns over x
     p = np.empty(gx.size, dtype=complex)
@@ -499,16 +510,18 @@ def run(argv) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         conf = _load_config(getattr(args, "config", None))
-        return _DISPATCH[args.command](args, conf)
+        try:
+            return _DISPATCH[args.command](args, conf)
+        except VortexwError as exc:
+            _emit(
+                {"error": type(exc).__name__, "message": str(exc)},
+                getattr(args, "out", None),
+            )
+            return 1
     except InputError as exc:
+        # also an --out path that cannot be written, even for an error payload
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except VortexwError as exc:
-        _emit(
-            {"error": type(exc).__name__, "message": str(exc)},
-            getattr(args, "out", None),
-        )
-        return 1
 
 
 def main() -> None:

@@ -20,15 +20,15 @@ from .core import (
     is_nondegenerate,
     validate_configuration,
 )
-from .disc_energy import DiscEnergyContext
+from .disc_energy import DiscEnergyContext, _checked
 from .errors import LeftAdmissibleRegion, NewtonDiverged
 from .transport import (
     _transport_hat_w,
     _transport_hat_w_du,
     _transport_hat_w_hess,
+    _transport_w,
     _transport_w_du,
     _transport_w_hess,
-    transport_w,
 )
 
 TOL_NEWTON = 1e-12
@@ -88,40 +88,47 @@ def _newton(x0, residual, jacobian):
                     break
             lam *= 0.5
             if lam < 1e-12:
-                raise LeftAdmissibleRegion(
-                    "no admissible decreasing step found"
-                ) if not configuration_is_admissible(_unpack(x + lam * step)) else NewtonDiverged(
-                    f"line search stalled at |F| = {rn:.3e}"
-                )
+                if not configuration_is_admissible(_unpack(x + lam * step)):
+                    raise LeftAdmissibleRegion("no admissible decreasing step found")
+                raise NewtonDiverged(f"line search stalled at |F| = {rn:.3e}")
         x, r, rn = x_new, r_new, rn_new
     if rn <= TOL_NEWTON:
         return x, rn, MAX_ITER
     raise NewtonDiverged(f"|F| = {rn:.3e} after {MAX_ITER} iterations")
 
 
-def find_critical_hat_w(f: ConformalPolyMap, init: VortexConfiguration) -> CriticalPointReport:
-    """Newton solve for a zero of the gradient of hat_w + map correction.
-
-    init is validated once here; _newton keeps every iterate admissible, so
-    the residual and Jacobian call the unchecked kernels."""
-    validate_configuration(init)
-    d = init.degrees_array()
-
-    def residual(x):
-        return grad_to_vec(_transport_hat_w_du(f, _unpack(x), d))
-
-    def jacobian(x):
-        return _transport_hat_w_hess(f, _unpack(x), d)
-
-    x, rn, its = _newton(_pack(init.points_array()), residual, jacobian)
-    h = jacobian(x)
+def _find_critical(init: VortexConfiguration, du, hess, value) -> CriticalPointReport:
+    """Newton solve from init for a zero of the gradient whose Wirtinger
+    derivatives du(a) are given, with Jacobian hess(a) and energy value(a),
+    each a kernel on the points a (k,) of a configuration with the degrees
+    of init. init is checked by the caller; _newton keeps every iterate
+    admissible, so the kernels need no check."""
+    x, rn, its = _newton(
+        _pack(init.points_array()),
+        lambda x: grad_to_vec(du(_unpack(x))),
+        lambda x: hess(_unpack(x)),
+    )
+    a = _unpack(x)
+    h = hess(a)
     return CriticalPointReport(
-        location=VortexConfiguration(_unpack(x), init.degrees),
+        location=VortexConfiguration(a, init.degrees),
         residual_norm=rn,
         hessian=h,
         nondegenerate=is_nondegenerate(h),
         iterations=its,
-        value=float(_transport_hat_w(f, _unpack(x), d)),
+        value=float(value(a)),
+    )
+
+
+def find_critical_hat_w(f: ConformalPolyMap, init: VortexConfiguration) -> CriticalPointReport:
+    """Newton solve for a zero of the gradient of hat_w + map correction."""
+    validate_configuration(init)
+    d = init.degrees_array()
+    return _find_critical(
+        init,
+        lambda a: _transport_hat_w_du(f, a, d),
+        lambda a: _transport_hat_w_hess(f, a, d),
+        lambda a: _transport_hat_w(f, a, d),
     )
 
 
@@ -131,28 +138,13 @@ def find_critical_w(
     psi: FourierSeries,
     init: VortexConfiguration,
 ) -> CriticalPointReport:
-    """Newton solve for a zero of the gradient of the full energy W.
-
-    init is validated once here, as in find_critical_hat_w."""
-    validate_configuration(init)
-    degrees = init.degrees
-
-    def residual(x):
-        return grad_to_vec(_transport_w_du(f, ctx, VortexConfiguration(_unpack(x), degrees), psi))
-
-    def jacobian(x):
-        return _transport_w_hess(f, ctx, VortexConfiguration(_unpack(x), degrees), psi)
-
-    x, rn, its = _newton(_pack(init.points_array()), residual, jacobian)
-    loc = VortexConfiguration(_unpack(x), degrees)
-    h = jacobian(x)
-    return CriticalPointReport(
-        location=loc,
-        residual_norm=rn,
-        hessian=h,
-        nondegenerate=is_nondegenerate(h),
-        iterations=its,
-        value=transport_w(f, ctx, loc, psi),
+    """Newton solve for a zero of the gradient of the full energy W."""
+    _, d = _checked(ctx, init)
+    return _find_critical(
+        init,
+        lambda a: _transport_w_du(f, ctx, a, d, psi),
+        lambda a: _transport_w_hess(f, ctx, a, d, psi),
+        lambda a: _transport_w(f, ctx, a, d, psi),
     )
 
 

@@ -101,67 +101,72 @@ def hat_w_hess(cfg: VortexConfiguration) -> np.ndarray:
     return assemble_hessian(*_hat_w_d2(cfg.points_array(), cfg.degrees_array()))
 
 
-def _check_total_degree(ctx: DiscEnergyContext, cfg: VortexConfiguration) -> None:
-    """Raise DegreeMismatch unless cfg has the total degree of ctx.base:
-    otherwise the phase between their canonical data keeps a multivalued
-    log term and W is not defined."""
+def _checked(ctx: DiscEnergyContext, cfg: VortexConfiguration):
+    """Validate cfg and return its point and degree arrays (a, d). Raise
+    DegreeMismatch unless cfg has the total degree of ctx.base: otherwise
+    the phase between their canonical data keeps a multivalued log term
+    and W is not defined."""
+    validate_configuration(cfg)
     if cfg.total_degree != ctx.base.total_degree:
         raise DegreeMismatch(
             f"configuration total degree {cfg.total_degree} differs from "
             f"the base's {ctx.base.total_degree}"
         )
+    return cfg.points_array(), cfg.degrees_array()
 
 
-def _base_shift_coeffs(ctx: DiscEnergyContext, cfg: VortexConfiguration) -> np.ndarray:
+def _base_shift_coeffs(ctx: DiscEnergyContext, a, d) -> np.ndarray:
     """Coefficients b_n (n = 1..trunc) of the conjugate phase trace that
-    relates the canonical data of cfg and of the reference configuration:
+    relates the canonical data of the configuration a (k,) with degrees
+    d (k,) and of the reference configuration:
     b_n = (sum_j d_j conj(alpha_j)^n - sum_l d0_l conj(alpha0_l)^n) / n.
     The two configurations may differ in count and in degrees."""
-    _check_total_degree(ctx, cfg)
     n = np.arange(1, ctx.trunc + 1)
 
-    def moments(c):
-        pw = np.conj(c.points_array()[:, None]) ** n[None, :]
-        return np.sum(c.degrees_array()[:, None] * pw, axis=0)
+    def moments(a, d):
+        pw = np.conj(a[:, None]) ** n[None, :]
+        return np.sum(d[:, None] * pw, axis=0)
 
-    return (moments(cfg) - moments(ctx.base)) / n
+    return (moments(a, d) - moments(ctx.base.points_array(), ctx.base.degrees_array())) / n
 
 
-def _n_disc_alpha_jacobian(ctx: DiscEnergyContext, cfg: VortexConfiguration) -> np.ndarray:
+def _n_disc_alpha_jacobian(trunc: int, a, d) -> np.ndarray:
     """Mode-n coefficients (n = 1..trunc) of the derivatives of n_disc with
     respect to the real coordinates (x_1, y_1, x_2, y_2, ...), one row each.
 
     Only i n b_n depends on alpha, through db_n/dx_j = d_j conj(alpha_j)^(n-1)
     and db_n/dy_j = -i d_j conj(alpha_j)^(n-1)."""
-    a = cfg.points_array()
-    d = cfg.degrees_array()
-    n = np.arange(1, ctx.trunc + 1)
+    n = np.arange(1, trunc + 1)
     db_dx = d[:, None] * np.conj(a[:, None]) ** (n[None, :] - 1)
-    db = np.empty((2 * cfg.k, ctx.trunc), dtype=complex)
+    db = np.empty((2 * a.size, trunc), dtype=complex)
     db[0::2] = db_dx
     db[1::2] = -1j * db_dx
     return 1j * n * db
 
 
-def _composite_coeffs(ctx: DiscEnergyContext, cfg: VortexConfiguration, psi: FourierSeries) -> np.ndarray:
+def _composite_coeffs(ctx: DiscEnergyContext, a, d, psi: FourierSeries) -> np.ndarray:
     """Coefficients u_n = b_n + c_n (n = 1..trunc) of the composite
     conjugate phase trace, where c_n = -i a_n comes from the user phase psi
     (its modes beyond ctx.trunc are dropped)."""
-    u = _base_shift_coeffs(ctx, cfg)
+    u = _base_shift_coeffs(ctx, a, d)
     m = min(psi.trunc, ctx.trunc)
     u[:m] += -1j * psi.coeffs[1 : m + 1]
     return u
+
+
+def _w_disc(ctx: DiscEnergyContext, a, d, psi: FourierSeries) -> float:
+    """w_disc for one configuration a (k,) with degrees d (k,)."""
+    u = _composite_coeffs(ctx, a, d, psi)
+    n = np.arange(1, u.size + 1)
+    hat = float(_hat_w(a, d))
+    return hat + float(2.0 * np.pi * np.sum(n * np.abs(u) ** 2))
 
 
 def w_disc(ctx: DiscEnergyContext, cfg: VortexConfiguration, psi: FourierSeries) -> float:
     """Full renormalized energy W(alpha, g^0 e^{i psi}) on the disc:
     hat_w plus half the squared H^{1/2} seminorm of the composite phase,
     W = hat_w + 2 pi sum_n n |u_n|^2."""
-    validate_configuration(cfg)
-    u = _composite_coeffs(ctx, cfg, psi)
-    n = np.arange(1, u.size + 1)
-    hat = float(_hat_w(cfg.points_array(), cfg.degrees_array()))
-    return hat + float(2.0 * np.pi * np.sum(n * np.abs(u) ** 2))
+    return _w_disc(ctx, *_checked(ctx, cfg), psi)
 
 
 def _seminorm_du(a, d, u):
@@ -187,32 +192,28 @@ def _seminorm_d2(a, d, u):
     return duv, duvbar
 
 
-def _w_disc_du(ctx, cfg, psi):
+def _w_disc_du(ctx, a, d, psi):
     """First Wirtinger derivatives of w_disc, (k,)."""
-    a, d = cfg.points_array(), cfg.degrees_array()
-    return _hat_w_du(a, d) + _seminorm_du(a, d, _composite_coeffs(ctx, cfg, psi))
+    return _hat_w_du(a, d) + _seminorm_du(a, d, _composite_coeffs(ctx, a, d, psi))
 
 
-def _w_disc_d2(ctx, cfg, psi):
+def _w_disc_d2(ctx, a, d, psi):
     """Second Wirtinger derivatives of w_disc, (k, k) each."""
-    a, d = cfg.points_array(), cfg.degrees_array()
     duv_h, duvbar_h = _hat_w_d2(a, d)
-    duv_s, duvbar_s = _seminorm_d2(a, d, _composite_coeffs(ctx, cfg, psi))
+    duv_s, duvbar_s = _seminorm_d2(a, d, _composite_coeffs(ctx, a, d, psi))
     return duv_h + duv_s, duvbar_h + duvbar_s
 
 
 def w_disc_hess(ctx: DiscEnergyContext, cfg: VortexConfiguration, psi: FourierSeries) -> np.ndarray:
     """Analytic alpha-Hessian of w_disc, symmetric 2k x 2k."""
-    validate_configuration(cfg)
-    return assemble_hessian(*_w_disc_d2(ctx, cfg, psi))
+    return assemble_hessian(*_w_disc_d2(ctx, *_checked(ctx, cfg), psi))
 
 
 def n_disc(ctx: DiscEnergyContext, cfg: VortexConfiguration, psi: FourierSeries) -> FourierSeries:
     """Semi-stiff trace N(alpha, g^0 e^{i psi}): the boundary function whose
     vanishing characterizes prescribed-degree critical points. Zero mean by
     construction; mode n coefficient n a_n + i n b_n."""
-    validate_configuration(cfg)
-    b = _base_shift_coeffs(ctx, cfg)
+    b = _base_shift_coeffs(ctx, *_checked(ctx, cfg))
     n = np.arange(1, ctx.trunc + 1)
     c = np.zeros(ctx.trunc + 1, dtype=complex)
     m = min(psi.trunc, ctx.trunc)

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import grad_phi_field
-from .core import FourierSeries, VortexConfiguration, validate_configuration
-from .disc_energy import DiscEnergyContext, _check_total_degree, w_disc
+from .core import FourierSeries, VortexConfiguration
+from .disc_energy import DiscEnergyContext, _checked, w_disc
 from .errors import EvaluationAtVortex, InvalidRadius
 from .harmonic import AnnulusQuadrature
 
@@ -44,16 +44,14 @@ def grad_phi_ag(ctx: DiscEnergyContext, cfg: VortexConfiguration, psi: FourierSe
     explicit unimodular map with vortices cfg and boundary phase psi over
     the canonical datum of ctx.base.
     """
-    validate_configuration(cfg)
-    _check_total_degree(ctx, cfg)
+    a, d = _checked(ctx, cfg)
     zz = np.asarray(z, dtype=complex)
-    a = cfg.points_array()
     if np.any(np.abs(zz[..., None] - a) < _VORTEX_EVAL_TOL):
         raise EvaluationAtVortex("z coincides with a vortex")
     out = grad_phi_field(
         zz,
         a,
-        cfg.degrees_array(),
+        d,
         ctx.base.points_array(),
         ctx.base.degrees_array(),
         _gprime_coeffs(psi),
@@ -122,8 +120,7 @@ def punctured_energy(
     are built once per call, and the global term is computed once per
     distinct set of patch windows.
     """
-    validate_configuration(cfg)
-    _check_total_degree(ctx, cfg)
+    a, d = _checked(ctx, cfg)
     scalar = np.ndim(rho) == 0
     radii = (rho,) if scalar else tuple(rho)
     r_outs = []
@@ -131,8 +128,6 @@ def punctured_energy(
         if not 0.0 < r < 1.0:
             raise InvalidRadius(f"rho = {r} outside (0, 1)")
         r_outs.append(_patch_radii(cfg, r))
-    a = cfg.points_array()
-    d = cfg.degrees_array()
     a0 = ctx.base.points_array()
     d0 = ctx.base.degrees_array()
     gp = _gprime_coeffs(psi)
@@ -143,7 +138,7 @@ def punctured_energy(
     x, w = np.polynomial.legendre.leggauss(PATCH_RADIAL)
     theta = np.linspace(0.0, 2 * np.pi, PATCH_ANGULAR, endpoint=False)
     dtheta = 2 * np.pi / PATCH_ANGULAR
-    quad = AnnulusQuadrature.build(0.0)
+    quad = AnnulusQuadrature.build()
     global_terms = {}
     energies = []
     for rho_i, r_out in zip(radii, r_outs):

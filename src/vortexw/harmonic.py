@@ -2,7 +2,7 @@
 
 Everything acts mode-wise on truncated series: the harmonic extension of
 a mode e^{i n theta} is r^{|n|} e^{i n theta}, which makes conjugation
-and the H^{1/2} seminorm exact coefficient maps. The annulus rule carries
+and the H^{1/2} seminorm exact coefficient maps. The disc rule carries
 the global grid of the punctured-energy quadrature.
 """
 from __future__ import annotations
@@ -12,9 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FourierSeries
-from .errors import InvalidRadius
 
-# nodes of the annulus rule: Gauss-Legendre radially, uniform angularly
+# nodes of the disc rule: Gauss-Legendre radially, uniform angularly
 N_RADIAL = 128
 N_ANGULAR = 512
 
@@ -38,26 +37,15 @@ def h_half_seminorm_sq(psi: FourierSeries) -> float:
 
 @dataclass(frozen=True)
 class AnnulusQuadrature:
-    """Tensor rule on the annulus rho <= |z| <= 1: Gauss-Legendre radially,
+    """Tensor rule on the unit disc 0 <= |z| <= 1: Gauss-Legendre radially,
     uniform (trapezoid) angularly."""
 
-    rho: float
     radial_nodes: np.ndarray
     radial_weights: np.ndarray
     angular_nodes: np.ndarray
 
     @classmethod
-    def build(cls, rho: float) -> "AnnulusQuadrature":
-        if not 0.0 <= rho < 1.0:
-            raise InvalidRadius(f"rho = {rho} outside [0, 1)")
+    def build(cls) -> "AnnulusQuadrature":
         x, w = np.polynomial.legendre.leggauss(N_RADIAL)
-        r = 0.5 * (rho + 1.0) + 0.5 * (1.0 - rho) * x
-        wr = 0.5 * (1.0 - rho) * w
         theta = np.linspace(0.0, 2 * np.pi, N_ANGULAR, endpoint=False)
-        return cls(
-            rho=float(rho),
-            radial_nodes=r,
-            radial_weights=wr,
-            angular_nodes=theta,
-        )
-
+        return cls(radial_nodes=0.5 + 0.5 * x, radial_weights=0.5 * w, angular_nodes=theta)

@@ -32,7 +32,7 @@ from .core import (
 from .critpoint import find_max_hat_w
 from .disc_energy import DiscEnergyContext, _n_disc_alpha_jacobian
 from .errors import LeftAdmissibleRegion, NewtonDiverged, NoCriticalPointFound
-from .transport import transport_w_hess
+from .transport import _transport_w_hess, transport_w_hess
 
 TOL_OP = 1e-3
 STABILITY_REL = 1e-2
@@ -85,10 +85,11 @@ def du_star_matrix_analytic_disc(trunc: int) -> np.ndarray:
     return np.diag(diag)
 
 
-def _psi_columns(cfg: VortexConfiguration, trunc: int):
+def _psi_columns(a, d, trunc: int):
     """Derivatives of N (mode-n coefficients, n = 1..trunc) and of
     grad_alpha W (real 2k-vector) along the real modes of psi in the
-    standard index order, (trunc, 2 trunc) and (2k, 2 trunc).
+    standard index order, (trunc, 2 trunc) and (2k, 2 trunc), at the
+    configuration a (k,) with degrees d (k,).
 
     Both are affine in psi. A real mode has complex coefficient
     E[n - 1, m]: 1/2 for cos n theta and -i/2 for sin n theta. N has mode
@@ -97,7 +98,6 @@ def _psi_columns(cfg: VortexConfiguration, trunc: int):
     2 pi d_j sum_n alpha_j^(n-1) n c_n with c_n = -i a_n."""
     n = np.arange(1, trunc + 1)
     e = np.kron(np.eye(trunc), [0.5, -0.5j])
-    a, d = cfg.points_array(), cfg.degrees_array()
     du = 2.0 * np.pi * d[:, None] * ((a[:, None] ** (n - 1) * n) @ (-1j * e))
     return n[:, None] * e, grad_to_vec(du)
 
@@ -118,9 +118,10 @@ def assemble_du_matrix(f: ConformalPolyMap, nd1: Nd1Report, trunc: int) -> np.nd
         raise NoCriticalPointFound("no nondegenerate single-vortex critical point")
     cfg = VortexConfiguration([nd1.alpha0], (1,))
     ctx = DiscEnergyContext(cfg, trunc=trunc)
-    dn_dpsi, dg_dpsi = _psi_columns(cfg, trunc)
-    h = transport_w_hess(f, ctx, cfg, FourierSeries.zeros(trunc))
-    dn_dalpha = _n_disc_alpha_jacobian(ctx, cfg).T
+    a, d = cfg.points_array(), cfg.degrees_array()
+    dn_dpsi, dg_dpsi = _psi_columns(a, d, trunc)
+    h = _transport_w_hess(f, ctx, a, d, FourierSeries.zeros(trunc))
+    dn_dalpha = _n_disc_alpha_jacobian(trunc, a, d).T
     du = dn_dpsi - dn_dalpha @ np.linalg.solve(h, dg_dpsi)
     # mode coefficient c on cos n theta, sin n theta: (2 Re c, -2 Im c), the
     # packing of grad_to_vec

@@ -11,12 +11,13 @@ from ._calculus import assemble_hessian, grad_to_vec
 from .core import ConformalPolyMap, FourierSeries, VortexConfiguration, validate_configuration
 from .disc_energy import (
     DiscEnergyContext,
+    _checked,
     _hat_w,
     _hat_w_d2,
     _hat_w_du,
+    _w_disc,
     _w_disc_d2,
     _w_disc_du,
-    w_disc,
 )
 from .errors import DegenerateDerivative
 
@@ -66,16 +67,20 @@ def _transport_hat_w_hess(f: ConformalPolyMap, a, d) -> np.ndarray:
     return assemble_hessian(duv + _log_fprime_d2(f, a, d), duvbar)
 
 
-def _transport_w_du(f, ctx, cfg, psi) -> np.ndarray:
+def _transport_w(f, ctx, a, d, psi) -> float:
+    """Full energy on Omega for one configuration a (k,) with degrees d (k,)."""
+    return _w_disc(ctx, a, d, psi) + float(_log_fprime(f, a, d))
+
+
+def _transport_w_du(f, ctx, a, d, psi) -> np.ndarray:
     """First Wirtinger derivatives of the full energy on Omega, (k,)."""
-    return _w_disc_du(ctx, cfg, psi) + _log_fprime_du(f, cfg.points_array(), cfg.degrees_array())
+    return _w_disc_du(ctx, a, d, psi) + _log_fprime_du(f, a, d)
 
 
-def _transport_w_hess(f, ctx, cfg, psi) -> np.ndarray:
+def _transport_w_hess(f, ctx, a, d, psi) -> np.ndarray:
     """Hessian of the full energy on Omega."""
-    duv, duvbar = _w_disc_d2(ctx, cfg, psi)
-    duv = duv + _log_fprime_d2(f, cfg.points_array(), cfg.degrees_array())
-    return assemble_hessian(duv, duvbar)
+    duv, duvbar = _w_disc_d2(ctx, a, d, psi)
+    return assemble_hessian(duv + _log_fprime_d2(f, a, d), duvbar)
 
 
 def transport_hat_w(f: ConformalPolyMap, cfg: VortexConfiguration) -> float:
@@ -96,18 +101,13 @@ def transport_w(
     psi: FourierSeries,
 ) -> float:
     """Full energy on Omega in disc coordinates."""
-    validate_configuration(cfg)
-    return w_disc(ctx, cfg, psi) + float(
-        _log_fprime(f, cfg.points_array(), cfg.degrees_array())
-    )
+    return _transport_w(f, ctx, *_checked(ctx, cfg), psi)
 
 
 def transport_w_grad(f, ctx, cfg, psi) -> np.ndarray:
-    validate_configuration(cfg)
-    return grad_to_vec(_transport_w_du(f, ctx, cfg, psi))
+    return grad_to_vec(_transport_w_du(f, ctx, *_checked(ctx, cfg), psi))
 
 
 def transport_w_hess(f, ctx, cfg, psi) -> np.ndarray:
-    validate_configuration(cfg)
-    return _transport_w_hess(f, ctx, cfg, psi)
+    return _transport_w_hess(f, ctx, *_checked(ctx, cfg), psi)
 

@@ -27,7 +27,7 @@ def hat_phi(cfg, z):
 def phase_potential(ctx, cfg, psi, z):
     """Total phase potential at a point z: hat_phi minus the harmonic
     extension 2 Re sum_n u_n z^n of the composite conjugate phase trace."""
-    u = _composite_coeffs(ctx, cfg, psi)
+    u = _composite_coeffs(ctx, cfg.points_array(), cfg.degrees_array(), psi)
     n = np.arange(1, u.size + 1)
     return hat_phi(cfg, z) - 2 * np.real(np.sum(u * z**n))
 

@@ -113,7 +113,7 @@ def test_criterion_4_canonical_datum_minimality():
             )
         gap = w_disc(ctx, cfg, psi) - hat_w(cfg)
         worst_gap = min(worst_gap, gap)
-        composite = FourierSeries(np.concatenate([[0.0], _composite_coeffs(ctx, cfg, psi)]))
+        composite = FourierSeries(np.concatenate([[0.0], _composite_coeffs(ctx, cfg.points_array(), cfg.degrees_array(), psi)]))
         zero_cost = h_half_seminorm_sq(composite) <= 1e-12
         if zero_cost != (abs(gap) <= 1e-12):
             consistent = False

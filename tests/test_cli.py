@@ -68,6 +68,19 @@ class TestEnergy:
         )
         assert json.loads(out)["hat_w"] == 0.0
 
+    @pytest.mark.parametrize("degree, want", [(1.7, 2), (2.0, 2), (True, 2), ("1", 2), (1, 0)])
+    def test_config_degree_must_be_an_integer(self, tmp_path, capsys, degree, want):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"vortices": [{"re": 0.5, "im": 0, "degree": degree}]}))
+        code = run(["energy", "--config", str(conf)])
+        captured = capsys.readouterr()
+        assert code == want
+        if want == 2:
+            assert captured.err.startswith("error: vortex degree must be an integer")
+            assert captured.out == ""
+        else:
+            assert json.loads(captured.out)["hat_w"] == pytest.approx(np.pi * np.log(0.75))
+
     def test_w_grad_includes_map_term(self, capsys):
         code, out = capture(
             capsys,
@@ -135,6 +148,49 @@ class TestCrit:
         assert captured.err.startswith("error:")
         assert captured.out == ""
 
+    def test_bytes_of_a_benchmark_operation(self, capsys):
+        # eight vortices of degree one near a regular octagon, psi = 0; the
+        # reprs are those the Newton iterates of the full energy gave when
+        # they were pinned
+        octagon = [
+            (0.13588022722313045, 0.677311623870283),
+            (-0.38284981211650493, 0.575013472313794),
+            (-0.677311623870283, 0.13588022722313048),
+            (-0.575013472313794, -0.38284981211650493),
+            (-0.1358802272231302, -0.6773116238702831),
+            (0.3828498121165046, -0.5750134723137941),
+            (0.6773116238702831, -0.13588022722313026),
+            (0.5750134723137942, 0.3828498121165046),
+        ]
+        start = [
+            (0.1838516234684014, 0.9151006649992468),
+            (-0.5176998681289087, 0.7769545336230166),
+            (-0.9150856086290462, 0.18383274455171272),
+            (-0.7771712000361123, -0.5177269500602304),
+            (-0.18383710217623464, -0.9150888875474278),
+            (0.5170895685235286, -0.7772134994548022),
+            (0.9152233390208038, -0.18332941858781548),
+            (0.777209981508386, 0.5177161611589277),
+        ]
+        argv = ["crit", "--map=identity", "--psi", "zero"]
+        argv += [f"--base={x!r},{y!r},1" for x, y in octagon]
+        argv += [f"--vortex={x!r},{y!r},1" for x, y in start]
+        code, out = capture(capsys, argv)
+        assert code == 0
+        payload = json.loads(out)
+        assert [(repr(p["re"]), repr(p["im"])) for p in payload["location"]] == [
+            ("0.18363528650893787", "0.9153525619368472"),
+            ("-0.5174022473664194", "0.7771017600776285"),
+            ("-0.9153525619368472", "0.18363528650893796"),
+            ("-0.7771017600776285", "-0.5174022473664195"),
+            ("-0.18363528650893768", "-0.9153525619368473"),
+            ("0.5174022473664192", "-0.7771017600776285"),
+            ("0.9153525619368472", "-0.18363528650893773"),
+            ("0.7771017600776288", "0.517402247366419"),
+        ]
+        assert repr(payload["value"]) == "-32.91294875851295"
+        assert repr(payload["residual_norm"]) == "2.2016794704048256e-13"
+
 
 class TestNd:
     def test_identity(self, capsys):
@@ -154,6 +210,51 @@ class TestNd:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith("error:")
+
+
+class Reached(Exception):
+    """Raised by a stub in place of the computation: the size was accepted."""
+
+
+class TestSizeBounds:
+    """Each bound at its edge; a stub stops the run before anything of that
+    size is allocated."""
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_trunc(self, tmp_path, capsys, monkeypatch, source):
+        def search(f):
+            raise Reached
+
+        def argv(trunc):
+            if source == "flag":
+                return ["nd", "--trunc", str(trunc)]
+            conf = tmp_path / "conf.json"
+            conf.write_text(json.dumps({"trunc": trunc}))
+            return ["nd", "--config", str(conf)]
+
+        monkeypatch.setattr(ndcheck, "check_nd1", search)
+        with pytest.raises(Reached):
+            run(argv(cli.MAX_TRUNC))
+        assert run(argv(cli.MAX_TRUNC + 1)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: trunc must be an integer from 1 to 512, got 513\n"
+        assert captured.out == ""
+
+    def test_grid(self, capsys, monkeypatch):
+        linspace = np.linspace
+
+        def grid_axis(start, stop, num, **kwargs):
+            if num >= cli.MAX_GRID:
+                raise Reached
+            return linspace(start, stop, num, **kwargs)
+
+        monkeypatch.setattr(np, "linspace", grid_axis)
+        with pytest.raises(Reached):
+            run(["landscape", "--grid", str(cli.MAX_GRID)])
+        assert run(["landscape", "--grid", str(cli.MAX_GRID + 1)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: grid must be an integer from 1 to 1001, got 1002\n"
+        assert captured.out == ""
 
 
 class TestExpand:
@@ -421,6 +522,25 @@ class TestSelfcheckAndErrors:
         )
         assert code == 0
         assert json.loads(target.read_text())["hat_w"] == 0.0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["energy", "--vortex=0,0,1"],
+            ["landscape", "--grid", "3", "--csv"],
+            ["selfcheck"],
+            # Newton diverges: the error payload cannot be written either
+            ["crit", "--vortex=0.5,0,1", "--vortex=-0.5,0,1"],
+        ],
+    )
+    @pytest.mark.parametrize("where", ["missing_dir/out.json", "."])
+    def test_out_that_cannot_be_written_is_input_error(self, tmp_path, capsys, argv, where):
+        code = run(argv + ["--out", str(tmp_path / where)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: cannot write output")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
 
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"]) == 2

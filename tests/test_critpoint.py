@@ -122,6 +122,32 @@ class TestFindCriticalW:
         assert abs(rep.location.points[0]) < 0.2
         assert rep.nondegenerate
 
+    def test_init_checked_once_and_location_built_once(self, monkeypatch):
+        # a triangle of three vortices and a nonzero psi: the Newton loop
+        # runs on arrays, so init's total degree is tested once where it
+        # enters and the only configuration built is the report's location
+        triangle = 0.5 * np.exp(2j * np.pi * np.arange(3) / 3)
+        ctx = DiscEnergyContext(VortexConfiguration(triangle, (1, 1, 1)), trunc=16)
+        psi = FourierSeries.from_real(cos=[0.02, 0.01], sin=[-0.015], trunc=16)
+        init = VortexConfiguration(0.6 * triangle * np.exp(0.01j), (1, 1, 1))
+        counts = {"built": 0, "degree_tests": 0}
+        build, total_degree = VortexConfiguration.__init__, VortexConfiguration.total_degree
+
+        def counting_build(cfg, points, degrees):
+            counts["built"] += 1
+            build(cfg, points, degrees)
+
+        def counting_total_degree(cfg):
+            counts["degree_tests"] += cfg is not ctx.base
+            return total_degree.fget(cfg)
+
+        monkeypatch.setattr(VortexConfiguration, "__init__", counting_build)
+        monkeypatch.setattr(VortexConfiguration, "total_degree", property(counting_total_degree))
+        rep = find_critical_w(IDENTITY, ctx, psi, init)
+        assert rep.residual_norm <= 1e-12
+        assert rep.iterations >= 3
+        assert counts == {"built": 1, "degree_tests": 1}
+
 
 class TestFindMaxHatW:
     def test_disc(self):

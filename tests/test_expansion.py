@@ -35,7 +35,7 @@ RADII = (0.01, 0.005, 0.0025, 0.00125)
 
 def count_work(monkeypatch):
     """Count the field-kernel calls of the expansion module and the
-    annulus rules it builds."""
+    disc rules it builds."""
     counts = {"kernel": 0, "build": 0}
     kernel, build = expansion.grad_phi_field, AnnulusQuadrature.build
 
@@ -43,9 +43,9 @@ def count_work(monkeypatch):
         counts["kernel"] += 1
         return kernel(*args)
 
-    def counting_build(rho):
+    def counting_build():
         counts["build"] += 1
-        return build(rho)
+        return build()
 
     monkeypatch.setattr(expansion, "grad_phi_field", counting_kernel)
     monkeypatch.setattr(AnnulusQuadrature, "build", staticmethod(counting_build))

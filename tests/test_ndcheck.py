@@ -175,7 +175,7 @@ class TestAssembleDu:
     def test_closed_form_columns_match_mode_loop(self, coeffs, trunc):
         f = ConformalPolyMap(coeffs)
         cfg = VortexConfiguration([check_nd1(f).alpha0], (1,))
-        dn, dg = ndcheck._psi_columns(cfg, trunc)
+        dn, dg = ndcheck._psi_columns(cfg.points_array(), cfg.degrees_array(), trunc)
         dn_loop, dg_loop = loop_psi_columns(f, cfg, trunc)
         np.testing.assert_allclose(dn, dn_loop, rtol=0, atol=1e-14)
         np.testing.assert_allclose(dg, dg_loop, rtol=0, atol=1e-14)

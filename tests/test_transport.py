@@ -13,6 +13,7 @@ from vortexw import (
     transport_w_grad,
     w_disc,
 )
+from vortexw import disc_energy, transport
 from vortexw._calculus import assemble_hessian
 from vortexw.transport import _log_fprime_d2, _transport_hat_w_hess
 
@@ -96,6 +97,23 @@ class TestTransportW:
         cfg = VortexConfiguration([0.3], (1,))
         psi = FourierSeries.from_real(cos=[0.2], trunc=ctx.trunc)
         assert transport_w(IDENTITY, ctx, cfg, psi) == w_disc(ctx, cfg, psi)
+
+    def test_validates_once(self, monkeypatch):
+        f = ConformalPolyMap([0.0, 1.0, 0.05])
+        ctx = DiscEnergyContext(VortexConfiguration([0.1, -0.2j], (1, 1)))
+        cfg = VortexConfiguration([0.3, 0.1 + 0.2j], (1, 1))
+        psi = FourierSeries.from_real(cos=[0.2], trunc=ctx.trunc)
+        calls = []
+        validate = disc_energy.validate_configuration
+
+        def counting_validate(c):
+            calls.append(c)
+            return validate(c)
+
+        for mod in (disc_energy, transport):
+            monkeypatch.setattr(mod, "validate_configuration", counting_validate)
+        transport_w(f, ctx, cfg, psi)
+        assert calls == [cfg]
 
     def test_grad_correction_at_origin(self):
         # quadratic map: correction pi * conj(f''/f') = 2 pi conj(eps)
