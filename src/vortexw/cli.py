@@ -64,7 +64,9 @@ def _load_config(path: str | None) -> dict:
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers bad JSON, bytes that are not UTF-8 and integers
+    # longer than Python converts
+    except (OSError, ValueError) as exc:
         raise InputError(f"cannot read config file: {exc}") from exc
     if not isinstance(cfg, dict):
         raise InputError("config file must hold a JSON object")
@@ -92,7 +94,7 @@ def _build_configuration(entries) -> VortexConfiguration:
     try:
         pts = [complex(e["re"], e["im"]) for e in entries]
         degs = [e["degree"] for e in entries]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"bad vortex entry: {exc}") from exc
     for deg in degs:
         if isinstance(deg, bool) or not isinstance(deg, int):
@@ -125,7 +127,7 @@ def _build_map(spec) -> ConformalPolyMap:
     if isinstance(spec, dict):
         try:
             coeffs = [complex(x, y) for x, y in spec["coeffs"]]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"bad map spec: {exc}") from exc
     else:
         try:
@@ -145,15 +147,15 @@ def _build_psi(spec, trunc: int) -> FourierSeries:
     if isinstance(spec, str):
         try:
             spec = json.loads(spec)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"bad psi spec {spec!r}: {exc}") from exc
+        except ValueError as exc:
+            raise InputError(f"bad psi spec: {exc}") from exc
     if not isinstance(spec, dict):
         raise InputError("psi must be 'zero' or an object with cos/sin lists")
     try:
         a0 = float(spec.get("a0", 0.0))
         cos = [float(v) for v in spec.get("cos", [])]
         sin = [float(v) for v in spec.get("sin", [])]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"bad psi spec: {exc}") from exc
     if not all(math.isfinite(v) for v in [a0, *cos, *sin]):
         raise InputError("psi coefficients must be finite")
@@ -227,13 +229,13 @@ def _cmd_energy(args, conf):
     )
     trunc = _trunc(args, conf, DEFAULT_TRUNC)
     psi = _build_psi(args.psi or conf.get("psi"), trunc)
-    ctx = DiscEnergyContext(_build_base(args, cfg, cfg), trunc=trunc)
+    ctx = DiscEnergyContext(_build_base(args, cfg, cfg), trunc, psi)
     payload = {
         "hat_w": hat_w(cfg),
         "hat_w_grad": hat_w_grad(cfg),
-        "w": transport_w(f, ctx, cfg, psi),
-        "w_grad": transport_w_grad(f, ctx, cfg, psi).tolist(),
-        "psi_seminorm_sq": h_half_seminorm_sq(harmonic_conjugate(psi)),
+        "w": transport_w(f, ctx, cfg),
+        "w_grad": transport_w_grad(f, ctx, cfg).tolist(),
+        "psi_seminorm_sq": h_half_seminorm_sq(harmonic_conjugate(ctx.psi)),
     }
     if not f.is_identity():
         payload["hat_w_domain"] = transport_hat_w(f, cfg)
@@ -254,8 +256,7 @@ def _cmd_crit(args, conf):
     if psi_spec is None:
         rep = find_critical_hat_w(f, init)
     else:
-        ctx = DiscEnergyContext(base, trunc=trunc)
-        rep = find_critical_w(f, ctx, _build_psi(psi_spec, trunc), init)
+        rep = find_critical_w(f, DiscEnergyContext(base, trunc, _build_psi(psi_spec, trunc)), init)
     _emit(
         {
             "location": list(rep.location.points),
@@ -301,14 +302,14 @@ def _cmd_expand(args, conf):
     trunc = _trunc(args, conf, DEFAULT_TRUNC)
     psi = _build_psi(args.psi or conf.get("psi"), trunc)
     default = VortexConfiguration([0.0], cfg.degrees) if cfg.k == 1 else cfg
-    ctx = DiscEnergyContext(_build_base(args, cfg, default), trunc=trunc)
+    ctx = DiscEnergyContext(_build_base(args, cfg, default), trunc, psi)
     rho_spec = args.rho or conf.get("rho")
     if not rho_spec:
         raise InputError("expand needs --rho r1,r2,r3 (decreasing)")
     try:
         tokens = rho_spec.split(",") if isinstance(rho_spec, str) else rho_spec
         rho_list = [float(t) for t in tokens]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"bad rho list {rho_spec!r}") from exc
     if (
         len(rho_list) < 3
@@ -318,7 +319,7 @@ def _cmd_expand(args, conf):
         raise InputError(
             f"rho needs at least three strictly decreasing values in (0, 1): {rho_spec!r}"
         )
-    rep = expansion_report(ctx, cfg, psi, rho_list)
+    rep = expansion_report(ctx, cfg, rho_list)
     _emit(
         {
             "rho": rep.rho,
@@ -397,7 +398,7 @@ def _cmd_selfcheck(args, conf):
     add(
         "w_hess_origin",
         lambda: np.allclose(
-            w_disc_hess(DiscEnergyContext(origin), origin, FourierSeries.zeros(8)),
+            w_disc_hess(DiscEnergyContext(origin), origin),
             2 * np.pi * np.eye(2),
             atol=1e-8,
         ),

@@ -7,14 +7,13 @@ norm and constrained to the admissible region (margins of core).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._calculus import grad_to_vec
 from .core import (
     ConformalPolyMap,
-    FourierSeries,
     VortexConfiguration,
     configuration_is_admissible,
     is_nondegenerate,
@@ -44,7 +43,6 @@ class CriticalPointReport:
     nondegenerate: bool
     iterations: int
     value: float
-    global_candidate: bool = False
 
 
 def _pack(points: np.ndarray) -> np.ndarray:
@@ -133,18 +131,16 @@ def find_critical_hat_w(f: ConformalPolyMap, init: VortexConfiguration) -> Criti
 
 
 def find_critical_w(
-    f: ConformalPolyMap,
-    ctx: DiscEnergyContext,
-    psi: FourierSeries,
-    init: VortexConfiguration,
+    f: ConformalPolyMap, ctx: DiscEnergyContext, init: VortexConfiguration
 ) -> CriticalPointReport:
-    """Newton solve for a zero of the gradient of the full energy W."""
+    """Newton solve for a zero of the gradient of the full energy W with the
+    boundary datum of ctx."""
     _, d = _checked(ctx, init)
     return _find_critical(
         init,
-        lambda a: _transport_w_du(f, ctx, a, d, psi),
-        lambda a: _transport_w_hess(f, ctx, a, d, psi),
-        lambda a: _transport_w(f, ctx, a, d, psi),
+        lambda a: _transport_w_du(f, ctx, a, d),
+        lambda a: _transport_w_hess(f, ctx, a, d),
+        lambda a: _transport_w(f, ctx, a, d),
     )
 
 
@@ -212,11 +208,5 @@ def find_max_hat_w(f: ConformalPolyMap) -> CriticalPointReport:
     if not results:
         raise NewtonDiverged("no start converged")
     # largest value wins; near-ties resolved by smallest |alpha|
-    results.sort(key=lambda rep: (-rep.value, abs(rep.location.points[0])))
-    best = results[0]
-    agree = all(
-        np.allclose(r.location.points_array(), best.location.points_array(), atol=1e-8)
-        for r in results
-    )
-    return replace(best, global_candidate=agree)
+    return min(results, key=lambda rep: (-rep.value, abs(rep.location.points[0])))
 

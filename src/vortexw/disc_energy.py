@@ -2,10 +2,11 @@
 derivatives, the composite conjugate phase trace, the full energy W, and
 the semi-stiff normal trace N.
 
-Conventions. Configurations alpha live in the open unit disc; the
-reference configuration alpha^0 of a DiscEnergyContext fixes the
-canonical boundary datum against which boundary phases psi are measured.
-All boundary functions are truncated Fourier series on the circle.
+Conventions. Configurations alpha live in the open unit disc. A
+DiscEnergyContext is the boundary datum g = g^0(alpha^0) e^{i psi}: the
+reference configuration alpha^0 fixes the canonical datum g^0, and the
+boundary phase psi is measured against it. All boundary functions are
+Fourier series on the circle, truncated at the context's trunc.
 """
 from __future__ import annotations
 
@@ -20,18 +21,26 @@ from .errors import DegreeMismatch
 
 @dataclass(frozen=True)
 class DiscEnergyContext:
-    """Reference configuration alpha^0 (defining the canonical datum) plus
-    the series truncation used for all expansions. W and N are defined only
-    for configurations of the base's total degree; the others raise
+    """The boundary datum g^0(alpha^0) e^{i psi}: the reference
+    configuration alpha^0 (defining the canonical datum g^0), the series
+    truncation used for all expansions, and the boundary phase psi (zero by
+    default). psi is cut or zero-padded to trunc modes on construction, so
+    every quantity reads the same modes of it. W and N are defined only for
+    configurations of the base's total degree; the others raise
     DegreeMismatch."""
 
     base: VortexConfiguration
     trunc: int = DEFAULT_TRUNC
+    psi: FourierSeries = FourierSeries.zeros(0)
 
     def __post_init__(self):
         validate_configuration(self.base)
         if self.trunc < 1:
             raise ValueError("trunc must be >= 1")
+        c = np.zeros(self.trunc + 1, dtype=complex)
+        kept = self.psi.coeffs[: self.trunc + 1]
+        c[: kept.size] = kept
+        object.__setattr__(self, "psi", FourierSeries(c))
 
 
 def _pairs(a, d):
@@ -144,29 +153,27 @@ def _n_disc_alpha_jacobian(trunc: int, a, d) -> np.ndarray:
     return 1j * n * db
 
 
-def _composite_coeffs(ctx: DiscEnergyContext, a, d, psi: FourierSeries) -> np.ndarray:
+def _composite_coeffs(ctx: DiscEnergyContext, a, d) -> np.ndarray:
     """Coefficients u_n = b_n + c_n (n = 1..trunc) of the composite
-    conjugate phase trace, where c_n = -i a_n comes from the user phase psi
-    (its modes beyond ctx.trunc are dropped)."""
+    conjugate phase trace, where c_n = -i a_n comes from the phase ctx.psi."""
     u = _base_shift_coeffs(ctx, a, d)
-    m = min(psi.trunc, ctx.trunc)
-    u[:m] += -1j * psi.coeffs[1 : m + 1]
+    u += -1j * ctx.psi.coeffs[1:]
     return u
 
 
-def _w_disc(ctx: DiscEnergyContext, a, d, psi: FourierSeries) -> float:
+def _w_disc(ctx: DiscEnergyContext, a, d) -> float:
     """w_disc for one configuration a (k,) with degrees d (k,)."""
-    u = _composite_coeffs(ctx, a, d, psi)
+    u = _composite_coeffs(ctx, a, d)
     n = np.arange(1, u.size + 1)
     hat = float(_hat_w(a, d))
     return hat + float(2.0 * np.pi * np.sum(n * np.abs(u) ** 2))
 
 
-def w_disc(ctx: DiscEnergyContext, cfg: VortexConfiguration, psi: FourierSeries) -> float:
-    """Full renormalized energy W(alpha, g^0 e^{i psi}) on the disc:
-    hat_w plus half the squared H^{1/2} seminorm of the composite phase,
-    W = hat_w + 2 pi sum_n n |u_n|^2."""
-    return _w_disc(ctx, *_checked(ctx, cfg), psi)
+def w_disc(ctx: DiscEnergyContext, cfg: VortexConfiguration) -> float:
+    """Full renormalized energy W(alpha, g^0 e^{i psi}) on the disc, with
+    the boundary datum of ctx: hat_w plus half the squared H^{1/2}
+    seminorm of the composite phase, W = hat_w + 2 pi sum_n n |u_n|^2."""
+    return _w_disc(ctx, *_checked(ctx, cfg))
 
 
 def _seminorm_du(a, d, u):
@@ -192,31 +199,26 @@ def _seminorm_d2(a, d, u):
     return duv, duvbar
 
 
-def _w_disc_du(ctx, a, d, psi):
+def _w_disc_du(ctx, a, d):
     """First Wirtinger derivatives of w_disc, (k,)."""
-    return _hat_w_du(a, d) + _seminorm_du(a, d, _composite_coeffs(ctx, a, d, psi))
+    return _hat_w_du(a, d) + _seminorm_du(a, d, _composite_coeffs(ctx, a, d))
 
 
-def _w_disc_d2(ctx, a, d, psi):
+def _w_disc_d2(ctx, a, d):
     """Second Wirtinger derivatives of w_disc, (k, k) each."""
     duv_h, duvbar_h = _hat_w_d2(a, d)
-    duv_s, duvbar_s = _seminorm_d2(a, d, _composite_coeffs(ctx, a, d, psi))
+    duv_s, duvbar_s = _seminorm_d2(a, d, _composite_coeffs(ctx, a, d))
     return duv_h + duv_s, duvbar_h + duvbar_s
 
 
-def w_disc_hess(ctx: DiscEnergyContext, cfg: VortexConfiguration, psi: FourierSeries) -> np.ndarray:
+def w_disc_hess(ctx: DiscEnergyContext, cfg: VortexConfiguration) -> np.ndarray:
     """Analytic alpha-Hessian of w_disc, symmetric 2k x 2k."""
-    return assemble_hessian(*_w_disc_d2(ctx, *_checked(ctx, cfg), psi))
+    return assemble_hessian(*_w_disc_d2(ctx, *_checked(ctx, cfg)))
 
 
-def n_disc(ctx: DiscEnergyContext, cfg: VortexConfiguration, psi: FourierSeries) -> FourierSeries:
+def n_disc(ctx: DiscEnergyContext, cfg: VortexConfiguration) -> FourierSeries:
     """Semi-stiff trace N(alpha, g^0 e^{i psi}): the boundary function whose
     vanishing characterizes prescribed-degree critical points. Zero mean by
-    construction; mode n coefficient n a_n + i n b_n."""
-    b = _base_shift_coeffs(ctx, *_checked(ctx, cfg))
-    n = np.arange(1, ctx.trunc + 1)
-    c = np.zeros(ctx.trunc + 1, dtype=complex)
-    m = min(psi.trunc, ctx.trunc)
-    c[1 : m + 1] = n[:m] * psi.coeffs[1 : m + 1]
-    c[1:] += 1j * n * b
-    return FourierSeries(c)
+    construction; mode n coefficient i n u_n = n a_n + i n b_n."""
+    u = _composite_coeffs(ctx, *_checked(ctx, cfg))
+    return FourierSeries(np.concatenate(([0.0], 1j * np.arange(1, ctx.trunc + 1) * u)))

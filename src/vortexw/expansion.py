@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import grad_phi_field
-from .core import FourierSeries, VortexConfiguration
+from .core import VortexConfiguration
 from .disc_energy import DiscEnergyContext, _checked, w_disc
 from .errors import EvaluationAtVortex, InvalidRadius
 from .harmonic import AnnulusQuadrature
@@ -28,21 +28,25 @@ _VORTEX_EVAL_TOL = 1e-12
 PATCH_RADIAL = 96
 PATCH_ANGULAR = 256
 
-
-def _gprime_coeffs(psi: FourierSeries) -> np.ndarray:
-    """Coefficients of P(z) = 2 sum_{n>=1} n a_n z^{n-1}, without the
-    trailing zeros of modes psi does not use, so the kernel does not
-    evaluate them on every node."""
-    n = np.arange(1, psi.trunc + 1)
-    return np.trim_zeros(2.0 * n * psi.coeffs[1:], "b")
+# Smallest core radius punctured_energy accepts, whatever the vortices; the
+# bound also rises to 1024 ulps of the largest |a_j| (see punctured_energy).
+RHO_FLOOR = 1e-20
 
 
-def grad_phi_ag(ctx: DiscEnergyContext, cfg: VortexConfiguration, psi: FourierSeries, z):
+def _gprime_coeffs(ctx: DiscEnergyContext) -> np.ndarray:
+    """Coefficients of P(z) = 2 sum_{n>=1} n a_n z^{n-1} for the phase
+    ctx.psi, without the trailing zeros of modes it does not use, so the
+    kernel does not evaluate them on every node."""
+    n = np.arange(1, ctx.trunc + 1)
+    return np.trim_zeros(2.0 * n * ctx.psi.coeffs[1:], "b")
+
+
+def grad_phi_ag(ctx: DiscEnergyContext, cfg: VortexConfiguration, z):
     """Gradient of the total phase potential at z, as dx + i dy.
 
     The modulus squared of this field is the Dirichlet density of the
-    explicit unimodular map with vortices cfg and boundary phase psi over
-    the canonical datum of ctx.base.
+    explicit unimodular map with vortices cfg and the boundary datum of
+    ctx: the phase ctx.psi over the canonical datum of ctx.base.
     """
     a, d = _checked(ctx, cfg)
     zz = np.asarray(z, dtype=complex)
@@ -54,7 +58,7 @@ def grad_phi_ag(ctx: DiscEnergyContext, cfg: VortexConfiguration, psi: FourierSe
         d,
         ctx.base.points_array(),
         ctx.base.degrees_array(),
-        _gprime_coeffs(psi),
+        _gprime_coeffs(ctx),
     )
     return out if out.ndim else complex(out)
 
@@ -106,12 +110,7 @@ def _global_term(quad: AnnulusQuadrature, a, windows, field) -> float:
     return float(np.sum(quad.radial_weights @ (vals * r_glob)) * dtheta)
 
 
-def punctured_energy(
-    ctx: DiscEnergyContext,
-    cfg: VortexConfiguration,
-    psi: FourierSeries,
-    rho,
-):
+def punctured_energy(ctx: DiscEnergyContext, cfg: VortexConfiguration, rho):
     """Half the Dirichlet integral of the phase gradient over the disc with
     the discs of radius rho about the vortices removed.
 
@@ -119,18 +118,29 @@ def punctured_energy(
     result is a tuple of floats, in the same order). The quadrature rules
     are built once per call, and the global term is computed once per
     distinct set of patch windows.
+
+    Every radius must lie in (0, 1), below half of each vortex's clearance,
+    and at or above max(RHO_FLOOR, 1024 ulps of max_j |a_j|): about
+    1.4e-14 for a vortex at 0.1 and 1.1e-13 for one at 0.5 or beyond.
+    Below that the patch nodes a_j + rho e^{i theta} round away the offset
+    they are built from, or the 96-node log-radial rule spreads over too
+    long a span log(r_out / rho); either costs more than about 1e-3 of the
+    energy. Any other radius raises InvalidRadius before any quadrature.
     """
     a, d = _checked(ctx, cfg)
     scalar = np.ndim(rho) == 0
     radii = (rho,) if scalar else tuple(rho)
+    rho_min = max(RHO_FLOOR, 1024 * float(np.spacing(np.max(np.abs(a)))))
     r_outs = []
     for r in radii:
         if not 0.0 < r < 1.0:
             raise InvalidRadius(f"rho = {r} outside (0, 1)")
+        if r < rho_min:
+            raise InvalidRadius(f"rho = {r} below {rho_min:.3g}, the smallest radius resolved here")
         r_outs.append(_patch_radii(cfg, r))
     a0 = ctx.base.points_array()
     d0 = ctx.base.degrees_array()
-    gp = _gprime_coeffs(psi)
+    gp = _gprime_coeffs(ctx)
 
     def field(z):
         return grad_phi_field(z, a, d, a0, d0, gp)
@@ -176,12 +186,7 @@ class ExpansionReport:
     residuals: tuple
 
 
-def expansion_report(
-    ctx: DiscEnergyContext,
-    cfg: VortexConfiguration,
-    psi: FourierSeries,
-    rho_list,
-) -> ExpansionReport:
+def expansion_report(ctx: DiscEnergyContext, cfg: VortexConfiguration, rho_list) -> ExpansionReport:
     """Fit E(rho) = pi (sum d^2) log(1/rho) + W + C rho with the log
     coefficient held fixed, and compare the fitted W with the closed form.
 
@@ -192,7 +197,7 @@ def expansion_report(
     if len(rho) < 3 or any(r2 >= r1 for r1, r2 in zip(rho, rho[1:])):
         raise InvalidRadius("need at least 3 strictly decreasing rho values")
     coeff_log = np.pi * float(np.sum(cfg.degrees_array() ** 2))
-    energies = punctured_energy(ctx, cfg, psi, rho)
+    energies = punctured_energy(ctx, cfg, rho)
     y = np.array(energies) - coeff_log * np.log(1.0 / np.array(rho))
     design = np.column_stack([np.ones(len(rho)), np.array(rho)])
     (w_est, slope), *_ = np.linalg.lstsq(design, y, rcond=None)
@@ -206,7 +211,7 @@ def expansion_report(
         rho=rho,
         energies=energies,
         w_estimate=float(w_est),
-        w_formula=w_disc(ctx, cfg, psi),
+        w_formula=w_disc(ctx, cfg),
         fitted_slope=float(slope),
         slope_check=bool(slope_ok),
         residuals=residuals,

@@ -24,7 +24,6 @@ import numpy as np
 from ._calculus import grad_to_vec, m_matrix
 from .core import (
     ConformalPolyMap,
-    FourierSeries,
     VortexConfiguration,
     is_nondegenerate,
     validate_map,
@@ -58,7 +57,7 @@ def check_nd1(f: ConformalPolyMap) -> Nd1Report:
         raise NoCriticalPointFound(str(exc)) from exc
     cfg = rep.location
     ctx = DiscEnergyContext(cfg)
-    h_w = transport_w_hess(f, ctx, cfg, FourierSeries.zeros(ctx.trunc))
+    h_w = transport_w_hess(f, ctx, cfg)
     passed = rep.nondegenerate and is_nondegenerate(h_w)
     alpha0 = cfg.points[0]
     return Nd1Report(
@@ -120,7 +119,7 @@ def assemble_du_matrix(f: ConformalPolyMap, nd1: Nd1Report, trunc: int) -> np.nd
     ctx = DiscEnergyContext(cfg, trunc=trunc)
     a, d = cfg.points_array(), cfg.degrees_array()
     dn_dpsi, dg_dpsi = _psi_columns(a, d, trunc)
-    h = _transport_w_hess(f, ctx, a, d, FourierSeries.zeros(trunc))
+    h = _transport_w_hess(f, ctx, a, d)
     dn_dalpha = _n_disc_alpha_jacobian(trunc, a, d).T
     du = dn_dpsi - dn_dalpha @ np.linalg.solve(h, dg_dpsi)
     # mode coefficient c on cos n theta, sin n theta: (2 Re c, -2 Im c), the

@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._calculus import assemble_hessian, grad_to_vec
-from .core import ConformalPolyMap, FourierSeries, VortexConfiguration, validate_configuration
+from .core import ConformalPolyMap, VortexConfiguration, validate_configuration
 from .disc_energy import (
     DiscEnergyContext,
     _checked,
@@ -67,19 +67,19 @@ def _transport_hat_w_hess(f: ConformalPolyMap, a, d) -> np.ndarray:
     return assemble_hessian(duv + _log_fprime_d2(f, a, d), duvbar)
 
 
-def _transport_w(f, ctx, a, d, psi) -> float:
+def _transport_w(f, ctx, a, d) -> float:
     """Full energy on Omega for one configuration a (k,) with degrees d (k,)."""
-    return _w_disc(ctx, a, d, psi) + float(_log_fprime(f, a, d))
+    return _w_disc(ctx, a, d) + float(_log_fprime(f, a, d))
 
 
-def _transport_w_du(f, ctx, a, d, psi) -> np.ndarray:
+def _transport_w_du(f, ctx, a, d) -> np.ndarray:
     """First Wirtinger derivatives of the full energy on Omega, (k,)."""
-    return _w_disc_du(ctx, a, d, psi) + _log_fprime_du(f, a, d)
+    return _w_disc_du(ctx, a, d) + _log_fprime_du(f, a, d)
 
 
-def _transport_w_hess(f, ctx, a, d, psi) -> np.ndarray:
+def _transport_w_hess(f, ctx, a, d) -> np.ndarray:
     """Hessian of the full energy on Omega."""
-    duv, duvbar = _w_disc_d2(ctx, a, d, psi)
+    duv, duvbar = _w_disc_d2(ctx, a, d)
     return assemble_hessian(duv + _log_fprime_d2(f, a, d), duvbar)
 
 
@@ -94,20 +94,16 @@ def transport_hat_w_grad(f: ConformalPolyMap, cfg: VortexConfiguration) -> np.nd
     return grad_to_vec(_transport_hat_w_du(f, cfg.points_array(), cfg.degrees_array()))
 
 
-def transport_w(
-    f: ConformalPolyMap,
-    ctx: DiscEnergyContext,
-    cfg: VortexConfiguration,
-    psi: FourierSeries,
-) -> float:
-    """Full energy on Omega in disc coordinates."""
-    return _transport_w(f, ctx, *_checked(ctx, cfg), psi)
+def transport_w(f: ConformalPolyMap, ctx: DiscEnergyContext, cfg: VortexConfiguration) -> float:
+    """Full energy on Omega in disc coordinates, with the boundary datum of
+    ctx."""
+    return _transport_w(f, ctx, *_checked(ctx, cfg))
 
 
-def transport_w_grad(f, ctx, cfg, psi) -> np.ndarray:
-    return grad_to_vec(_transport_w_du(f, ctx, *_checked(ctx, cfg), psi))
+def transport_w_grad(f, ctx, cfg) -> np.ndarray:
+    return grad_to_vec(_transport_w_du(f, ctx, *_checked(ctx, cfg)))
 
 
-def transport_w_hess(f, ctx, cfg, psi) -> np.ndarray:
-    return _transport_w_hess(f, ctx, *_checked(ctx, cfg), psi)
+def transport_w_hess(f, ctx, cfg) -> np.ndarray:
+    return _transport_w_hess(f, ctx, *_checked(ctx, cfg))
 

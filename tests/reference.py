@@ -24,10 +24,10 @@ def hat_phi(cfg, z):
     return out if out.ndim else float(out)
 
 
-def phase_potential(ctx, cfg, psi, z):
+def phase_potential(ctx, cfg, z):
     """Total phase potential at a point z: hat_phi minus the harmonic
     extension 2 Re sum_n u_n z^n of the composite conjugate phase trace."""
-    u = _composite_coeffs(ctx, cfg.points_array(), cfg.degrees_array(), psi)
+    u = _composite_coeffs(ctx, cfg.points_array(), cfg.degrees_array())
     n = np.arange(1, u.size + 1)
     return hat_phi(cfg, z) - 2 * np.real(np.sum(u * z**n))
 

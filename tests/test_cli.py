@@ -12,7 +12,6 @@ from vortexw import (
     BOUNDARY_MARGIN,
     ConformalPolyMap,
     DiscEnergyContext,
-    FourierSeries,
     VortexConfiguration,
     cli,
     hat_w,
@@ -91,10 +90,9 @@ class TestEnergy:
         degrees = (1, -1)
         f = ConformalPolyMap([0.0, 1.0, 0.1])
         ctx = DiscEnergyContext(VortexConfiguration(points, degrees), trunc=64)
-        psi = FourierSeries.zeros(64)
 
         def w(p):
-            return transport_w(f, ctx, VortexConfiguration(p, degrees), psi)
+            return transport_w(f, ctx, VortexConfiguration(p, degrees))
 
         h = 1e-5
         fd = []
@@ -312,6 +310,20 @@ class TestExpand:
             ["expand", "--map", "0,1,0.05", "--vortex", "0.5,0,1", "--rho", "0.02,0.01,0.005"],
         )
         assert code == 2
+
+    @pytest.mark.parametrize("tiny", ["1e-17", "1e-50", "1e-160"])
+    @pytest.mark.parametrize("a", ["0.1", "0"])
+    def test_tiny_radius_is_right_or_refused(self, capsys, a, tiny):
+        code = run(["expand", f"--vortex={a},0,1", "--rho", f"0.01,0.005,{tiny}"])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        payload = json.loads(captured.out)
+        if code == 1:
+            assert payload["error"] == "InvalidRadius"
+        else:
+            assert code == 0
+            # the fit tolerance of the expand benchmark
+            assert payload["abs_err"] <= 1e-2
 
 
 class TestLandscape:
@@ -613,6 +625,32 @@ class TestSelfcheckAndErrors:
         else:
             assert captured.err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            # not UTF-8
+            (["energy", "--vortex=0,0,1"], b"\xff\xfe{}"),
+            # past Python's limit on converting integer strings
+            (["energy", "--vortex=0,0,1"], b'{"trunc": ' + b"9" * 5000 + b"}"),
+            (["energy", "--vortex=0,0,1", "--psi", '{"cos": [' + "9" * 5000 + "]}"], None),
+            # integers too large for a float
+            (["energy"], b'{"vortices": [{"re": 1' + b"0" * 400 + b', "im": 0, "degree": 1}]}'),
+            (["energy", "--vortex=0,0,1"], b'{"map": {"coeffs": [[0, 0], [1' + b"0" * 400 + b", 0]]}}"),
+            (["energy", "--vortex=0,0,1", "--psi", '{"cos": [1' + "0" * 400 + "]}"], None),
+            (["expand", "--vortex=0,0,1"], b'{"rho": [1' + b"0" * 400 + b", 0.01, 0.005]}"),
+        ],
+    )
+    def test_undecodable_input_is_input_error(self, tmp_path, capsys, argv, config):
+        if config is not None:
+            path = tmp_path / "conf.json"
+            path.write_bytes(config)
+            argv = argv + ["--config", str(path)]
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
     def test_psi_without_finite_seminorm_is_input_error(self, capsys):
         argv = ["energy", "--vortex", "0.5,0,1", "--trunc", "3", "--psi"]
         with warnings.catch_warnings():
@@ -641,7 +679,10 @@ _number = st.one_of(
 _numbers = st.lists(_number, min_size=1, max_size=3).map(lambda xs: ",".join(map(repr, xs)))
 _count = st.one_of(st.integers(1, 4).map(str), _number.map(repr))
 _point = st.one_of(st.floats(-0.6, 0.6), _number)
-_radii = st.lists(st.floats(1e-3, 0.2), min_size=3, max_size=3, unique=True).map(
+# radii of the benchmark's size, or log-uniform down to 1e-300, far below the
+# smallest radius expand resolves
+_radius = st.one_of(st.floats(1e-3, 0.2), st.floats(-300.0, np.log10(0.2)).map(lambda e: 10.0**e))
+_radii = st.lists(_radius, min_size=3, max_size=3, unique=True).map(
     lambda rs: ",".join(map(repr, sorted(rs, reverse=True)))
 )
 

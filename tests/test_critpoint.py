@@ -97,28 +97,21 @@ class TestFindCriticalHatW:
 class TestFindCriticalW:
     def test_disc_fixture(self):
         ctx = DiscEnergyContext(VortexConfiguration([0.0], (1,)))
-        rep = find_critical_w(
-            IDENTITY,
-            ctx,
-            FourierSeries.zeros(ctx.trunc),
-            VortexConfiguration([0.2], (1,)),
-        )
+        rep = find_critical_w(IDENTITY, ctx, VortexConfiguration([0.2], (1,)))
         assert abs(rep.location.points[0]) < 1e-10
         np.testing.assert_allclose(rep.hessian, 2 * np.pi * np.eye(2), atol=1e-8)
 
     def test_small_psi_moves_point_slightly(self):
-        ctx = DiscEnergyContext(VortexConfiguration([0.0], (1,)))
-        psi = FourierSeries.from_real(cos=[0.05], trunc=ctx.trunc)
-        rep = find_critical_w(IDENTITY, ctx, psi, VortexConfiguration([0.0], (1,)))
+        psi = FourierSeries.from_real(cos=[0.05])
+        ctx = DiscEnergyContext(VortexConfiguration([0.0], (1,)), psi=psi)
+        rep = find_critical_w(IDENTITY, ctx, VortexConfiguration([0.0], (1,)))
         assert 0 < abs(rep.location.points[0]) < 0.1
         assert rep.nondegenerate
 
     def test_perturbed_map(self):
         f = ConformalPolyMap([0.0, 1.0, 0.05])
         ctx = DiscEnergyContext(VortexConfiguration([0.0], (1,)))
-        rep = find_critical_w(
-            f, ctx, FourierSeries.zeros(ctx.trunc), VortexConfiguration([0.0], (1,))
-        )
+        rep = find_critical_w(f, ctx, VortexConfiguration([0.0], (1,)))
         assert abs(rep.location.points[0]) < 0.2
         assert rep.nondegenerate
 
@@ -127,8 +120,8 @@ class TestFindCriticalW:
         # runs on arrays, so init's total degree is tested once where it
         # enters and the only configuration built is the report's location
         triangle = 0.5 * np.exp(2j * np.pi * np.arange(3) / 3)
-        ctx = DiscEnergyContext(VortexConfiguration(triangle, (1, 1, 1)), trunc=16)
         psi = FourierSeries.from_real(cos=[0.02, 0.01], sin=[-0.015], trunc=16)
+        ctx = DiscEnergyContext(VortexConfiguration(triangle, (1, 1, 1)), 16, psi)
         init = VortexConfiguration(0.6 * triangle * np.exp(0.01j), (1, 1, 1))
         counts = {"built": 0, "degree_tests": 0}
         build, total_degree = VortexConfiguration.__init__, VortexConfiguration.total_degree
@@ -143,7 +136,7 @@ class TestFindCriticalW:
 
         monkeypatch.setattr(VortexConfiguration, "__init__", counting_build)
         monkeypatch.setattr(VortexConfiguration, "total_degree", property(counting_total_degree))
-        rep = find_critical_w(IDENTITY, ctx, psi, init)
+        rep = find_critical_w(IDENTITY, ctx, init)
         assert rep.residual_norm <= 1e-12
         assert rep.iterations >= 3
         assert counts == {"built": 1, "degree_tests": 1}
@@ -154,7 +147,6 @@ class TestFindMaxHatW:
         rep = find_max_hat_w(IDENTITY)
         assert abs(rep.location.points[0]) < 1e-10
         assert rep.value == pytest.approx(0.0, abs=1e-12)
-        assert rep.global_candidate
 
     def test_scaling(self):
         rep = find_max_hat_w(ConformalPolyMap([0.0, 2.0]))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -107,7 +109,7 @@ def canonical_density(cfg, m=64):
     potential with psi = 0 and the reference configuration equal to cfg."""
     z = np.exp(2j * np.pi * np.arange(m) / m)
     ctx = DiscEnergyContext(cfg, trunc=16)
-    return np.real(np.conj(z) * grad_phi_ag(ctx, cfg, FourierSeries.zeros(16), z))
+    return np.real(np.conj(z) * grad_phi_ag(ctx, cfg, z))
 
 
 class TestCanonicalDatum:
@@ -135,7 +137,7 @@ class TestPsiStarBase:
         t = 0.5
         ctx = DiscEnergyContext(VortexConfiguration([0.0], (1,)), trunc=96)
         cfg = VortexConfiguration([t], (1,))
-        gap = w_disc(ctx, cfg, FourierSeries.zeros(ctx.trunc)) - hat_w(cfg)
+        gap = w_disc(ctx, cfg) - hat_w(cfg)
         assert gap == pytest.approx(-2 * np.pi * np.log(1 - t**2), rel=1e-12)
 
     def test_grad_matches_fd_of_potential(self):
@@ -151,24 +153,50 @@ class TestPsiStarBase:
             return 2 * np.real(np.sum(b * z**n))
 
         z0 = 0.3 + 0.35j
-        psi = FourierSeries.zeros(128)
-        shift = grad_phi_ag(ctx, cfg, psi, z0) - grad_phi_ag(DiscEnergyContext(cfg), cfg, psi, z0)
+        shift = grad_phi_ag(ctx, cfg, z0) - grad_phi_ag(DiscEnergyContext(cfg), cfg, z0)
         assert -shift == pytest.approx(fd_complex_gradient(ext, z0), abs=1e-7)
+
+
+class TestContextPsi:
+    """The context is the whole boundary datum: its phase psi is cut or
+    padded to the context's truncation once, and defaults to zero."""
+
+    def test_longer_psi_is_cut_to_trunc(self):
+        psi = FourierSeries.from_real(cos=[0.0] * 7 + [0.1])
+        ctx = DiscEnergyContext(ORIGIN, trunc=4, psi=psi)
+        assert psi.trunc == 8
+        assert ctx.psi.trunc == 4
+        np.testing.assert_array_equal(ctx.psi.coeffs, psi.coeffs[:5])
+
+    def test_shorter_psi_is_padded_with_zeros(self):
+        psi = FourierSeries.from_real(cos=[0.2], sin=[0.0, 0.1])
+        ctx = DiscEnergyContext(ORIGIN, trunc=16, psi=psi)
+        assert ctx.psi.trunc == 16
+        np.testing.assert_array_equal(ctx.psi.coeffs[:3], psi.coeffs)
+        assert not np.any(ctx.psi.coeffs[3:])
+
+    def test_default_is_the_zero_phase(self):
+        base = VortexConfiguration([0.2 - 0.1j, 0.3j], (1, 1))
+        cfg = VortexConfiguration([0.35 + 0.1j, -0.2 - 0.25j], (1, 1))
+        plain = DiscEnergyContext(base, trunc=16)
+        zero = DiscEnergyContext(base, 16, FourierSeries.zeros(16))
+        assert w_disc(plain, cfg) == w_disc(zero, cfg)
+        np.testing.assert_array_equal(w_disc_hess(plain, cfg), w_disc_hess(zero, cfg))
+        np.testing.assert_array_equal(n_disc(plain, cfg).coeffs, n_disc(zero, cfg).coeffs)
+        assert grad_phi_ag(plain, cfg, 0.5j) == grad_phi_ag(zero, cfg, 0.5j)
 
 
 class TestWDisc:
     def test_reduces_to_hat_w(self):
         base = VortexConfiguration([0.25 - 0.3j, -0.4], (1, 1))
         ctx = DiscEnergyContext(base)
-        psi0 = FourierSeries.zeros(ctx.trunc)
-        assert w_disc(ctx, base, psi0) == pytest.approx(hat_w(base), abs=1e-12)
+        assert w_disc(ctx, base) == pytest.approx(hat_w(base), abs=1e-12)
 
     def test_pure_psi_cost_at_base(self):
         base = VortexConfiguration([0.1 + 0.2j], (1,))
-        ctx = DiscEnergyContext(base)
-        psi = FourierSeries.from_real(cos=[0.3], sin=[0.0, 0.5], trunc=ctx.trunc)
-        expected = hat_w(base) + 0.5 * h_half_seminorm_sq(psi)
-        assert w_disc(ctx, base, psi) == pytest.approx(expected, rel=1e-12)
+        ctx = DiscEnergyContext(base, psi=FourierSeries.from_real(cos=[0.3], sin=[0.0, 0.5]))
+        expected = hat_w(base) + 0.5 * h_half_seminorm_sq(ctx.psi)
+        assert w_disc(ctx, base) == pytest.approx(expected, rel=1e-12)
 
     def test_never_below_hat_w(self):
         rng = np.random.default_rng(11)
@@ -179,25 +207,25 @@ class TestWDisc:
             psi = FourierSeries.from_real(
                 cos=rng.normal(0, 0.3, 3), sin=rng.normal(0, 0.3, 3), trunc=ctx.trunc
             )
-            assert w_disc(ctx, cfg, psi) - hat_w(cfg) >= -1e-12
+            assert w_disc(replace(ctx, psi=psi), cfg) - hat_w(cfg) >= -1e-12
 
     def test_grad_matches_fd(self):
-        ctx = DiscEnergyContext(VortexConfiguration([0.1, 0.3j], (1, 1)))
+        psi = FourierSeries.from_real(cos=[0.2, -0.1], sin=[0.15])
+        ctx = DiscEnergyContext(VortexConfiguration([0.1, 0.3j], (1, 1)), psi=psi)
         cfg = VortexConfiguration([0.35 + 0.1j, -0.2 - 0.25j], (1, 1))
-        psi = FourierSeries.from_real(cos=[0.2, -0.1], sin=[0.15], trunc=ctx.trunc)
-        g = transport_w_grad(IDENTITY, ctx, cfg, psi)
+        g = transport_w_grad(IDENTITY, ctx, cfg)
         fd = fd_gradient(
-            lambda p: w_disc(ctx, VortexConfiguration(p, cfg.degrees), psi), cfg.points_array()
+            lambda p: w_disc(ctx, VortexConfiguration(p, cfg.degrees)), cfg.points_array()
         )
         np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-7)
 
     def test_hess_matches_fd(self):
-        ctx = DiscEnergyContext(VortexConfiguration([0.1], (1,)))
+        psi = FourierSeries.from_real(cos=[0.1], sin=[0.3])
+        ctx = DiscEnergyContext(VortexConfiguration([0.1], (1,)), psi=psi)
         cfg = VortexConfiguration([0.3 - 0.2j], (1,))
-        psi = FourierSeries.from_real(cos=[0.1], sin=[0.3], trunc=ctx.trunc)
-        h = w_disc_hess(ctx, cfg, psi)
+        h = w_disc_hess(ctx, cfg)
         cols = fd_gradient(
-            lambda p: transport_w_grad(IDENTITY, ctx, VortexConfiguration(p, cfg.degrees), psi),
+            lambda p: transport_w_grad(IDENTITY, ctx, VortexConfiguration(p, cfg.degrees)),
             cfg.points_array(),
         )
         fdh = np.column_stack(cols)
@@ -208,24 +236,24 @@ class TestWDisc:
         # weighs its own points by its own degrees
         base = VortexConfiguration([0.2 + 0.1j, -0.3j, 0.5], (2, 1, -1))
         cfg = VortexConfiguration([0.4 - 0.3j, -0.1 + 0.2j], (1, 1))
-        ctx = DiscEnergyContext(base, trunc=48)
         psi = FourierSeries.from_real(cos=[0.1], sin=[0.05, 0.02], trunc=48)
+        ctx = DiscEnergyContext(base, 48, psi)
         n = np.arange(1, 49)
         b = sum(d * np.conj(a) ** n for a, d in zip(cfg.points, cfg.degrees))
         b = (b - sum(d * np.conj(a) ** n for a, d in zip(base.points, base.degrees))) / n
         u = b - 1j * psi.coeffs[1:]
         expected = hat_w(cfg) + 2 * np.pi * np.sum(n * np.abs(u) ** 2)
-        assert w_disc(ctx, cfg, psi) == pytest.approx(expected, rel=1e-12)
+        assert w_disc(ctx, cfg) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize(
         "call",
         [
-            lambda ctx, cfg, psi: w_disc(ctx, cfg, psi),
-            lambda ctx, cfg, psi: w_disc_hess(ctx, cfg, psi),
-            lambda ctx, cfg, psi: n_disc(ctx, cfg, psi),
-            lambda ctx, cfg, psi: transport_w(ConformalPolyMap([0.0, 1.0, 0.1]), ctx, cfg, psi),
-            lambda ctx, cfg, psi: grad_phi_ag(ctx, cfg, psi, 0.5j),
-            lambda ctx, cfg, psi: punctured_energy(ctx, cfg, psi, 0.01),
+            lambda ctx, cfg: w_disc(ctx, cfg),
+            lambda ctx, cfg: w_disc_hess(ctx, cfg),
+            lambda ctx, cfg: n_disc(ctx, cfg),
+            lambda ctx, cfg: transport_w(ConformalPolyMap([0.0, 1.0, 0.1]), ctx, cfg),
+            lambda ctx, cfg: grad_phi_ag(ctx, cfg, 0.5j),
+            lambda ctx, cfg: punctured_energy(ctx, cfg, 0.01),
         ],
     )
     def test_base_of_other_total_degree_raises(self, call):
@@ -233,11 +261,11 @@ class TestWDisc:
         ctx = DiscEnergyContext(VortexConfiguration([0.2, -0.3j], (1, 1)))
         cfg = VortexConfiguration([0.4 - 0.3j, -0.1 + 0.2j], (1, -1))
         with pytest.raises(DegreeMismatch):
-            call(ctx, cfg, FourierSeries.zeros(ctx.trunc))
+            call(ctx, cfg)
 
     def test_origin_hessian_fixture(self):
         ctx = DiscEnergyContext(ORIGIN)
-        h = w_disc_hess(ctx, ORIGIN, FourierSeries.zeros(ctx.trunc))
+        h = w_disc_hess(ctx, ORIGIN)
         np.testing.assert_allclose(h, 2 * np.pi * np.eye(2), atol=1e-8)
 
 
@@ -245,7 +273,7 @@ class TestNDisc:
     def test_zero_at_base_with_zero_psi(self):
         base = VortexConfiguration([0.2 - 0.1j], (1,))
         ctx = DiscEnergyContext(base)
-        tr = n_disc(ctx, base, FourierSeries.zeros(ctx.trunc))
+        tr = n_disc(ctx, base)
         np.testing.assert_allclose(tr.coeffs, 0.0, atol=1e-15)
 
     def test_always_zero_mean(self):
@@ -258,22 +286,22 @@ class TestNDisc:
             psi = FourierSeries.from_real(
                 cos=rng.normal(0, 1, 4), sin=rng.normal(0, 1, 4), trunc=ctx.trunc
             )
-            assert n_disc(ctx, cfg, psi).mean == 0.0
+            assert n_disc(replace(ctx, psi=psi), cfg).mean == 0.0
 
     def test_real_shift_closed_form(self):
         # base 0, vortex t: N(theta) = -2 t sin(theta) / (1 - 2 t cos + t^2)
         t = 0.5
         ctx = DiscEnergyContext(VortexConfiguration([0.0], (1,)), trunc=96)
         cfg = VortexConfiguration([t], (1,))
-        tr = n_disc(ctx, cfg, FourierSeries.zeros(ctx.trunc))
+        tr = n_disc(ctx, cfg)
         theta = np.linspace(0.1, 2 * np.pi, 23)
         expected = -np.sin(theta) / (1.25 - np.cos(theta))
         np.testing.assert_allclose(fourier_values(tr, theta), expected, atol=1e-10)
 
     def test_pure_psi_is_normal_derivative(self):
-        ctx = DiscEnergyContext(VortexConfiguration([0.0], (1,)), trunc=16)
         psi = FourierSeries.from_real(cos=[0.5, 0.0, 0.2], trunc=16)
-        tr = n_disc(ctx, VortexConfiguration([0.0], (1,)), psi)
+        ctx = DiscEnergyContext(VortexConfiguration([0.0], (1,)), 16, psi)
+        tr = n_disc(ctx, VortexConfiguration([0.0], (1,)))
         np.testing.assert_allclose(2 * tr.coeffs[1:4].real, [0.5, 0.0, 0.6], atol=1e-14)
 
 
@@ -320,13 +348,13 @@ def hat_w_wirtinger_loop(cfg):
     return np.pi * du, np.pi * duv, np.pi * duvbar
 
 
-def seminorm_term_wirtinger_loop(ctx, cfg, psi):
+def seminorm_term_wirtinger_loop(ctx, cfg):
     """Wirtinger derivatives of S(alpha) = 2 pi sum n |b_n(alpha) + c_n|^2."""
     a = cfg.points_array()
     d = cfg.degrees_array()
     k = cfg.k
     n = np.arange(1, ctx.trunc + 1)
-    u = _composite_coeffs(ctx, cfg.points_array(), cfg.degrees_array(), psi)
+    u = _composite_coeffs(ctx, cfg.points_array(), cfg.degrees_array())
     pw = a[:, None] ** (n[None, :] - 1)
     du = 2.0 * np.pi * d * np.sum(n[None, :] * u[None, :] * pw, axis=1)
     duv = np.zeros((k, k), dtype=complex)
@@ -372,11 +400,11 @@ class TestArrayKernelsMatchLoops:
         rng = np.random.default_rng(200 + k)
         cfg = random_configuration(rng, k)
         base = random_configuration(rng, k).points
-        ctx = DiscEnergyContext(VortexConfiguration(base, cfg.degrees), trunc=64)
         psi = FourierSeries.from_real(cos=rng.normal(0, 0.3, 5), sin=rng.normal(0, 0.3, 5), trunc=64)
+        ctx = DiscEnergyContext(VortexConfiguration(base, cfg.degrees), 64, psi)
         a, d = cfg.points_array(), cfg.degrees_array()
-        u = _composite_coeffs(ctx, a, d, psi)
-        du, duv, duvbar = seminorm_term_wirtinger_loop(ctx, cfg, psi)
+        u = _composite_coeffs(ctx, a, d)
+        du, duv, duvbar = seminorm_term_wirtinger_loop(ctx, cfg)
         assert_rel_close(_seminorm_du(a, d, u), du)
         got_uv, got_uvbar = _seminorm_d2(a, d, u)
         assert_rel_close(got_uv, duv)

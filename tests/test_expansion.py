@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,14 +15,13 @@ from vortexw import (
     hat_w,
     punctured_energy,
 )
-from vortexw.expansion import _gprime_coeffs
+from vortexw.expansion import RHO_FLOOR, _gprime_coeffs
 from vortexw.harmonic import AnnulusQuadrature
 
 from reference import fd_complex_gradient, phase_potential
 
 ORIGIN = VortexConfiguration([0.0], (1,))
 CTX0 = DiscEnergyContext(ORIGIN)
-PSI0 = FourierSeries.zeros(CTX0.trunc)
 
 # a configuration as the expand benchmark draws them: |a| <= 0.55, at least
 # 0.3 apart, so every patch has the same window at every radius below 0.02
@@ -55,55 +56,54 @@ def count_work(monkeypatch):
 class TestGradPhiAg:
     def test_radial_field_for_centered_vortex(self):
         for z in (0.3, 0.5j, -0.2 + 0.6j):
-            g = grad_phi_ag(CTX0, ORIGIN, PSI0, z)
+            g = grad_phi_ag(CTX0, ORIGIN, z)
             assert abs(g) == pytest.approx(1.0 / abs(z), rel=1e-12)
             # points radially
             assert (g * np.conj(z)).imag == pytest.approx(0.0, abs=1e-12)
 
     def test_evaluation_at_vortex(self):
         with pytest.raises(EvaluationAtVortex):
-            grad_phi_ag(CTX0, ORIGIN, PSI0, 0.0)
+            grad_phi_ag(CTX0, ORIGIN, 0.0)
 
     def test_cos_phase_at_origin(self):
         psi = FourierSeries.from_real(cos=[1.0], trunc=8)
         cfg = VortexConfiguration([0.4], (1,))
-        delta = grad_phi_ag(CTX0, cfg, psi, 0.0) - grad_phi_ag(
-            CTX0, cfg, FourierSeries.zeros(8), 0.0
-        )
+        delta = grad_phi_ag(replace(CTX0, psi=psi), cfg, 0.0) - grad_phi_ag(CTX0, cfg, 0.0)
         assert delta == pytest.approx(-1j, abs=1e-13)
 
     def test_matches_fd_of_scalar_potential(self):
-        ctx = DiscEnergyContext(VortexConfiguration([0.2 + 0.1j], (1,)), trunc=64)
-        cfg = VortexConfiguration([0.4 - 0.3j], (1,))
         psi = FourierSeries.from_real(cos=[0.1], sin=[0.05, 0.02], trunc=64)
+        ctx = DiscEnergyContext(VortexConfiguration([0.2 + 0.1j], (1,)), 64, psi)
+        cfg = VortexConfiguration([0.4 - 0.3j], (1,))
         z0 = 0.1 + 0.55j
-        fd = fd_complex_gradient(lambda z: phase_potential(ctx, cfg, psi, z), z0)
-        assert grad_phi_ag(ctx, cfg, psi, z0) == pytest.approx(fd, abs=1e-8)
+        fd = fd_complex_gradient(lambda z: phase_potential(ctx, cfg, z), z0)
+        assert grad_phi_ag(ctx, cfg, z0) == pytest.approx(fd, abs=1e-8)
 
     def test_matches_fd_with_base_of_other_count_and_degrees(self):
         # three reference vortices against two, degrees (2, 1, -1) against (1, 1)
         base = VortexConfiguration([0.2 + 0.1j, -0.3j, 0.5], (2, 1, -1))
-        ctx = DiscEnergyContext(base, trunc=64)
-        cfg = VortexConfiguration([0.4 - 0.3j, -0.1 + 0.2j], (1, 1))
         psi = FourierSeries.from_real(cos=[0.1], sin=[0.05, 0.02], trunc=64)
+        ctx = DiscEnergyContext(base, 64, psi)
+        cfg = VortexConfiguration([0.4 - 0.3j, -0.1 + 0.2j], (1, 1))
         for z0 in (0.1 + 0.55j, -0.5 - 0.2j):
-            fd = fd_complex_gradient(lambda z: phase_potential(ctx, cfg, psi, z), z0)
-            assert grad_phi_ag(ctx, cfg, psi, z0) == pytest.approx(fd, abs=1e-8)
+            fd = fd_complex_gradient(lambda z: phase_potential(ctx, cfg, z), z0)
+            assert grad_phi_ag(ctx, cfg, z0) == pytest.approx(fd, abs=1e-8)
 
     def test_zero_modes_of_psi_are_not_evaluated(self):
         cfg = VortexConfiguration([0.4 - 0.3j], (1,))
         z = np.array([0.3, 0.5j, -0.2 + 0.1j])
         short = FourierSeries.from_real(cos=[0.1], sin=[0.05, 0.02])
         padded = FourierSeries.from_real(cos=[0.1], sin=[0.05, 0.02], trunc=64)
-        assert _gprime_coeffs(padded).size == 2
-        assert _gprime_coeffs(FourierSeries.zeros(64)).size == 0
+        assert _gprime_coeffs(replace(CTX0, psi=padded)).size == 2
+        assert _gprime_coeffs(CTX0).size == 0
         np.testing.assert_array_equal(
-            grad_phi_ag(CTX0, cfg, padded, z), grad_phi_ag(CTX0, cfg, short, z)
+            grad_phi_ag(replace(CTX0, psi=padded), cfg, z),
+            grad_phi_ag(replace(CTX0, psi=short), cfg, z),
         )
 
     def test_vectorized_evaluation(self):
         z = np.array([0.3, 0.5j, -0.2 + 0.1j])
-        g = grad_phi_ag(CTX0, ORIGIN, PSI0, z)
+        g = grad_phi_ag(CTX0, ORIGIN, z)
         assert g.shape == (3,)
         np.testing.assert_allclose(g, z / np.abs(z) ** 2, atol=1e-13)
 
@@ -111,30 +111,28 @@ class TestGradPhiAg:
 class TestPuncturedEnergy:
     def test_centered_vortex_closed_form(self):
         for rho in (0.05, 0.02, 0.01):
-            e = punctured_energy(CTX0, ORIGIN, PSI0, rho)
+            e = punctured_energy(CTX0, ORIGIN, rho)
             assert e == pytest.approx(np.pi * np.log(1.0 / rho), abs=1e-6)
 
     def test_annular_additivity(self):
-        e1 = punctured_energy(CTX0, ORIGIN, PSI0, 0.02)
-        e2 = punctured_energy(CTX0, ORIGIN, PSI0, 0.04)
+        e1 = punctured_energy(CTX0, ORIGIN, 0.02)
+        e2 = punctured_energy(CTX0, ORIGIN, 0.04)
         assert e1 - e2 == pytest.approx(np.pi * np.log(2.0), abs=1e-6)
 
     def test_monotone_decreasing_in_rho(self):
         ctx = DiscEnergyContext(ORIGIN)
         cfg = VortexConfiguration([0.3 + 0.2j], (1,))
         vals = [
-            punctured_energy(ctx, cfg, PSI0, rho) for rho in (0.01, 0.02, 0.05)
+            punctured_energy(ctx, cfg, rho) for rho in (0.01, 0.02, 0.05)
         ]
         assert vals[0] > vals[1] > vals[2]
 
     def test_bad_radius(self):
         with pytest.raises(InvalidRadius):
-            punctured_energy(CTX0, ORIGIN, PSI0, 0.0)
+            punctured_energy(CTX0, ORIGIN, 0.0)
         with pytest.raises(InvalidRadius):
             # half the boundary clearance is the cutoff
-            punctured_energy(
-                CTX0, VortexConfiguration([0.6], (1,)), PSI0, 0.3
-            )
+            punctured_energy(CTX0, VortexConfiguration([0.6], (1,)), 0.3)
 
 
     @pytest.mark.parametrize(
@@ -144,7 +142,7 @@ class TestPuncturedEnergy:
             (DiscEnergyContext(TRIPLE), TRIPLE, FourierSeries.zeros(64), RADII),
             # 1.8 rho > 0.4 margin: the outer radius, and so the window,
             # changes with rho and no global term may be shared
-            (CTX0, ORIGIN, PSI0, (0.3, 0.25, 0.2)),
+            (CTX0, ORIGIN, FourierSeries.zeros(64), (0.3, 0.25, 0.2)),
             (
                 CTX0,
                 VortexConfiguration([0.4 - 0.3j], (1,)),
@@ -154,22 +152,35 @@ class TestPuncturedEnergy:
         ],
     )
     def test_radii_in_one_call_give_the_same_floats(self, ctx, cfg, psi, radii):
-        batched = punctured_energy(ctx, cfg, psi, radii)
+        ctx = replace(ctx, psi=psi)
+        batched = punctured_energy(ctx, cfg, radii)
         assert isinstance(batched, tuple)
-        assert batched == tuple(punctured_energy(ctx, cfg, psi, r) for r in radii)
+        assert batched == tuple(punctured_energy(ctx, cfg, r) for r in radii)
 
     @pytest.mark.parametrize("bad", [0.25, 0.0])
     def test_bad_radius_in_a_sequence(self, monkeypatch, bad):
         # half the boundary clearance of 0.6 is 0.2
         cfg = VortexConfiguration([0.6], (1,))
         with pytest.raises(InvalidRadius) as scalar:
-            punctured_energy(CTX0, cfg, PSI0, bad)
+            punctured_energy(CTX0, cfg, bad)
         counts = count_work(monkeypatch)
         with pytest.raises(InvalidRadius) as batched:
-            punctured_energy(CTX0, cfg, PSI0, (0.1, 0.05, bad, 0.01))
+            punctured_energy(CTX0, cfg, (0.1, 0.05, bad, 0.01))
         assert str(batched.value) == str(scalar.value)
         # every radius is checked before any quadrature runs
         assert counts == {"kernel": 0, "build": 0}
+
+
+class TestRadiusBound:
+    @pytest.mark.parametrize("a", [0.0, 1e-3, 0.1, 0.55j])
+    def test_smallest_radius_is_resolved_and_below_it_refused(self, a):
+        # the bound of the punctured_energy docstring
+        cfg = VortexConfiguration([a], (1,))
+        rho_min = max(RHO_FLOOR, 1024 * float(np.spacing(abs(a))))
+        with pytest.raises(InvalidRadius):
+            punctured_energy(CTX0, cfg, 0.99 * rho_min)
+        rep = expansion_report(CTX0, cfg, [0.01, 0.005, rho_min])
+        assert abs(rep.w_estimate - rep.w_formula) <= 1e-3
 
 
 class TestExpansionReport:
@@ -183,19 +194,19 @@ class TestExpansionReport:
     )
     def test_global_grid_and_rules_once_per_report(self, monkeypatch, ctx, cfg):
         counts = count_work(monkeypatch)
-        expansion_report(ctx, cfg, FourierSeries.zeros(ctx.trunc), RADII)
+        expansion_report(ctx, cfg, RADII)
         # one patch per vortex and radius, one global grid for all radii
         assert counts == {"kernel": len(RADII) * cfg.k + 1, "build": 1}
 
     def test_centered_vortex_estimate_is_zero(self):
-        rep = expansion_report(CTX0, ORIGIN, PSI0, [0.02, 0.01, 0.005])
+        rep = expansion_report(CTX0, ORIGIN, [0.02, 0.01, 0.005])
         assert rep.w_formula == 0.0
         assert abs(rep.w_estimate) < 1e-5
         assert rep.slope_check
 
     def test_offset_vortex_closed_form(self):
         cfg = VortexConfiguration([0.5], (1,))
-        rep = expansion_report(CTX0, cfg, PSI0, [0.02, 0.01, 0.005])
+        rep = expansion_report(CTX0, cfg, [0.02, 0.01, 0.005])
         target = -np.pi * np.log(0.75)
         assert rep.w_estimate == pytest.approx(target, abs=5e-3)
         assert rep.w_formula == pytest.approx(target, rel=1e-12)
@@ -203,20 +214,27 @@ class TestExpansionReport:
     def test_canonical_pair_matches_hat_w(self):
         cfg = VortexConfiguration([0.4, -0.4], (1, 1))
         ctx = DiscEnergyContext(cfg)
-        rep = expansion_report(ctx, cfg, FourierSeries.zeros(ctx.trunc), [0.02, 0.01, 0.005])
+        rep = expansion_report(ctx, cfg, [0.02, 0.01, 0.005])
         assert rep.w_estimate == pytest.approx(hat_w(cfg), abs=1e-2)
 
     def test_psi_never_decreases_estimate_at_base(self):
         psi = FourierSeries.from_real(cos=[0.3], trunc=CTX0.trunc)
-        plain = expansion_report(CTX0, ORIGIN, PSI0, [0.04, 0.02, 0.01])
-        bumped = expansion_report(CTX0, ORIGIN, psi, [0.04, 0.02, 0.01])
+        plain = expansion_report(CTX0, ORIGIN, [0.04, 0.02, 0.01])
+        bumped = expansion_report(replace(CTX0, psi=psi), ORIGIN, [0.04, 0.02, 0.01])
         assert bumped.w_estimate >= plain.w_estimate - 1e-8
         assert bumped.w_formula == pytest.approx(
             0.5 * np.pi * 0.3**2 * 0.5 * 2, rel=1e-10
         )
 
+    def test_psi_beyond_trunc_is_dropped_by_fit_and_formula_alike(self):
+        # the closed form and the quadrature field read the same modes of psi
+        psi = FourierSeries.from_real(cos=[0.0] * 7 + [0.1])
+        ctx = DiscEnergyContext(ORIGIN, trunc=4, psi=psi)
+        rep = expansion_report(ctx, ORIGIN, [0.02, 0.01, 0.005])
+        assert abs(rep.w_estimate - rep.w_formula) <= 1e-4
+
     def test_needs_three_decreasing_radii(self):
         with pytest.raises(InvalidRadius):
-            expansion_report(CTX0, ORIGIN, PSI0, [0.02, 0.01])
+            expansion_report(CTX0, ORIGIN, [0.02, 0.01])
         with pytest.raises(InvalidRadius):
-            expansion_report(CTX0, ORIGIN, PSI0, [0.01, 0.02, 0.005])
+            expansion_report(CTX0, ORIGIN, [0.01, 0.02, 0.005])

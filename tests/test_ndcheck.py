@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,8 +40,9 @@ def fd_du_matrix(f, nd1, trunc):
     ctx = DiscEnergyContext(start, trunc=trunc)
 
     def trace(psi):
-        rep = find_critical_w(f, ctx, psi, start)
-        c = n_disc(ctx, rep.location, psi).coeffs[1:]
+        datum = replace(ctx, psi=psi)
+        rep = find_critical_w(f, datum, start)
+        c = n_disc(datum, rep.location).coeffs[1:]
         out = np.empty(2 * trunc)
         out[0::2] = 2.0 * c.real
         out[1::2] = -2.0 * c.imag
@@ -70,17 +72,16 @@ def loop_psi_columns(f, cfg, trunc):
     differences of the checked public functions, one mode at a time: the
     oracle for the closed-form columns."""
     ctx = DiscEnergyContext(cfg, trunc=trunc)
-    zero = FourierSeries.zeros(trunc)
-    n0 = n_disc(ctx, cfg, zero).coeffs[1:]
-    g0 = transport_w_grad(f, ctx, cfg, zero)
+    n0 = n_disc(ctx, cfg).coeffs[1:]
+    g0 = transport_w_grad(f, ctx, cfg)
     dn_dpsi = np.empty((trunc, 2 * trunc), dtype=complex)
     dg_dpsi = np.empty((2 * cfg.k, 2 * trunc))
     for m in range(2 * trunc):
         modes = np.zeros((2, trunc))
         modes[m % 2, m // 2] = 1.0
         e = FourierSeries.from_real(cos=modes[0], sin=modes[1], trunc=trunc)
-        dn_dpsi[:, m] = n_disc(ctx, cfg, e).coeffs[1:] - n0
-        dg_dpsi[:, m] = transport_w_grad(f, ctx, cfg, e) - g0
+        dn_dpsi[:, m] = n_disc(replace(ctx, psi=e), cfg).coeffs[1:] - n0
+        dg_dpsi[:, m] = transport_w_grad(f, replace(ctx, psi=e), cfg) - g0
     return dn_dpsi, dg_dpsi
 
 
@@ -116,7 +117,7 @@ class TestCheckNd1:
             rep = find_critical_hat_w(f, VortexConfiguration([0.0], (1,)))
             assert rep.nondegenerate
             ctx = DiscEnergyContext(rep.location)
-            h_w = w_disc_hess(ctx, rep.location, FourierSeries.zeros(ctx.trunc))
+            h_w = w_disc_hess(ctx, rep.location)
             assert np.linalg.svd(h_w, compute_uv=False)[-1] > 1e-8 * np.pi
 
     def test_validates_each_configuration_once(self, monkeypatch):

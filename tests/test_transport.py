@@ -93,16 +93,14 @@ class TestTransportHatW:
 
 class TestTransportW:
     def test_identity_is_noop(self):
-        ctx = DiscEnergyContext(VortexConfiguration([0.1], (1,)))
+        ctx = DiscEnergyContext(VortexConfiguration([0.1], (1,)), psi=FourierSeries.from_real(cos=[0.2]))
         cfg = VortexConfiguration([0.3], (1,))
-        psi = FourierSeries.from_real(cos=[0.2], trunc=ctx.trunc)
-        assert transport_w(IDENTITY, ctx, cfg, psi) == w_disc(ctx, cfg, psi)
+        assert transport_w(IDENTITY, ctx, cfg) == w_disc(ctx, cfg)
 
     def test_validates_once(self, monkeypatch):
         f = ConformalPolyMap([0.0, 1.0, 0.05])
-        ctx = DiscEnergyContext(VortexConfiguration([0.1, -0.2j], (1, 1)))
+        ctx = DiscEnergyContext(VortexConfiguration([0.1, -0.2j], (1, 1)), psi=FourierSeries.from_real(cos=[0.2]))
         cfg = VortexConfiguration([0.3, 0.1 + 0.2j], (1, 1))
-        psi = FourierSeries.from_real(cos=[0.2], trunc=ctx.trunc)
         calls = []
         validate = disc_energy.validate_configuration
 
@@ -112,7 +110,7 @@ class TestTransportW:
 
         for mod in (disc_energy, transport):
             monkeypatch.setattr(mod, "validate_configuration", counting_validate)
-        transport_w(f, ctx, cfg, psi)
+        transport_w(f, ctx, cfg)
         assert calls == [cfg]
 
     def test_grad_correction_at_origin(self):
@@ -121,8 +119,7 @@ class TestTransportW:
         f = ConformalPolyMap([0.0, 1.0, eps])
         ctx = DiscEnergyContext(VortexConfiguration([0.0], (1,)))
         cfg = VortexConfiguration([0.0], (1,))
-        psi0 = FourierSeries.zeros(ctx.trunc)
-        g = transport_w_grad(f, ctx, cfg, psi0)
+        g = transport_w_grad(f, ctx, cfg)
         # w_disc part vanishes at the base origin
         np.testing.assert_allclose(
             g, [2 * np.pi * eps.real, -2 * np.pi * eps.imag], atol=1e-12
