@@ -20,22 +20,22 @@ def grad_to_vec(wirtinger_du: np.ndarray) -> np.ndarray:
 
 
 def assemble_hessian(f_uv, f_uvbar) -> np.ndarray:
-    """Assemble the symmetric 2k x 2k real Hessian from k x k Wirtinger arrays
-    f_uv[j, l] = d^2 F / (d alpha_j d alpha_l) and
-    f_uvbar[j, l] = d^2 F / (d alpha_j d conj(alpha_l)).
+    """Assemble the symmetric 2k x 2k real Hessians from (..., k, k) Wirtinger
+    arrays f_uv[..., j, l] = d^2 F / (d alpha_j d alpha_l) and
+    f_uvbar[..., j, l] = d^2 F / (d alpha_j d conj(alpha_l)), (..., 2k, 2k).
 
     The 2x2 block coupling alpha_j and alpha_l is
     2 [[Re(a + c), Im(c - a)], [-Im(a + c), Re(c - a)]] with a = f_uv[j, l],
     c = f_uvbar[j, l].
     """
     a, c = np.asarray(f_uv), np.asarray(f_uvbar)
-    k = a.shape[0]
-    h = np.empty((2 * k, 2 * k))
-    h[0::2, 0::2] = 2.0 * (a.real + c.real)
-    h[0::2, 1::2] = 2.0 * (c.imag - a.imag)
-    h[1::2, 0::2] = -2.0 * (a.imag + c.imag)
-    h[1::2, 1::2] = 2.0 * (c.real - a.real)
-    return 0.5 * (h + h.T)
+    k = a.shape[-1]
+    h = np.empty(a.shape[:-2] + (2 * k, 2 * k))
+    h[..., 0::2, 0::2] = 2.0 * (a.real + c.real)
+    h[..., 0::2, 1::2] = 2.0 * (c.imag - a.imag)
+    h[..., 1::2, 0::2] = -2.0 * (a.imag + c.imag)
+    h[..., 1::2, 1::2] = 2.0 * (c.real - a.real)
+    return 0.5 * (h + np.swapaxes(h, -1, -2))
 
 
 def m_matrix(w: complex) -> np.ndarray:

@@ -52,6 +52,9 @@ from .transport import (
 # nd at trunc 512 takes seconds, and a grid of 1001 writes a million rows.
 MAX_TRUNC = 512
 MAX_GRID = 1001
+# Largest |degree| of a vortex accepted: the energies grow as the squared
+# degrees, and a degree too large for a float would overflow them.
+MAX_DEGREE = 1000
 
 
 class InputError(Exception):
@@ -97,14 +100,23 @@ def _build_configuration(entries) -> VortexConfiguration:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"bad vortex entry: {exc}") from exc
     for deg in degs:
-        if isinstance(deg, bool) or not isinstance(deg, int):
-            raise InputError(f"vortex degree must be an integer, got {deg!r}")
+        _degree(deg)
     cfg = VortexConfiguration(pts, degs)
     try:
         validate_configuration(cfg)
     except VortexwError as exc:
         raise InputError(str(exc)) from exc
     return cfg
+
+
+def _degree(deg) -> int:
+    if isinstance(deg, bool) or not isinstance(deg, int):
+        raise InputError(f"vortex degree must be an integer, got {deg!r}")
+    if abs(deg) > MAX_DEGREE:
+        raise InputError(
+            f"vortex degree must be an integer from {-MAX_DEGREE} to {MAX_DEGREE}, got {deg!r}"
+        )
+    return deg
 
 
 def _build_base(args, cfg: VortexConfiguration, default: VortexConfiguration) -> VortexConfiguration:
@@ -340,6 +352,7 @@ def _cmd_landscape(args, conf):
     f = _build_map(args.map or conf.get("map"))
     validate_map(f)
     n = _size("grid", args.grid, MAX_GRID)
+    degree = _degree(args.degree)
     xs = np.linspace(-0.95, 0.95, n)
     gx, gy = np.meshgrid(xs, xs)  # rows run over y, columns over x
     p = np.empty(gx.size, dtype=complex)
@@ -348,7 +361,7 @@ def _cmd_landscape(args, conf):
     configs = p[:, None]
     ok = configuration_is_admissible(configs)
     values = np.full(p.size, np.nan)
-    values[ok] = _transport_hat_w(f, configs[ok], np.array([float(args.degree)]))
+    values[ok] = _transport_hat_w(f, configs[ok], np.array([float(degree)]))
     _write(_landscape_text(xs.tolist(), values.tolist(), args.csv), args.out)
     return 0
 

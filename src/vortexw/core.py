@@ -34,9 +34,12 @@ DEFAULT_TRUNC = 64
 MAP_GRID = 24
 
 
-def is_nondegenerate(hessian: np.ndarray) -> bool:
-    """Nondegeneracy verdict: smallest singular value above ND_TOL."""
-    return float(np.linalg.svd(hessian, compute_uv=False)[-1]) > ND_TOL
+def is_nondegenerate(hessian: np.ndarray):
+    """Nondegeneracy verdict: smallest singular value above ND_TOL. Returns a
+    bool for one matrix and a boolean array over the leading axes for a
+    stack (..., 2k, 2k)."""
+    ok = np.linalg.svd(hessian, compute_uv=False)[..., -1] > ND_TOL
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 @dataclass(frozen=True)

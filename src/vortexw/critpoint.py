@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._calculus import grad_to_vec
 from .core import (
     ConformalPolyMap,
     VortexConfiguration,
@@ -46,88 +45,156 @@ class CriticalPointReport:
 
 
 def _pack(points: np.ndarray) -> np.ndarray:
-    x = np.empty(2 * points.size)
-    x[0::2] = points.real
-    x[1::2] = points.imag
+    """Real coordinates (x1, y1, x2, y2, ...) of points (..., k), (..., 2k)."""
+    x = np.empty(points.shape[:-1] + (2 * points.shape[-1],))
+    x[..., 0::2] = points.real
+    x[..., 1::2] = points.imag
     return x
 
 
 def _unpack(x: np.ndarray) -> np.ndarray:
-    return x[0::2] + 1j * x[1::2]
+    return x[..., 0::2] + 1j * x[..., 1::2]
+
+
+def _norms(r: np.ndarray) -> np.ndarray:
+    # summed as np.linalg.norm sums one row, so each row takes the steps it
+    # would take alone
+    return np.sqrt(np.vecdot(r, r))
 
 
 def _newton(x0, residual, jacobian):
-    """Damped Newton on residual(x) = 0 with admissibility guard: at most
-    MAX_ITER iterations, converged when |residual| <= TOL_NEWTON.
+    """Damped Newton on residual(x) = 0 from every row of x0 (m, 2k) at once,
+    with admissibility guard. residual maps rows (n, 2k) to (n, 2k) and
+    jacobian maps them to (n, 2k, 2k); both see admissible rows only.
 
-    Returns (x, |residual|, iterations). Raises NewtonDiverged or
+    Each row takes the iterates it would take alone: Armijo backtracking
+    from its full Newton step, at most MAX_ITER iterations, converged when
+    |residual| <= TOL_NEWTON. A row is dropped with NewtonDiverged
+    (singular Jacobian, stalled line search, no convergence) or
     LeftAdmissibleRegion.
+
+    Returns (x, |residual|, iterations, errors), one entry per row; errors
+    holds None for a converged row and the exception for a dropped one.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    if not configuration_is_admissible(_unpack(x)):
-        raise LeftAdmissibleRegion("initial point outside admissible region")
-    r = residual(x)
-    rn = np.linalg.norm(r)
-    for it in range(1, MAX_ITER + 1):
-        if rn <= TOL_NEWTON:
-            return x, rn, it - 1
-        j = jacobian(x)
+    x = np.array(x0, dtype=float)
+    m = len(x)
+    r = np.zeros_like(x)
+    rn = np.full(m, np.inf)
+    its = np.zeros(m, dtype=int)
+    active = configuration_is_admissible(_unpack(x))
+    errors = [
+        None if ok else LeftAdmissibleRegion("initial point outside admissible region")
+        for ok in active
+    ]
+    if active.any():
+        r[active] = residual(x[active])
+        rn[active] = _norms(r[active])
+    for it in range(1, MAX_ITER + 2):
+        done = active & (rn <= TOL_NEWTON)
+        its[done] = it - 1
+        active &= ~done
+        rows = np.flatnonzero(active)
+        if it > MAX_ITER:
+            for i in rows:
+                errors[i] = NewtonDiverged(f"|F| = {rn[i]:.3e} after {MAX_ITER} iterations")
+            break
+        if rows.size == 0:
+            break
+        j = jacobian(x[rows])
+        step = np.zeros_like(x)
         try:
-            step = np.linalg.solve(j, -r)
-        except np.linalg.LinAlgError as exc:
-            raise NewtonDiverged(f"singular Jacobian at iteration {it}") from exc
+            step[rows] = np.linalg.solve(j, -r[rows][..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            # one solve per row gives the same bits and names the singular ones
+            for n, i in enumerate(rows):
+                try:
+                    step[i] = np.linalg.solve(j[n], -r[i])
+                except np.linalg.LinAlgError:
+                    errors[i] = NewtonDiverged(f"singular Jacobian at iteration {it}")
+                    active[i] = False
+            rows = rows[active[rows]]
+        # every row starts its backtracking from the full step here, so the
+        # rows still searching share one step size
         lam = 1.0
-        while True:
-            x_new = x + lam * step
-            if configuration_is_admissible(_unpack(x_new)):
-                r_new = residual(x_new)
-                rn_new = np.linalg.norm(r_new)
-                if rn_new <= (1.0 - 1e-4 * lam) * rn or rn_new <= TOL_NEWTON:
-                    break
+        while rows.size:
+            cand = x[rows] + lam * step[rows]
+            ok = configuration_is_admissible(_unpack(cand))
+            took = np.zeros(rows.size, dtype=bool)
+            if ok.any():
+                r_new = residual(cand[ok])
+                rn_new = _norms(r_new)
+                took[ok] = (rn_new <= (1.0 - 1e-4 * lam) * rn[rows[ok]]) | (rn_new <= TOL_NEWTON)
+                moved = rows[took]
+                x[moved] = cand[took]
+                r[moved] = r_new[took[ok]]
+                rn[moved] = rn_new[took[ok]]
+            rows = rows[~took]
             lam *= 0.5
             if lam < 1e-12:
-                if not configuration_is_admissible(_unpack(x + lam * step)):
-                    raise LeftAdmissibleRegion("no admissible decreasing step found")
-                raise NewtonDiverged(f"line search stalled at |F| = {rn:.3e}")
-        x, r, rn = x_new, r_new, rn_new
-    if rn <= TOL_NEWTON:
-        return x, rn, MAX_ITER
-    raise NewtonDiverged(f"|F| = {rn:.3e} after {MAX_ITER} iterations")
+                for i in rows:
+                    if not configuration_is_admissible(_unpack(x[i] + lam * step[i])):
+                        errors[i] = LeftAdmissibleRegion("no admissible decreasing step found")
+                    else:
+                        errors[i] = NewtonDiverged(f"line search stalled at |F| = {rn[i]:.3e}")
+                    active[i] = False
+                break
+    return x, rn, its, errors
+
+
+def _polish(starts: np.ndarray, degrees: tuple, du, hess, value) -> list:
+    """Newton solves from every start (m, k) at once for zeros of the
+    gradient whose Wirtinger derivatives du(a) are given, with Jacobian
+    hess(a) and energy value(a): kernels on configurations a (n, k) with
+    these degrees, returning (n, k), (n, 2k, 2k) and (n,). The starts are
+    checked by the caller; _newton keeps every iterate admissible, so the
+    kernels need no check.
+
+    Returns one entry per start: its CriticalPointReport, or the
+    NewtonDiverged or LeftAdmissibleRegion that dropped it."""
+    x, rn, its, out = _newton(
+        _pack(starts),
+        lambda x: _pack(2.0 * np.conj(du(_unpack(x)))),
+        lambda x: hess(_unpack(x)),
+    )
+    kept = [i for i, error in enumerate(out) if error is None]
+    if kept:
+        a = _unpack(x[kept])
+        h, v = hess(a), value(a)
+        nondegenerate = is_nondegenerate(h)
+        for n, i in enumerate(kept):
+            out[i] = CriticalPointReport(
+                location=VortexConfiguration(a[n], degrees),
+                residual_norm=rn[i],
+                hessian=h[n],
+                nondegenerate=bool(nondegenerate[n]),
+                iterations=int(its[i]),
+                value=float(v[n]),
+            )
+    return out
 
 
 def _find_critical(init: VortexConfiguration, du, hess, value) -> CriticalPointReport:
-    """Newton solve from init for a zero of the gradient whose Wirtinger
-    derivatives du(a) are given, with Jacobian hess(a) and energy value(a),
-    each a kernel on the points a (k,) of a configuration with the degrees
-    of init. init is checked by the caller; _newton keeps every iterate
-    admissible, so the kernels need no check."""
-    x, rn, its = _newton(
-        _pack(init.points_array()),
-        lambda x: grad_to_vec(du(_unpack(x))),
-        lambda x: hess(_unpack(x)),
-    )
-    a = _unpack(x)
-    h = hess(a)
-    return CriticalPointReport(
-        location=VortexConfiguration(a, init.degrees),
-        residual_norm=rn,
-        hessian=h,
-        nondegenerate=is_nondegenerate(h),
-        iterations=its,
-        value=float(value(a)),
+    """_polish from init alone; raises the error that drops it."""
+    (rep,) = _polish(init.points_array()[None], init.degrees, du, hess, value)
+    if not isinstance(rep, CriticalPointReport):
+        raise rep
+    return rep
+
+
+def _hat_w_kernels(f: ConformalPolyMap, d: np.ndarray):
+    """The kernels du, hess and value of _polish for the transported hat_w
+    with degrees d (k,)."""
+    return (
+        lambda a: _transport_hat_w_du(f, a, d),
+        lambda a: _transport_hat_w_hess(f, a, d),
+        lambda a: _transport_hat_w(f, a, d),
     )
 
 
 def find_critical_hat_w(f: ConformalPolyMap, init: VortexConfiguration) -> CriticalPointReport:
     """Newton solve for a zero of the gradient of hat_w + map correction."""
     validate_configuration(init)
-    d = init.degrees_array()
-    return _find_critical(
-        init,
-        lambda a: _transport_hat_w_du(f, a, d),
-        lambda a: _transport_hat_w_hess(f, a, d),
-        lambda a: _transport_hat_w(f, a, d),
-    )
+    return _find_critical(init, *_hat_w_kernels(f, init.degrees_array()))
 
 
 def find_critical_w(
@@ -136,11 +203,12 @@ def find_critical_w(
     """Newton solve for a zero of the gradient of the full energy W with the
     boundary datum of ctx."""
     _, d = _checked(ctx, init)
+    # the W kernels take one configuration, and the solve has one row
     return _find_critical(
         init,
-        lambda a: _transport_w_du(f, ctx, a, d),
-        lambda a: _transport_w_hess(f, ctx, a, d),
-        lambda a: _transport_w(f, ctx, a, d),
+        lambda a: _transport_w_du(f, ctx, a[0], d)[None],
+        lambda a: _transport_w_hess(f, ctx, a[0], d)[None],
+        lambda a: [_transport_w(f, ctx, a[0], d)],
     )
 
 
@@ -195,18 +263,17 @@ def _ascend(f: ConformalPolyMap, starts: np.ndarray, d: np.ndarray) -> np.ndarra
 
 def find_max_hat_w(f: ConformalPolyMap) -> CriticalPointReport:
     """Interior maximizer of the transported hat_w for one vortex of degree
-    one: the best critical point found by Newton polish
-    (find_critical_hat_w) of a batched ascent from each of the 13 starts of
+    one: the best critical point found by one batched Newton polish
+    (_polish) of a batched ascent from each of the 13 starts of
     _lattice_starts(MULTISTART). Starts whose polish fails are dropped."""
-    results = []
-    for pts in _ascend(f, _lattice_starts(MULTISTART), np.ones(1)):
-        try:
-            rep = find_critical_hat_w(f, VortexConfiguration(pts, (1,)))
-        except (NewtonDiverged, LeftAdmissibleRegion):
-            continue
-        results.append(rep)
+    d = np.ones(1)
+    starts = _ascend(f, _lattice_starts(MULTISTART), d)
+    results = [
+        rep
+        for rep in _polish(starts, (1,), *_hat_w_kernels(f, d))
+        if isinstance(rep, CriticalPointReport)
+    ]
     if not results:
         raise NewtonDiverged("no start converged")
     # largest value wins; near-ties resolved by smallest |alpha|
     return min(results, key=lambda rep: (-rep.value, abs(rep.location.points[0])))
-

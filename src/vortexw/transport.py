@@ -42,13 +42,17 @@ def _log_fprime_du(f: ConformalPolyMap, a, d) -> np.ndarray:
 
 def _log_fprime_d2(f: ConformalPolyMap, a, d) -> np.ndarray:
     """Second Wirtinger derivatives d^2/(d alpha_j d alpha_l) of the map
-    correction, (k, k): diagonal, pi d_j^2 (f3/f1 - (f2/f1)^2) / 2 with
-    f_m the m-th derivative of f at alpha_j. The mixed derivatives
-    d^2/(d alpha_j d conj(alpha_l)) vanish."""
+    correction for configurations a (..., k), (..., k, k): diagonal,
+    pi d_j^2 (f3/f1 - (f2/f1)^2) / 2 with f_m the m-th derivative of f at
+    alpha_j. The mixed derivatives d^2/(d alpha_j d conj(alpha_l)) vanish."""
     fp = _fprime(f, a)
     r2 = f.derivative(a, 2) / fp
     r3 = f.derivative(a, 3) / fp
-    return np.diag(0.5 * np.pi * d**2 * (r3 - r2**2))
+    diag = 0.5 * np.pi * d**2 * (r3 - r2**2)
+    out = np.zeros(diag.shape + diag.shape[-1:], dtype=complex)
+    i = np.arange(diag.shape[-1])
+    out[..., i, i] = diag
+    return out
 
 
 def _transport_hat_w(f: ConformalPolyMap, a, d):
@@ -62,7 +66,7 @@ def _transport_hat_w_du(f: ConformalPolyMap, a, d):
 
 
 def _transport_hat_w_hess(f: ConformalPolyMap, a, d) -> np.ndarray:
-    """Hessian of hat_w on Omega for one configuration a (k,)."""
+    """Hessians of hat_w on Omega for configurations a (..., k), (..., 2k, 2k)."""
     duv, duvbar = _hat_w_d2(a, d)
     return assemble_hessian(duv + _log_fprime_d2(f, a, d), duvbar)
 

@@ -199,6 +199,30 @@ class TestNd:
         assert payload["nd2"] == "pass"
         assert payload["sigma_min"] == pytest.approx(1.0, abs=1e-5)
 
+    def test_bytes_of_a_benchmark_operation(self, capsys):
+        # the first cubic map of the seed-7 certify pass; the reprs are those
+        # the per-start Newton polish gave when they were pinned
+        argv = [
+            "nd",
+            "--map=0.0,1.0,0.015137621738702534+0.09638712605731306j,"
+            "0.008761047569823141-0.008921770610729785j",
+            "--trunc",
+            "16",
+        ]
+        code, out = capture(capsys, argv)
+        assert code == 0
+        payload = json.loads(out)
+        assert (repr(payload["alpha0"]["re"]), repr(payload["alpha0"]["im"])) == (
+            "0.012679163391297817",
+            "-0.09124229104973883",
+        )
+        assert (repr(payload["a0"]["re"]), repr(payload["a0"]["im"])) == (
+            "0.01278221771298862",
+            "-0.0920551817968938",
+        )
+        assert repr(payload["sigma_min"]) == "0.8972663675639466"
+        assert repr(payload["sigma_min_refined"]) == "0.8972663675639463"
+
     def test_bad_trunc_exits_before_the_search(self, capsys, monkeypatch):
         def search(*args, **kwargs):
             raise AssertionError("check_nd1 ran")
@@ -253,6 +277,33 @@ class TestSizeBounds:
         captured = capsys.readouterr()
         assert captured.err == "error: grid must be an integer from 1 to 1001, got 1002\n"
         assert captured.out == ""
+
+
+    @pytest.mark.parametrize("source", ["flag", "config", "landscape"])
+    def test_degree(self, tmp_path, capsys, monkeypatch, source):
+        def compute(*args):
+            raise Reached
+
+        def argv(degree):
+            if source == "flag":
+                return ["energy", f"--vortex=0.1,0,{degree}"]
+            if source == "landscape":
+                return ["landscape", "--grid", "3", f"--degree={degree}"]
+            conf = tmp_path / "conf.json"
+            conf.write_text(json.dumps({"vortices": [{"re": 0.1, "im": 0, "degree": degree}]}))
+            return ["energy", "--config", str(conf)]
+
+        monkeypatch.setattr(cli, "hat_w", compute)
+        monkeypatch.setattr(cli, "_transport_hat_w", compute)
+        for sign in (1, -1):
+            with pytest.raises(Reached):
+                run(argv(sign * cli.MAX_DEGREE))
+            assert run(argv(sign * (cli.MAX_DEGREE + 1))) == 2
+            captured = capsys.readouterr()
+            assert captured.err == (
+                f"error: vortex degree must be an integer from -1000 to 1000, got {sign * 1001}\n"
+            )
+            assert captured.out == ""
 
 
 class TestExpand:
@@ -650,6 +701,30 @@ class TestSelfcheckAndErrors:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            # a degree too large for a float, and one whose square overflows
+            (["energy", "--vortex=0,0,1" + "0" * 400], None),
+            (["energy", "--vortex=0.1,0,1" + "0" * 200], None),
+            (["energy"], b'{"vortices": [{"re": 0.1, "im": 0, "degree": 1' + b"0" * 400 + b"}]}"),
+            (["landscape", "--grid", "3", "--degree=1" + "0" * 400], None),
+        ],
+    )
+    def test_huge_degree_is_input_error(self, tmp_path, capsys, argv, config):
+        if config is not None:
+            path = tmp_path / "conf.json"
+            path.write_bytes(config)
+            argv = argv + ["--config", str(path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: vortex degree must be an integer from -1000 to 1000")
+        assert captured.err.count("\n") == 1
 
     def test_psi_without_finite_seminorm_is_input_error(self, capsys):
         argv = ["energy", "--vortex", "0.5,0,1", "--trunc", "3", "--psi"]

@@ -5,6 +5,8 @@ from vortexw import (
     ConformalPolyMap,
     DiscEnergyContext,
     FourierSeries,
+    LeftAdmissibleRegion,
+    NewtonDiverged,
     VortexConfiguration,
     VortexTooCloseToBoundary,
     find_critical_hat_w,
@@ -13,8 +15,9 @@ from vortexw import (
     transport_hat_w,
     transport_hat_w_grad,
 )
-from vortexw import critpoint
-from vortexw.core import configuration_is_admissible
+from vortexw import critpoint, ndcheck
+from vortexw.core import BOUNDARY_MARGIN, configuration_is_admissible
+from vortexw.transport import _transport_hat_w_hess
 
 IDENTITY = ConformalPolyMap.identity()
 
@@ -38,6 +41,59 @@ def ascend_loop(f, pts, degrees):
             if step < 1e-6:
                 break
     return pts
+
+
+def polish_loop(f, pts, degrees):
+    """The Newton polish of one start as find_max_hat_w ran it, start by
+    start, before the polish was batched: through the checked public
+    functions and the one-configuration Hessian kernel, the oracle for the
+    batched polish. Returns (points, residual_norm, iterations, value,
+    hessian), or None where the start is dropped."""
+    d = np.asarray(degrees, dtype=float)
+
+    def residual(x):
+        return transport_hat_w_grad(f, VortexConfiguration(critpoint._unpack(x), degrees))
+
+    if not configuration_is_admissible(pts):
+        return None
+    x = critpoint._pack(pts)
+    r = residual(x)
+    rn = np.linalg.norm(r)
+    for it in range(1, critpoint.MAX_ITER + 2):
+        if rn <= critpoint.TOL_NEWTON:
+            break
+        if it > critpoint.MAX_ITER:
+            return None
+        try:
+            step = np.linalg.solve(_transport_hat_w_hess(f, critpoint._unpack(x), d), -r)
+        except np.linalg.LinAlgError:
+            return None
+        lam = 1.0
+        while True:
+            x_new = x + lam * step
+            if configuration_is_admissible(critpoint._unpack(x_new)):
+                r_new = residual(x_new)
+                rn_new = np.linalg.norm(r_new)
+                if rn_new <= (1.0 - 1e-4 * lam) * rn or rn_new <= critpoint.TOL_NEWTON:
+                    break
+            lam *= 0.5
+            if lam < 1e-12:
+                return None
+        x, r, rn = x_new, r_new, rn_new
+    a = critpoint._unpack(x)
+    value = transport_hat_w(f, VortexConfiguration(a, degrees))
+    return a, rn, it - 1, value, _transport_hat_w_hess(f, a, d)
+
+
+def seeded_pairs():
+    """16 seeded admissible starts of two vortices."""
+    rng = np.random.default_rng(2357)
+    starts = 0.8 * np.sqrt(rng.uniform(0, 1, (24, 2))) * np.exp(
+        2j * np.pi * rng.uniform(0, 1, (24, 2))
+    )
+    starts = starts[configuration_is_admissible(starts)][:16]
+    assert starts.shape == (16, 2)
+    return starts
 
 
 class TestFindCriticalHatW:
@@ -180,13 +236,8 @@ class TestBatchedAscent:
     @pytest.mark.parametrize("coeffs", [[0.0, 1.0], [0.0, 1.0, 0.1]])
     def test_pair_matches_loop_bit_for_bit(self, coeffs):
         f = ConformalPolyMap(coeffs)
-        # the batched ascent is written for any k; 16 seeded admissible pairs
-        rng = np.random.default_rng(2357)
-        starts = 0.8 * np.sqrt(rng.uniform(0, 1, (24, 2))) * np.exp(
-            2j * np.pi * rng.uniform(0, 1, (24, 2))
-        )
-        starts = starts[configuration_is_admissible(starts)][:16]
-        assert starts.shape == (16, 2)
+        # the batched ascent is written for any k
+        starts = seeded_pairs()
         batch = critpoint._ascend(f, starts, np.ones(2))
         loop = np.array([ascend_loop(f, s, (1, 1)) for s in starts])
         assert batch.tobytes() == loop.tobytes()
@@ -195,16 +246,105 @@ class TestBatchedAscent:
     def test_start_count(self, multistart, count):
         assert critpoint._lattice_starts(multistart).shape == (count, 1)
 
-    def test_polishes_through_module_attribute(self, monkeypatch):
-        # vwbench counts Newton solves by wrapping this module attribute
+
+# rows (x, y, tag, 0) of the synthetic system below: the tag point has zero
+# residual and a unit Jacobian block, so it never moves, and picks how the
+# first point behaves
+SYNTHETIC = {-0.5: "converges", -0.4: "singular", -0.3: "stalls", -0.2: "slow", -0.1: "outward"}
+
+
+def synthetic_residual(x):
+    r = np.zeros_like(x)
+    for n, row in enumerate(x):
+        kind = SYNTHETIC[row[2]]
+        if kind == "stalls":
+            r[n, :2] = 1.0
+        elif kind == "outward":
+            r[n, 0] = row[0] - 2.0
+        else:
+            r[n, :2] = row[:2] - (0.2, 0.1)
+    return r
+
+
+def synthetic_jacobian(x):
+    j = np.tile(np.eye(4), (len(x), 1, 1))
+    for n, row in enumerate(x):
+        j[n, :2, :2] *= {"singular": 0.0, "slow": 40.0}.get(SYNTHETIC[row[2]], 1.0)
+    return j
+
+
+class TestBatchedPolish:
+    @staticmethod
+    def check_against_loop(f, starts, degrees):
+        d = np.asarray(degrees, dtype=float)
+        batch = critpoint._polish(starts, degrees, *critpoint._hat_w_kernels(f, d))
+        for pts, rep in zip(starts, batch):
+            want = polish_loop(f, pts, degrees)
+            assert (want is None) == (not isinstance(rep, critpoint.CriticalPointReport))
+            if want is None:
+                assert isinstance(rep, (NewtonDiverged, LeftAdmissibleRegion))
+                continue
+            loc = rep.location.points_array()
+            got = (loc, rep.residual_norm, rep.iterations, rep.value, rep.hessian)
+            assert [np.asarray(v).tobytes() for v in got] == [np.asarray(v).tobytes() for v in want]
+            assert rep.nondegenerate == critpoint.is_nondegenerate(want[4])
+        return batch
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [[0.0, 1.0], [0.0, 2.0], [0.0, 1.0, 0.1], [0.0, 1.0, 0.08, 0.02j]],
+    )
+    def test_single_vortex_matches_loop_bit_for_bit(self, coeffs):
+        f = ConformalPolyMap(coeffs)
+        starts = critpoint._ascend(f, critpoint._lattice_starts(critpoint.MULTISTART), np.ones(1))
+        batch = self.check_against_loop(f, starts, (1,))
+        assert all(isinstance(rep, critpoint.CriticalPointReport) for rep in batch)
+
+    @pytest.mark.parametrize("coeffs", [[0.0, 1.0], [0.0, 1.0, 0.1]])
+    @pytest.mark.parametrize("degrees", [(1, 1), (1, -1)])
+    def test_pair_matches_loop_bit_for_bit(self, coeffs, degrees):
+        # (1, 1): the ascended pairs, all dropped as the line search stalls.
+        # (1, -1): the pairs as drawn; rows converge after 5 to 34 iterations
+        # or are dropped, each on its own schedule
+        f = ConformalPolyMap(coeffs)
+        starts = seeded_pairs()
+        if degrees == (1, 1):
+            starts = critpoint._ascend(f, starts, np.ones(2))
+        batch = self.check_against_loop(f, starts, degrees)
+        kept = sum(isinstance(rep, critpoint.CriticalPointReport) for rep in batch)
+        assert (kept == 0) if degrees == (1, 1) else (0 < kept < len(batch))
+
+    def test_newton_rows_match_one_row_runs(self):
+        starts = np.array([[0.3, 0.2, tag, 0.0] for tag in SYNTHETIC] + [[1.5, 0.0, -0.5, 0.0]])
+        # the outward row starts just inside the boundary margin
+        starts[4, :2] = (1.0 - BOUNDARY_MARGIN - 1e-13, 0.0)
+        x, rn, its, errors = critpoint._newton(starts, synthetic_residual, synthetic_jacobian)
+        assert errors[0] is None
+        assert [(type(e), str(e)) for e in errors[1:]] == [
+            (NewtonDiverged, "singular Jacobian at iteration 1"),
+            (NewtonDiverged, "line search stalled at |F| = 1.414e+00"),
+            (NewtonDiverged, f"|F| = {rn[3]:.3e} after 50 iterations"),
+            (LeftAdmissibleRegion, "no admissible decreasing step found"),
+            (LeftAdmissibleRegion, "initial point outside admissible region"),
+        ]
+        for n in range(len(starts)):
+            x1, rn1, its1, (error,) = critpoint._newton(
+                starts[n : n + 1], synthetic_residual, synthetic_jacobian
+            )
+            assert (type(error), str(error)) == (type(errors[n]), str(errors[n]))
+            if error is None:
+                assert (x1[0].tobytes(), rn1[0], its1[0]) == (x[n].tobytes(), rn[n], its[n])
+
+    def test_hessian_kernel_calls(self, monkeypatch):
+        # every start converges in two iterations: two batched Jacobians and
+        # the Hessians of the reports (13 starts took 39 calls one by one)
         calls = []
-        polish = critpoint.find_critical_hat_w
+        hess = critpoint._transport_hat_w_hess
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return polish(*args, **kwargs)
+        def counted(f, a, d):
+            calls.append(a.shape)
+            return hess(f, a, d)
 
-        monkeypatch.setattr(critpoint, "find_critical_hat_w", counted)
-        find_max_hat_w(ConformalPolyMap([0.0, 1.0, 0.1]))
-        assert len(calls) == 13
-
+        monkeypatch.setattr(critpoint, "_transport_hat_w_hess", counted)
+        ndcheck.check_nd1(ConformalPolyMap([0.0, 1.0, 0.1]))
+        assert len(calls) <= 2 + 1

@@ -159,3 +159,27 @@ class TestLogFprimeHessian:
                 ) / (4 * h * h)
         np.testing.assert_allclose(hess, fd, atol=1e-5)
 
+
+
+class TestBatchAxis:
+    # a stack of configurations gives the per-configuration results stacked,
+    # bit for bit, so that the batched Newton polish takes the steps of the
+    # per-start one
+    @pytest.mark.parametrize("coeffs", [[0.0, 1.0], [0.0, 1.0, 0.1], [0.0, 1.0, 0.08, 0.02j]])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_stack_equals_calls_stacked(self, coeffs, k):
+        f = ConformalPolyMap(coeffs)
+        rng = np.random.default_rng(k)
+        a = 0.8 * np.sqrt(rng.uniform(0, 1, (6, k)))
+        a = a * np.exp(2j * np.pi * rng.uniform(0, 1, (6, k)))
+        d = np.array([1.0, -1.0, 2.0][:k])
+        duv, duvbar = disc_energy._hat_w_d2(a, d)
+
+        def stacked(fn, *rows):
+            return np.array([fn(*args) for args in zip(*rows)]).tobytes()
+
+        assert assemble_hessian(duv, duvbar).tobytes() == stacked(assemble_hessian, duv, duvbar)
+        assert _log_fprime_d2(f, a, d).tobytes() == stacked(lambda p: _log_fprime_d2(f, p, d), a)
+        assert _transport_hat_w_hess(f, a, d).tobytes() == stacked(
+            lambda p: _transport_hat_w_hess(f, p, d), a
+        )
