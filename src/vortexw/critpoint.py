@@ -1,5 +1,6 @@
 """Newton search for critical points of the transported energies, and the
-multistart maximizer of the prescribed-degree energy.
+single-vortex maximizer of the prescribed-degree energy (one batched Newton
+solve from a fixed lattice of starts).
 
 The residual is the analytic gradient; the Jacobian is the analytic
 Hessian. Steps are damped by Armijo backtracking on the squared residual
@@ -31,7 +32,6 @@ from .transport import (
 
 TOL_NEWTON = 1e-12
 MAX_ITER = 50
-MULTISTART = 16
 
 
 @dataclass(frozen=True)
@@ -212,68 +212,29 @@ def find_critical_w(
     )
 
 
-def _lattice_starts(multistart: int) -> np.ndarray:
-    """Deterministic single-vortex starts, (starts, 1): the origin and a
-    lattice of 4 radii up to 0.8 times max(1, (multistart - 1) // 4)
-    angles, cut to the first max(multistart, 2). That is
-    1 + 4 * ((multistart - 1) // 4) starts for multistart >= 5, multistart
-    starts for 2 to 4 and 2 for multistart = 1."""
-    n_r, n_t = 4, max(1, (multistart - 1) // 4)
+def _lattice_starts() -> np.ndarray:
+    """The 13 deterministic single-vortex starts, (13, 1): the origin and
+    radii 0.2, 0.4, 0.6 and 0.8 at 3 angles each."""
     starts = [0.0] + [
-        0.8 * i / n_r * np.exp(1j * (2 * np.pi * j / n_t + 0.3 * i))
-        for i in range(1, n_r + 1)
-        for j in range(n_t)
+        0.2 * i * np.exp(1j * (2 * np.pi * j / 3 + 0.3 * i))
+        for i in range(1, 5)
+        for j in range(3)
     ]
-    return np.array(starts[: max(multistart, 2)], dtype=complex)[:, None]
-
-
-def _ascend(f: ConformalPolyMap, starts: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Up to 40 damped gradient-ascent steps on the transported hat_w from
-    every start at once, starts (starts, k) with degrees d (k,); pulls each
-    start into the Newton basin of a maximizer.
-
-    Each start keeps its own step size (0.05, halved on every rejected
-    step). A step is taken along g / max(1, |g|), g the real gradient in
-    complex form, and accepted when it stays admissible and raises hat_w.
-    A start stops when |g| < 1e-3 or its step falls below 1e-6."""
-    pts = starts.copy()
-    val = _transport_hat_w(f, pts, d)
-    step = np.full(len(pts), 0.05)
-    active = np.ones(len(pts), dtype=bool)
-    for _ in range(40):
-        g = 2.0 * np.conj(_transport_hat_w_du(f, pts, d))
-        # |g| summed as np.linalg.norm sums one start, so each start takes
-        # the steps it would take alone
-        gn = np.sqrt(np.vecdot(g.real, g.real) + np.vecdot(g.imag, g.imag))
-        active &= gn >= 1e-3
-        if not active.any():
-            break
-        cand = pts + step[:, None] * g / np.maximum(1.0, gn)[:, None]
-        ok = active & configuration_is_admissible(cand)
-        cand_val = _transport_hat_w(f, cand[ok], d)
-        up = np.zeros_like(ok)
-        up[ok] = cand_val > val[ok]
-        pts[up] = cand[up]
-        val[up] = cand_val[up[ok]]
-        down = active & ~up
-        step[down] *= 0.5
-        active &= ~(down & (step < 1e-6))
-    return pts
+    return np.array(starts, dtype=complex)[:, None]
 
 
 def find_max_hat_w(f: ConformalPolyMap) -> CriticalPointReport:
     """Interior maximizer of the transported hat_w for one vortex of degree
-    one: the best critical point found by one batched Newton polish
-    (_polish) of a batched ascent from each of the 13 starts of
-    _lattice_starts(MULTISTART). Starts whose polish fails are dropped."""
+    one: the best critical point found by one batched Newton solve
+    (_polish) from the 13 starts of _lattice_starts(). Starts whose solve
+    fails are dropped."""
     d = np.ones(1)
-    starts = _ascend(f, _lattice_starts(MULTISTART), d)
     results = [
         rep
-        for rep in _polish(starts, (1,), *_hat_w_kernels(f, d))
+        for rep in _polish(_lattice_starts(), (1,), *_hat_w_kernels(f, d))
         if isinstance(rep, CriticalPointReport)
     ]
     if not results:
         raise NewtonDiverged("no start converged")
-    # largest value wins; near-ties resolved by smallest |alpha|
+    # largest value wins; only an exact tie in value falls to the smaller |alpha|
     return min(results, key=lambda rep: (-rep.value, abs(rep.location.points[0])))

@@ -201,7 +201,8 @@ class TestNd:
 
     def test_bytes_of_a_benchmark_operation(self, capsys):
         # the first cubic map of the seed-7 certify pass; the reprs are those
-        # the per-start Newton polish gave when they were pinned
+        # the batched Newton solve from the lattice starts gave when they
+        # were pinned
         argv = [
             "nd",
             "--map=0.0,1.0,0.015137621738702534+0.09638712605731306j,"
@@ -213,15 +214,15 @@ class TestNd:
         assert code == 0
         payload = json.loads(out)
         assert (repr(payload["alpha0"]["re"]), repr(payload["alpha0"]["im"])) == (
-            "0.012679163391297817",
-            "-0.09124229104973883",
+            "0.01267916339129765",
+            "-0.09124229104973938",
         )
         assert (repr(payload["a0"]["re"]), repr(payload["a0"]["im"])) == (
-            "0.01278221771298862",
-            "-0.0920551817968938",
+            "0.012782217712988448",
+            "-0.09205518179689437",
         )
-        assert repr(payload["sigma_min"]) == "0.8972663675639466"
-        assert repr(payload["sigma_min_refined"]) == "0.8972663675639463"
+        assert repr(payload["sigma_min"]) == "0.897266367563946"
+        assert repr(payload["sigma_min_refined"]) == "0.8972663675639458"
 
     def test_bad_trunc_exits_before_the_search(self, capsys, monkeypatch):
         def search(*args, **kwargs):

@@ -122,8 +122,8 @@ class TestCheckNd1:
 
     def test_validates_each_configuration_once(self, monkeypatch):
         # the configuration is checked at each public entry, not in the
-        # ascent or Newton loops: once per polished start, plus the context
-        # and the full-energy Hessian
+        # Newton loop: once per start, plus the context and the full-energy
+        # Hessian
         calls = []
         check = core.validate_configuration
 
