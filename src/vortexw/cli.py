@@ -13,6 +13,7 @@ import json
 import math
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -193,30 +194,51 @@ def _trunc(args, conf, default: int) -> int:
 # --------------------------------------------------------------- output
 
 
-def _jsonable(x):
-    """Plain JSON types; a value that is not a finite number becomes null."""
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, complex):
-        return {"re": _jsonable(x.real), "im": _jsonable(x.imag)}
+def _float(x: float) -> str:
+    return float.__repr__(x) if math.isfinite(x) else "null"
+
+
+def _json(x, pad: str = "\n") -> str:
+    """x as json.dumps(x, indent=2, sort_keys=True) writes its plain JSON
+    form: tuples and arrays as lists, a complex number as {"im", "re"},
+    numpy scalars as Python ones, and a number that is not finite as null.
+    pad is the newline and indent of x's own level."""
     if isinstance(x, np.ndarray):
-        return _jsonable(x.tolist())
-    if isinstance(x, (np.floating, np.integer)):
+        x = x.tolist()
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        inner = pad + "  "
+        if all(type(v) is float for v in x):  # a gradient or a Hessian row
+            items = map(_float, x)
+        else:
+            items = (_json(v, inner) for v in x)
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        inner = pad + "  "
+        items = (encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in sorted(x.items()))
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(x, complex):
+        return _json({"im": x.imag, "re": x.real}, pad)
+    if isinstance(x, (np.floating, np.integer, np.bool_)):
         x = x.item()
-    if isinstance(x, np.bool_):
-        return bool(x)
-    if isinstance(x, float) and not math.isfinite(x):
-        return None
-    return x
+    if isinstance(x, float):
+        return _float(x)
+    if x is None:
+        return "null"
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    raise TypeError(f"cannot write {type(x).__name__} as JSON")
 
 
 def _emit(payload, out_path: str | None):
-    _write(
-        json.dumps(_jsonable(payload), indent=2, sort_keys=True, allow_nan=False) + "\n",
-        out_path,
-    )
+    _write(_json(payload) + "\n", out_path)
 
 
 def _write(text: str, out_path: str | None):
@@ -502,24 +524,66 @@ _DISPATCH = {
 
 
 # argparse reads a token that starts with "-" as a flag, so a value such as
-# "-0.2,0.4,1" is glued to its flag before parsing.
+# "-0.2,0.4,1" is glued to its flag, named whole or by a prefix, before
+# parsing.
 _SIGNED_VALUE_FLAGS = ("--vortex", "--base", "--map")
 _SIGNED_VALUE = re.compile(r"-[0-9.]")
+_POINT_FLAGS = ("--vortex", "--base")
+_POINT_COMMANDS = ("energy", "crit", "expand")
 
 
-def _glue_signed_values(argv) -> list:
-    out = []
+def _flag_named(head: str, flags) -> str | None:
+    """The flag of flags that head names, whole or by a prefix as argparse
+    takes it: no other flag of a subcommand starts as these do."""
+    if len(head) > 2:
+        for flag in flags:
+            if flag.startswith(head):
+                return flag
+    return None
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """The parsed argv. argparse takes tens of microseconds per token, and a
+    many-vortex run passes one --vortex per vortex. So for the subcommands
+    that read them, the --vortex and --base values are collected here, in
+    order, and argparse parses the other tokens. Where argparse could read a
+    point flag otherwise (after "--", or with no value, or right after a
+    flag that waits for one), it parses all of argv and writes its own
+    error."""
+    glued = []
     for tok in argv:
-        if out and out[-1] in _SIGNED_VALUE_FLAGS and _SIGNED_VALUE.match(tok):
-            out[-1] += "=" + tok
+        if glued and _SIGNED_VALUE.match(tok) and _flag_named(glued[-1], _SIGNED_VALUE_FLAGS):
+            glued[-1] += "=" + tok
         else:
-            out.append(tok)
-    return out
+            glued.append(tok)
+    if not glued or glued[0] not in _POINT_COMMANDS or "--" in glued:
+        return _PARSER.parse_args(glued)
+    rest, points = glued[:1], {flag: [] for flag in _POINT_FLAGS}
+    i = 1
+    while i < len(glued):
+        head, eq, value = glued[i].partition("=")
+        flag = _flag_named(head, _POINT_FLAGS)
+        if flag is None:
+            rest.append(glued[i])
+        elif glued[i - 1].startswith("-") and "=" not in glued[i - 1]:
+            return _PARSER.parse_args(glued)  # glued[i - 1] may wait for a value
+        elif eq:
+            points[flag].append(value)
+        elif i + 1 < len(glued) and not glued[i + 1].startswith("-"):
+            i += 1
+            points[flag].append(glued[i])
+        else:
+            return _PARSER.parse_args(glued)  # a point flag with no value
+        i += 1
+    args = _PARSER.parse_args(rest)
+    args.vortex = points["--vortex"] or None
+    args.base = points["--base"] or None
+    return args
 
 
 def run(argv) -> int:
     try:
-        args = _PARSER.parse_args(_glue_signed_values(argv))
+        args = _parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -10,7 +10,7 @@ Fourier series on the circle, truncated at the context's trunc.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,6 +32,8 @@ class DiscEnergyContext:
     base: VortexConfiguration
     trunc: int = DEFAULT_TRUNC
     psi: FourierSeries = FourierSeries.zeros(0)
+    # sum_l d0_l conj(alpha0_l)^n (n = 1..trunc) of the base, derived once
+    base_moments: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         validate_configuration(self.base)
@@ -41,6 +43,9 @@ class DiscEnergyContext:
         kept = self.psi.coeffs[: self.trunc + 1]
         c[: kept.size] = kept
         object.__setattr__(self, "psi", FourierSeries(c))
+        moments = _moments(self.base.points_array(), self.base.degrees_array(), self.trunc)
+        moments.setflags(write=False)
+        object.__setattr__(self, "base_moments", moments)
 
 
 def _pairs(a, d):
@@ -124,19 +129,21 @@ def _checked(ctx: DiscEnergyContext, cfg: VortexConfiguration):
     return cfg.points_array(), cfg.degrees_array()
 
 
+def _moments(a, d, trunc: int) -> np.ndarray:
+    """The moments sum_j d_j conj(alpha_j)^n (n = 1..trunc) of the
+    configuration a (k,) with degrees d (k,)."""
+    n = np.arange(1, trunc + 1)
+    pw = np.conj(a[:, None]) ** n[None, :]
+    return np.sum(d[:, None] * pw, axis=0)
+
+
 def _base_shift_coeffs(ctx: DiscEnergyContext, a, d) -> np.ndarray:
     """Coefficients b_n (n = 1..trunc) of the conjugate phase trace that
     relates the canonical data of the configuration a (k,) with degrees
     d (k,) and of the reference configuration:
     b_n = (sum_j d_j conj(alpha_j)^n - sum_l d0_l conj(alpha0_l)^n) / n.
     The two configurations may differ in count and in degrees."""
-    n = np.arange(1, ctx.trunc + 1)
-
-    def moments(a, d):
-        pw = np.conj(a[:, None]) ** n[None, :]
-        return np.sum(d[:, None] * pw, axis=0)
-
-    return (moments(a, d) - moments(ctx.base.points_array(), ctx.base.degrees_array())) / n
+    return (_moments(a, d, ctx.trunc) - ctx.base_moments) / np.arange(1, ctx.trunc + 1)
 
 
 def _n_disc_alpha_jacobian(trunc: int, a, d) -> np.ndarray:

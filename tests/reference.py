@@ -1,9 +1,13 @@
 """Reference formulas for the finite-difference tests of the phase field,
-and the map check that always builds the crossing table.
+the map check that always builds the crossing table, and the CLI's input
+and output as the generic argparse and JSON paths give them.
 
 They are written from the definitions, term by term, and are not part of
 the package.
 """
+import math
+import re
+
 import numpy as np
 
 from vortexw.core import MAP_GRID, ConformalPolyMap, _polygon_self_intersects
@@ -89,3 +93,39 @@ def validate_map_with_table(f):
         "winding": winding,
         "samples": n_samples,
     }
+
+
+def jsonable(x):
+    """Plain JSON types; a value that is not a finite number becomes null.
+    json.dumps(jsonable(p), indent=2, sort_keys=True) is the CLI output."""
+    if isinstance(x, dict):
+        return {k: jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [jsonable(v) for v in x]
+    if isinstance(x, complex):
+        return {"re": jsonable(x.real), "im": jsonable(x.imag)}
+    if isinstance(x, np.ndarray):
+        return jsonable(x.tolist())
+    if isinstance(x, (np.floating, np.integer)):
+        x = x.item()
+    if isinstance(x, np.bool_):
+        return bool(x)
+    if isinstance(x, float) and not math.isfinite(x):
+        return None
+    return x
+
+
+_SIGNED_VALUE = re.compile(r"-[0-9.]")
+
+
+def glue_signed_values(argv, flags=("--vortex", "--base", "--map")):
+    """argv with each value that starts like a negative number glued to the
+    flag before it, if that flag is one of flags; cli.run parsed
+    parse_args(glue_signed_values(argv)) with argparse alone."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in flags and _SIGNED_VALUE.match(tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out

@@ -2,11 +2,13 @@ import contextlib
 import io
 import json
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from vortexw import (
     BOUNDARY_MARGIN,
@@ -19,7 +21,9 @@ from vortexw import (
     transport_hat_w,
     transport_w,
 )
-from vortexw.cli import _jsonable, run
+from vortexw.cli import run
+
+from reference import glue_signed_values, jsonable
 
 
 def capture(capsys, argv):
@@ -129,6 +133,16 @@ class TestEnergy:
         code, first = capture(capsys, glued)
         assert code == 0
         assert capture(capsys, split) == (0, first)
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--vort", "-0.2,0.4,1"), ("--ba", "-0.1,0.3,1"), ("--ma", "-1,1")]
+    )
+    def test_leading_minus_value_after_abbreviated_flag(self, capsys, flag, value):
+        argv = ["energy", "--vortex=0.1,0.2,1"]
+        code, glued = capture(capsys, argv + [f"{flag}={value}"])
+        assert code == 0
+        assert capture(capsys, argv + [flag, value]) == (0, glued)
+        assert capture(capsys, argv)[1] != glued
 
 
 class TestCrit:
@@ -457,7 +471,7 @@ class TestLandscape:
                 records.append((float(x), float(y), v))
         csv = "".join(["x,y,hat_w\n"] + [f"{x:.6f},{y:.6f},{v}\n" for x, y, v in records])
         rows = [{"x": x, "y": y, "hat_w": v} for x, y, v in records]
-        json_text = json.dumps(_jsonable({"rows": rows}), indent=2, sort_keys=True) + "\n"
+        json_text = json.dumps(jsonable({"rows": rows}), indent=2, sort_keys=True) + "\n"
 
         argv = ["landscape", "--map", ",".join(map(str, coeffs)), "--grid", str(grid)]
         argv += ["--degree", str(degree)]
@@ -472,7 +486,7 @@ class TestLandscape:
         def refuse(*args, **kwargs):
             raise AssertionError("landscape went through the generic encoder")
 
-        monkeypatch.setattr(cli, "_jsonable", refuse)
+        monkeypatch.setattr(cli, "_json", refuse)
         monkeypatch.setattr(cli.json, "dumps", refuse)
         argv = ["landscape", "--map", "0,1,0.1", "--grid", "9"]
         code, out = capture(capsys, argv)
@@ -842,3 +856,145 @@ class TestFuzz:
         code = _run_strict(argv)
         if degrees_differ:
             assert code == 2
+
+
+def _outcome(argv, parse=None):
+    """Exit code, stdout and stderr of run(argv), parsed by parse if given."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.ExitStack() as stack:
+        if parse is not None:
+            stack.enter_context(mock.patch.object(cli, "_parse_args", parse))
+        stack.enter_context(contextlib.redirect_stdout(out))
+        stack.enter_context(contextlib.redirect_stderr(err))
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _argparse_only(argv):
+    return cli._PARSER.parse_args(glue_signed_values(argv))
+
+
+_SIGNED_FLAGS = ("--vortex", "--base", "--map")
+# every spelling that argparse takes for a flag of _SIGNED_FLAGS
+_SPELLINGS = {flag: [flag[:n] for n in range(3, len(flag) + 1)] for flag in _SIGNED_FLAGS}
+_ABBREVIATIONS = tuple(s for spellings in _SPELLINGS.values() for s in spellings[:-1])
+
+_point_value = st.one_of(
+    st.tuples(st.floats(-0.6, 0.6), st.floats(-0.6, 0.6), st.sampled_from([1, 1, 1, -1, 2])).map(
+        lambda t: f"{t[0]!r},{t[1]!r},{t[2]}"
+    ),
+    st.sampled_from(["", "-", "-x", "-1", " -0.1,0,1", "0,0", "nan,0,1", "0.1,0=1,1", "--vortex"]),
+)
+# mostly tokens that parse, and now and then one that argparse rejects or
+# reads otherwise
+_other_tokens = st.sampled_from(
+    [["--trunc", "4"], ["--trunc=4"], ["--psi", "zero"], ["--map", "identity"], ["--map", "-0.1,1"]] * 3
+    + [["--ma", "-0.1,1"], ["--m=0,1,0.05"], ["--tr", "-3"], ["--trunc"], ["--psi"], ["--grid=3"]]
+    + [["--csv"], ["--"], ["-h"], ["--he"], ["stray"], ["--unknown"]]
+)
+_POINT_FLAG_NAMES = ("--vortex", "--base")
+
+
+@st.composite
+def _point_tokens(draw):
+    flag = draw(st.sampled_from(_POINT_FLAG_NAMES * 3 + ("--vortex",) * 4))
+    odd = [flag + "x", "-" + flag[2:]]
+    spelling = draw(st.sampled_from(_SPELLINGS[flag] * 3 + odd))
+    value = draw(_point_value)
+    form = draw(st.sampled_from(["="] * 3 + ["split"] * 3 + ["bare"]))
+    if form == "=":
+        return [f"{spelling}={value}"]
+    return [spelling, value] if form == "split" else [spelling]
+
+
+@st.composite
+def _any_argv(draw):
+    """Subcommands with --vortex/--base tokens of every spelling and form,
+    mixed with other flags, values that look like flags, "--", -h, a flag
+    with no value and tokens the subcommand does not read."""
+    argv = draw(st.sampled_from([[]] * 12 + [["-h"], ["--vortex=0,0,1"]]))
+    commands = ["energy", "crit", "expand"] * 3 + ["nd", "landscape", "selfcheck"]
+    argv = argv + [draw(st.sampled_from(commands))]
+    argv += ["--trunc=4"] if draw(st.booleans()) else []
+    drawn = st.one_of(_point_tokens(), _point_tokens(), _other_tokens)
+    for tokens in draw(st.lists(drawn, min_size=1, max_size=7)):
+        argv += tokens
+    if "expand" in argv and draw(st.booleans()):
+        argv += ["--rho", "0.02,0.01,0.005"]
+    return argv
+
+
+def _mended(argv) -> bool:
+    """Whether argv holds an abbreviated flag followed by a signed value,
+    which argparse alone read as a flag with no value."""
+    return glue_signed_values(argv, _ABBREVIATIONS) != argv
+
+
+class TestArgvOracle:
+    """run parses argv with one pass over the tokens and argparse on the
+    rest. Every argv gives what argparse alone gave: the same exit code,
+    output and error text. An abbreviated flag followed by a signed value
+    now reads it, as its "=" form does."""
+
+    @given(_any_argv())
+    @example(["energy", "--vortex", "0.1,0,1", "--vortex"])
+    @example(["energy", "--vortex=0.1,0,1", "--", "--vortex=0.2,0,1"])
+    @example(["energy", "--vortex=0.1,0,1", "--", "stray", "--vortex=0.2,0,1"])
+    @example(["energy", "--trunc", "--vortex=0.1,0,1", "4"])
+    @example(["energy", "--b", "0.1,0,1", "--vo=0.2,0,1", "--base=-0.3,0,0", "--v", "-0.2,0,1"])
+    @example(["crit", "--vort=0.1,0,1", "--psi", "zero", "--trunc=4", "--b", "0,0,1", "-h"])
+    @example(["expand", "--vortex", "-", "--rho", "0.02,0.01,0.005"])
+    @example(["nd", "--vortex=0.5,0,1"])
+    @example(["landscape", "--v", "0.5,0,1", "--grid=3"])
+    @example(["energy", "--vort", "-0.2,0.4,1"])
+    @example(["energy", "--vortex=0.1,0,1", "--ma", "-1,1"])
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_same_outcome_as_argparse_alone(self, argv):
+        want = glue_signed_values(argv, _ABBREVIATIONS) if _mended(argv) else argv
+        assert _outcome(argv) == _outcome(want, _argparse_only)
+
+
+_scalar = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, float("inf"), float("-inf"), float("nan")]),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.text(),
+    st.complex_numbers(),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+)
+_array = st.one_of(
+    hnp.arrays(float, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4)),
+    hnp.arrays(complex, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=3)),
+    hnp.arrays(np.int64, st.integers(0, 4)),
+)
+_payload = st.recursive(
+    st.one_of(_scalar, _array),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+class TestWriterOracle:
+    """_emit writes what the generic JSON encoder writes for the plain JSON
+    form of the payload."""
+
+    @given(_payload)
+    @example({"error": "NewtonDiverged", "message": "α → ∞\x00\n\t\"q\"\\ \x7f"})
+    @example({"hessian": np.array([[1.5, -0.0], [np.inf, np.nan]]), "empty": [], "none": {}})
+    @example([np.float64(-0.0), np.int64(-(2**63)), np.bool_(True), (), 1e-310, 1j])
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_same_bytes_as_generic_encoder(self, payload):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._emit(payload, None)
+        want = json.dumps(jsonable(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
+        assert out.getvalue() == want

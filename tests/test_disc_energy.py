@@ -1,4 +1,5 @@
-from dataclasses import replace
+import copy
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -155,6 +156,36 @@ class TestPsiStarBase:
         z0 = 0.3 + 0.35j
         shift = grad_phi_ag(ctx, cfg, z0) - grad_phi_ag(DiscEnergyContext(cfg), cfg, z0)
         assert -shift == pytest.approx(fd_complex_gradient(ext, z0), abs=1e-7)
+
+    @pytest.mark.parametrize("k", [1, 3, 64])
+    @pytest.mark.parametrize("trunc", [1, 16, 64])
+    def test_same_floats_as_two_moments(self, k, trunc):
+        # the base's moments are taken once per context; the trace keeps
+        # the floats of taking both moments on every call
+        rng = np.random.default_rng(10 * k + trunc)
+        base = random_configuration(rng, k)
+        cfg = random_configuration(rng, 2)
+        ctx = DiscEnergyContext(base, trunc)
+        n = np.arange(1, trunc + 1)
+
+        def moments(a, d):
+            pw = np.conj(a[:, None]) ** n[None, :]
+            return np.sum(d[:, None] * pw, axis=0)
+
+        a, d = cfg.points_array(), cfg.degrees_array()
+        want = (moments(a, d) - moments(base.points_array(), base.degrees_array())) / n
+        assert _base_shift_coeffs(ctx, a, d).tobytes() == want.tobytes()
+
+    def test_derived_moments_leave_equality_hash_and_repr(self):
+        base = VortexConfiguration([0.1 + 0.2j, -0.3], (1, 2))
+        ctx = DiscEnergyContext(base, trunc=8)
+        assert [f.name for f in fields(ctx) if f.compare] == ["base", "trunc", "psi"]
+        assert repr(ctx) == f"DiscEnergyContext(base={base!r}, trunc=8, psi={ctx.psi!r})"
+        assert hash(ctx) == hash((base, 8, ctx.psi))
+        twin = copy.copy(ctx)
+        object.__setattr__(twin, "base_moments", np.zeros(8, dtype=complex))
+        assert twin == ctx and hash(twin) == hash(ctx)
+        assert not ctx.base_moments.flags.writeable
 
 
 class TestContextPsi:
