@@ -269,7 +269,7 @@ def _cmd_energy(args, conf):
         "hat_w_grad": hat_w_grad(cfg),
         "w": transport_w(f, ctx, cfg),
         "w_grad": transport_w_grad(f, ctx, cfg).tolist(),
-        "psi_seminorm_sq": h_half_seminorm_sq(harmonic_conjugate(ctx.psi)),
+        "psi_seminorm_sq": h_half_seminorm_sq(ctx.psi),
     }
     if not f.is_identity():
         payload["hat_w_domain"] = transport_hat_w(f, cfg)

@@ -191,6 +191,15 @@ def _hat_w_kernels(f: ConformalPolyMap, d: np.ndarray):
     )
 
 
+def _w_kernels(f: ConformalPolyMap, ctx: DiscEnergyContext, d: np.ndarray):
+    """The kernels of _polish for the transported W with the datum of ctx."""
+    return (
+        lambda a: _transport_w_du(f, ctx, a, d),
+        lambda a: _transport_w_hess(f, ctx, a, d),
+        lambda a: _transport_w(f, ctx, a, d),
+    )
+
+
 def find_critical_hat_w(f: ConformalPolyMap, init: VortexConfiguration) -> CriticalPointReport:
     """Newton solve for a zero of the gradient of hat_w + map correction."""
     validate_configuration(init)
@@ -203,13 +212,7 @@ def find_critical_w(
     """Newton solve for a zero of the gradient of the full energy W with the
     boundary datum of ctx."""
     _, d = _checked(ctx, init)
-    # the W kernels take one configuration, and the solve has one row
-    return _find_critical(
-        init,
-        lambda a: _transport_w_du(f, ctx, a[0], d)[None],
-        lambda a: _transport_w_hess(f, ctx, a[0], d)[None],
-        lambda a: [_transport_w(f, ctx, a[0], d)],
-    )
+    return _find_critical(init, *_w_kernels(f, ctx, d))
 
 
 def _lattice_starts() -> np.ndarray:

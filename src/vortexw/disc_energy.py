@@ -131,16 +131,15 @@ def _checked(ctx: DiscEnergyContext, cfg: VortexConfiguration):
 
 def _moments(a, d, trunc: int) -> np.ndarray:
     """The moments sum_j d_j conj(alpha_j)^n (n = 1..trunc) of the
-    configuration a (k,) with degrees d (k,)."""
+    configurations a (..., k) with degrees d (k,), (..., trunc)."""
     n = np.arange(1, trunc + 1)
-    pw = np.conj(a[:, None]) ** n[None, :]
-    return np.sum(d[:, None] * pw, axis=0)
+    return np.sum(d[:, None] * np.conj(a[..., :, None]) ** n, axis=-2)
 
 
 def _base_shift_coeffs(ctx: DiscEnergyContext, a, d) -> np.ndarray:
     """Coefficients b_n (n = 1..trunc) of the conjugate phase trace that
-    relates the canonical data of the configuration a (k,) with degrees
-    d (k,) and of the reference configuration:
+    relates the canonical data of the configurations a (..., k) with
+    degrees d (k,) and of the reference configuration:
     b_n = (sum_j d_j conj(alpha_j)^n - sum_l d0_l conj(alpha0_l)^n) / n.
     The two configurations may differ in count and in degrees."""
     return (_moments(a, d, ctx.trunc) - ctx.base_moments) / np.arange(1, ctx.trunc + 1)
@@ -163,56 +162,54 @@ def _n_disc_alpha_jacobian(trunc: int, a, d) -> np.ndarray:
 def _composite_coeffs(ctx: DiscEnergyContext, a, d) -> np.ndarray:
     """Coefficients u_n = b_n + c_n (n = 1..trunc) of the composite
     conjugate phase trace, where c_n = -i a_n comes from the phase ctx.psi."""
-    u = _base_shift_coeffs(ctx, a, d)
-    u += -1j * ctx.psi.coeffs[1:]
-    return u
+    return _base_shift_coeffs(ctx, a, d) + -1j * ctx.psi.coeffs[1:]
 
 
-def _w_disc(ctx: DiscEnergyContext, a, d) -> float:
-    """w_disc for one configuration a (k,) with degrees d (k,)."""
+def _w_disc(ctx: DiscEnergyContext, a, d):
+    """w_disc for configurations a (..., k) with degrees d (k,)."""
     u = _composite_coeffs(ctx, a, d)
-    n = np.arange(1, u.size + 1)
-    hat = float(_hat_w(a, d))
-    return hat + float(2.0 * np.pi * np.sum(n * np.abs(u) ** 2))
+    n = np.arange(1, ctx.trunc + 1)
+    return _hat_w(a, d) + 2.0 * np.pi * np.sum(n * np.abs(u) ** 2, axis=-1)
 
 
 def w_disc(ctx: DiscEnergyContext, cfg: VortexConfiguration) -> float:
     """Full renormalized energy W(alpha, g^0 e^{i psi}) on the disc, with
     the boundary datum of ctx: hat_w plus half the squared H^{1/2}
     seminorm of the composite phase, W = hat_w + 2 pi sum_n n |u_n|^2."""
-    return _w_disc(ctx, *_checked(ctx, cfg))
+    return float(_w_disc(ctx, *_checked(ctx, cfg)))
 
 
 def _seminorm_du(a, d, u):
     """First Wirtinger derivatives of S(alpha) = 2 pi sum n |b_n(alpha) + c_n|^2,
-    given its composite coefficients u_n (n = 1..N): b_n is antiholomorphic
-    with d conj(b_n) / d alpha_j = d_j alpha_j^(n-1)."""
-    n = np.arange(1, u.size + 1)
-    pw = a[:, None] ** (n - 1)
-    return 2.0 * np.pi * d * (pw @ (n * u))
+    (..., k), given its composite coefficients u_n (n = 1..N), (..., N): b_n
+    is antiholomorphic with d conj(b_n) / d alpha_j = d_j alpha_j^(n-1)."""
+    n = np.arange(1, u.shape[-1] + 1)
+    return 2.0 * np.pi * d * (a[..., :, None] ** (n - 1) @ (n * u)[..., None])[..., 0]
 
 
 def _seminorm_d2(a, d, u):
-    """Second Wirtinger derivatives of S: d^2 S/(d alpha_j d alpha_l) is
-    diagonal, d^2 S/(d alpha_j d conj(alpha_l)) is one product of the power
-    tables."""
-    n = np.arange(1, u.size + 1)
-    pw = a[:, None] ** (n - 1)
+    """Second Wirtinger derivatives of S, (..., k, k) each:
+    d^2 S/(d alpha_j d alpha_l) is diagonal, d^2 S/(d alpha_j d conj(alpha_l))
+    is one product of the power tables."""
+    n = np.arange(1, u.shape[-1] + 1)
+    pw = a[..., :, None] ** (n - 1)
     pw2 = np.zeros_like(pw)
-    pw2[:, 1:] = pw[:, :-1]
-    duv = np.diag(2.0 * np.pi * d * (pw2 @ (n * (n - 1) * u)))
+    pw2[..., 1:] = pw[..., :-1]
+    duv = np.zeros(a.shape + a.shape[-1:], dtype=complex)
+    i = np.arange(a.shape[-1])
+    duv[..., i, i] = 2.0 * np.pi * d * (pw2 @ (n * (n - 1) * u)[..., None])[..., 0]
     dpw = d[:, None] * pw
-    duvbar = 2.0 * np.pi * (n * dpw) @ dpw.conj().T
+    duvbar = 2.0 * np.pi * (n * dpw) @ np.swapaxes(dpw.conj(), -1, -2)
     return duv, duvbar
 
 
 def _w_disc_du(ctx, a, d):
-    """First Wirtinger derivatives of w_disc, (k,)."""
+    """First Wirtinger derivatives of w_disc, (..., k)."""
     return _hat_w_du(a, d) + _seminorm_du(a, d, _composite_coeffs(ctx, a, d))
 
 
 def _w_disc_d2(ctx, a, d):
-    """Second Wirtinger derivatives of w_disc, (k, k) each."""
+    """Second Wirtinger derivatives of w_disc, (..., k, k) each."""
     duv_h, duvbar_h = _hat_w_d2(a, d)
     duv_s, duvbar_s = _seminorm_d2(a, d, _composite_coeffs(ctx, a, d))
     return duv_h + duv_s, duvbar_h + duvbar_s

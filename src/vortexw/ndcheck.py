@@ -29,7 +29,7 @@ from .core import (
     validate_map,
 )
 from .critpoint import find_max_hat_w
-from .disc_energy import DiscEnergyContext, _n_disc_alpha_jacobian
+from .disc_energy import DiscEnergyContext, _n_disc_alpha_jacobian, _seminorm_du
 from .errors import LeftAdmissibleRegion, NewtonDiverged, NoCriticalPointFound
 from .transport import _transport_w_hess, transport_w_hess
 
@@ -92,13 +92,11 @@ def _psi_columns(a, d, trunc: int):
 
     Both are affine in psi. A real mode has complex coefficient
     E[n - 1, m]: 1/2 for cos n theta and -i/2 for sin n theta. N has mode
-    coefficient n a_n, so dN/dpsi = n E. psi enters grad_alpha W only
-    through the seminorm term, whose Wirtinger derivative along alpha_j is
-    2 pi d_j sum_n alpha_j^(n-1) n c_n with c_n = -i a_n."""
+    coefficient n a_n, so dN/dpsi = n E; grad_alpha W depends on psi only
+    through the seminorm term, linear in its coefficients c_n = -i a_n."""
     n = np.arange(1, trunc + 1)
     e = np.kron(np.eye(trunc), [0.5, -0.5j])
-    du = 2.0 * np.pi * d[:, None] * ((a[:, None] ** (n - 1) * n) @ (-1j * e))
-    return n[:, None] * e, grad_to_vec(du)
+    return n[:, None] * e, grad_to_vec(_seminorm_du(a, d, (-1j * e).T).T)
 
 
 def assemble_du_matrix(f: ConformalPolyMap, nd1: Nd1Report, trunc: int) -> np.ndarray:

@@ -71,18 +71,18 @@ def _transport_hat_w_hess(f: ConformalPolyMap, a, d) -> np.ndarray:
     return assemble_hessian(duv + _log_fprime_d2(f, a, d), duvbar)
 
 
-def _transport_w(f, ctx, a, d) -> float:
-    """Full energy on Omega for one configuration a (k,) with degrees d (k,)."""
-    return _w_disc(ctx, a, d) + float(_log_fprime(f, a, d))
+def _transport_w(f, ctx, a, d):
+    """Full energy on Omega for configurations a (..., k) with degrees d (k,)."""
+    return _w_disc(ctx, a, d) + _log_fprime(f, a, d)
 
 
 def _transport_w_du(f, ctx, a, d) -> np.ndarray:
-    """First Wirtinger derivatives of the full energy on Omega, (k,)."""
+    """First Wirtinger derivatives of the full energy on Omega, (..., k)."""
     return _w_disc_du(ctx, a, d) + _log_fprime_du(f, a, d)
 
 
 def _transport_w_hess(f, ctx, a, d) -> np.ndarray:
-    """Hessian of the full energy on Omega."""
+    """Hessians of the full energy on Omega, (..., 2k, 2k)."""
     duv, duvbar = _w_disc_d2(ctx, a, d)
     return assemble_hessian(duv + _log_fprime_d2(f, a, d), duvbar)
 
@@ -94,20 +94,22 @@ def transport_hat_w(f: ConformalPolyMap, cfg: VortexConfiguration) -> float:
 
 
 def transport_hat_w_grad(f: ConformalPolyMap, cfg: VortexConfiguration) -> np.ndarray:
+    """Analytic gradient of transport_hat_w as a real 2k-vector."""
     validate_configuration(cfg)
     return grad_to_vec(_transport_hat_w_du(f, cfg.points_array(), cfg.degrees_array()))
 
 
 def transport_w(f: ConformalPolyMap, ctx: DiscEnergyContext, cfg: VortexConfiguration) -> float:
-    """Full energy on Omega in disc coordinates, with the boundary datum of
-    ctx."""
-    return _transport_w(f, ctx, *_checked(ctx, cfg))
+    """Full energy on Omega in disc coordinates, with the datum of ctx."""
+    return float(_transport_w(f, ctx, *_checked(ctx, cfg)))
 
 
 def transport_w_grad(f, ctx, cfg) -> np.ndarray:
+    """Analytic gradient of transport_w as a real 2k-vector."""
     return grad_to_vec(_transport_w_du(f, ctx, *_checked(ctx, cfg)))
 
 
 def transport_w_hess(f, ctx, cfg) -> np.ndarray:
+    """Analytic Hessian of transport_w, a symmetric 2k x 2k matrix."""
     return _transport_w_hess(f, ctx, *_checked(ctx, cfg))
 

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -243,13 +245,33 @@ def synthetic_jacobian(x):
     return j
 
 
+def find_critical_w_loop(f, ctx, pts, degrees):
+    """The public find_critical_w from one start, the oracle for the W
+    kernels in the batched polish: (points, residual_norm, iterations,
+    value, hessian), or None where the start is dropped."""
+    try:
+        rep = find_critical_w(f, ctx, VortexConfiguration(pts, degrees))
+    except (NewtonDiverged, LeftAdmissibleRegion):
+        return None
+    return rep.location.points_array(), rep.residual_norm, rep.iterations, rep.value, rep.hessian
+
+
 class TestBatchedPolish:
     @staticmethod
-    def check_against_loop(f, starts, degrees):
+    def check_against_loop(f, starts, degrees, psi=None):
+        # the hat_w kernels against polish_loop; with a phase psi, the W
+        # kernels against find_critical_w
         d = np.asarray(degrees, dtype=float)
-        batch = critpoint._polish(starts, degrees, *critpoint._hat_w_kernels(f, d))
+        if psi is None:
+            kernels = critpoint._hat_w_kernels(f, d)
+            loop = partial(polish_loop, f, degrees=degrees)
+        else:
+            ctx = DiscEnergyContext(VortexConfiguration([0.6j, -0.6j], (1, -1)), 16, psi)
+            kernels = critpoint._w_kernels(f, ctx, d)
+            loop = partial(find_critical_w_loop, f, ctx, degrees=degrees)
+        batch = critpoint._polish(starts, degrees, *kernels)
         for pts, rep in zip(starts, batch):
-            want = polish_loop(f, pts, degrees)
+            want = loop(pts)
             assert (want is None) == (not isinstance(rep, critpoint.CriticalPointReport))
             if want is None:
                 assert isinstance(rep, (NewtonDiverged, LeftAdmissibleRegion))
@@ -272,13 +294,21 @@ class TestBatchedPolish:
         assert all(isinstance(rep, critpoint.CriticalPointReport) for rep in batch)
 
     @pytest.mark.parametrize("coeffs", [[0.0, 1.0], [0.0, 1.0, 0.1]])
-    @pytest.mark.parametrize("degrees", [(1, 1), (1, -1)])
-    def test_pair_matches_loop_bit_for_bit(self, coeffs, degrees):
+    @pytest.mark.parametrize(
+        ("degrees", "psi"),
+        [
+            pytest.param((1, 1), None, id="degrees0"),
+            pytest.param((1, -1), None, id="degrees1"),
+            pytest.param((1, -1), FourierSeries.from_real(cos=[0.05], sin=[0.0, 0.02]), id="w"),
+        ],
+    )
+    def test_pair_matches_loop_bit_for_bit(self, coeffs, degrees, psi):
         # (1, 1): every row is dropped, most as the line search stalls and
         # some after 50 iterations. (1, -1): rows converge after 5 to 34
-        # iterations or are dropped, each on its own schedule
+        # iterations or are dropped, each on its own schedule; so do they
+        # for W (6 to 17 iterations)
         f = ConformalPolyMap(coeffs)
-        batch = self.check_against_loop(f, seeded_pairs(), degrees)
+        batch = self.check_against_loop(f, seeded_pairs(), degrees, psi)
         kept = sum(isinstance(rep, critpoint.CriticalPointReport) for rep in batch)
         assert (kept == 0) if degrees == (1, 1) else (0 < kept < len(batch))
 

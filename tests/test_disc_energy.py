@@ -30,6 +30,8 @@ from vortexw.disc_energy import (
     _hat_w_du,
     _seminorm_d2,
     _seminorm_du,
+    _w_disc,
+    _w_disc_du,
 )
 
 from reference import fd_complex_gradient, fourier_values, hat_phi
@@ -451,3 +453,14 @@ class TestArrayKernelsMatchLoops:
         assert_rel_close(_hat_w(a, d), [hat_w_loop(c) for c in cfgs])
         for row, c in zip(_hat_w_du(a, d), cfgs):
             assert_rel_close(row, hat_w_wirtinger_loop(c)[0])
+        # the W kernels give the per-configuration results stacked, bit for
+        # bit, with a phase and a base of another vortex count
+        psi = FourierSeries.from_real(cos=[0.2, -0.1], sin=[0.05, 0.1, 0.03])
+        ctx = DiscEnergyContext(VortexConfiguration([0.3, -0.2j], (1, -1)), 16, psi)
+        u = _composite_coeffs(ctx, a, d)
+        for got, rows in [
+            (_w_disc(ctx, a, d), [_w_disc(ctx, p, d) for p in a]),
+            (_w_disc_du(ctx, a, d), [_w_disc_du(ctx, p, d) for p in a]),
+            *zip(_seminorm_d2(a, d, u), zip(*[_seminorm_d2(p, d, q) for p, q in zip(a, u)])),
+        ]:
+            assert got.tobytes() == np.array(rows).tobytes()

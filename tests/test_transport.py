@@ -183,3 +183,11 @@ class TestBatchAxis:
         assert _transport_hat_w_hess(f, a, d).tobytes() == stacked(
             lambda p: _transport_hat_w_hess(f, p, d), a
         )
+        # the W kernels, with a phase and a base of another vortex count but
+        # the same total degree
+        base_degrees = {1: (2, -1), 2: (1, 1, -2), 3: (1, 1)}[k]
+        base = VortexConfiguration([0.1, -0.3j, 0.2 + 0.2j][: len(base_degrees)], base_degrees)
+        psi = FourierSeries.from_real(cos=[0.2, -0.1], sin=[0.05, 0.1, 0.03])
+        ctx = DiscEnergyContext(base, 16, psi)
+        for fn in (transport._transport_w, transport._transport_w_du, transport._transport_w_hess):
+            assert fn(f, ctx, a, d).tobytes() == stacked(lambda p: fn(f, ctx, p, d), a)
