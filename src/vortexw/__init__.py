@@ -34,7 +34,6 @@ from .errors import (
     DegenerateDerivative,
     DegreeMismatch,
     EmptyConfiguration,
-    EvaluationAtVortex,
     InvalidRadius,
     LeftAdmissibleRegion,
     NewtonDiverged,
@@ -43,7 +42,7 @@ from .errors import (
     VortexwError,
     VorticesCollide,
 )
-from .expansion import ExpansionReport, expansion_report, grad_phi_ag, punctured_energy
+from .expansion import ExpansionReport, expansion_report, punctured_energy
 from .harmonic import AnnulusQuadrature, h_half_seminorm_sq, harmonic_conjugate
 from .ndcheck import (
     Nd1Report,
@@ -80,7 +79,6 @@ __all__ = [
     "DegreeMismatch",
     "DiscEnergyContext",
     "EmptyConfiguration",
-    "EvaluationAtVortex",
     "ExpansionReport",
     "FourierSeries",
     "InvalidRadius",
@@ -103,7 +101,6 @@ __all__ = [
     "find_critical_hat_w",
     "find_critical_w",
     "find_max_hat_w",
-    "grad_phi_ag",
     "h_half_seminorm_sq",
     "harmonic_conjugate",
     "hat_w",

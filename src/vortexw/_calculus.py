@@ -36,9 +36,3 @@ def assemble_hessian(f_uv, f_uvbar) -> np.ndarray:
     h[..., 1::2, 0::2] = -2.0 * (a.imag + c.imag)
     h[..., 1::2, 1::2] = 2.0 * (c.real - a.real)
     return 0.5 * (h + np.swapaxes(h, -1, -2))
-
-
-def m_matrix(w: complex) -> np.ndarray:
-    """Matrix of the R-linear map xi -> conj(w xi)."""
-    w = complex(w)
-    return np.array([[w.real, -w.imag], [-w.imag, -w.real]])

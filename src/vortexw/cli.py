@@ -24,7 +24,6 @@ from .core import (
     FourierSeries,
     VortexConfiguration,
     configuration_is_admissible,
-    validate_configuration,
     validate_map,
 )
 from .critpoint import find_critical_hat_w, find_critical_w
@@ -56,6 +55,9 @@ MAX_GRID = 1001
 # Largest |degree| of a vortex accepted: the energies grow as the squared
 # degrees, and a degree too large for a float would overflow them.
 MAX_DEGREE = 1000
+# Largest degree of a --map accepted (one more coefficient than this): the
+# map check finds the roots of f' from a companion matrix of that size.
+MAX_MAP_DEGREE = 64
 
 
 class InputError(Exception):
@@ -102,12 +104,10 @@ def _build_configuration(entries) -> VortexConfiguration:
         raise InputError(f"bad vortex entry: {exc}") from exc
     for deg in degs:
         _degree(deg)
-    cfg = VortexConfiguration(pts, degs)
     try:
-        validate_configuration(cfg)
+        return VortexConfiguration(pts, degs)
     except VortexwError as exc:
         raise InputError(str(exc)) from exc
-    return cfg
 
 
 def _degree(deg) -> int:
@@ -149,6 +149,8 @@ def _build_map(spec) -> ConformalPolyMap:
             raise InputError(f"bad map coefficients {spec!r}: {exc}") from exc
     if len(coeffs) < 2:
         raise InputError("map needs at least coefficients c0,c1")
+    if len(coeffs) > MAX_MAP_DEGREE + 1:
+        raise InputError(f"map degree must be at most {MAX_MAP_DEGREE}, got {len(coeffs) - 1}")
     if not all(math.isfinite(c.real) and math.isfinite(c.imag) for c in coeffs):
         raise InputError(f"map coefficients must be finite: {spec!r}")
     return ConformalPolyMap(coeffs)

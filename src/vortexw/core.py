@@ -2,6 +2,8 @@
 conformal maps, their admissibility checks, and the nondegeneracy verdict.
 
 All types are immutable after construction and safe for concurrent reads.
+A VortexConfiguration is checked once, when it is built, so every one that
+exists is admissible and no function checks it again.
 """
 from __future__ import annotations
 
@@ -44,7 +46,9 @@ def is_nondegenerate(hessian: np.ndarray):
 
 @dataclass(frozen=True)
 class VortexConfiguration:
-    """Points alpha_j in the open unit disc with integer degrees d_j."""
+    """Distinct points alpha_j in the open unit disc with integer degrees
+    d_j. Construction runs validate_configuration and raises its errors, so
+    every instance is admissible."""
 
     points: tuple
     degrees: tuple
@@ -52,6 +56,7 @@ class VortexConfiguration:
     def __init__(self, points: Iterable[complex], degrees: Iterable[int]):
         object.__setattr__(self, "points", tuple(complex(p) for p in points))
         object.__setattr__(self, "degrees", tuple(int(d) for d in degrees))
+        validate_configuration(self)
 
     @property
     def k(self) -> int:
@@ -70,9 +75,9 @@ class VortexConfiguration:
 
 def validate_configuration(cfg: VortexConfiguration) -> VortexConfiguration:
     """Check the admissibility invariants; returns cfg unchanged on success.
+    VortexConfiguration runs it once, on construction.
 
     Raises EmptyConfiguration, VortexTooCloseToBoundary or VorticesCollide.
-    Idempotent.
     """
     if cfg.k == 0 or len(cfg.degrees) == 0:
         raise EmptyConfiguration("configuration has no vortices")
@@ -304,16 +309,21 @@ def validate_map(f: ConformalPolyMap) -> dict:
     nor the report depends on c_0: a translated domain is accepted exactly
     when the domain itself is.
 
-    Returns a small report dict; raises DegenerateDerivative or
-    BoundaryNotSimple.
+    Returns a small report dict; raises DegenerateDerivative (also when
+    every c_m, m >= 1, is subnormal) or BoundaryNotSimple.
     """
     c = f.coeffs
     if c[1] == 0.0:
         raise DegenerateDerivative("c_1 = 0")
     # g has the zeros of f' and the boundary curve of f up to translation and
     # scale, and g(0) = 0; its coefficients are at most 1 in modulus and the
-    # curve is bounded by deg, so none of the tests below can overflow
+    # curve is bounded by deg, so none of the tests below can overflow. A
+    # subnormal scale would overflow the division itself.
     scale = float(np.max(np.abs(c[1:])))
+    if scale < np.finfo(float).tiny:
+        raise DegenerateDerivative(
+            f"max |c_m| (m >= 1) = {scale:.3g} is below the smallest normal float"
+        )
     g = ConformalPolyMap(np.concatenate(([0.0], c[1:] / scale)))
     dcoef = g._derivs[1]
     if dcoef.size > 1:

@@ -17,7 +17,6 @@ from .core import (
     VortexConfiguration,
     configuration_is_admissible,
     is_nondegenerate,
-    validate_configuration,
 )
 from .disc_energy import DiscEnergyContext, _checked
 from .errors import LeftAdmissibleRegion, NewtonDiverged
@@ -145,8 +144,8 @@ def _polish(starts: np.ndarray, degrees: tuple, du, hess, value) -> list:
     """Newton solves from every start (m, k) at once for zeros of the
     gradient whose Wirtinger derivatives du(a) are given, with Jacobian
     hess(a) and energy value(a): kernels on configurations a (n, k) with
-    these degrees, returning (n, k), (n, 2k, 2k) and (n,). The starts are
-    checked by the caller; _newton keeps every iterate admissible, so the
+    these degrees, returning (n, k), (n, 2k, 2k) and (n,). _newton drops
+    an inadmissible start and keeps every iterate admissible, so the
     kernels need no check.
 
     Returns one entry per start: its CriticalPointReport, or the
@@ -202,7 +201,6 @@ def _w_kernels(f: ConformalPolyMap, ctx: DiscEnergyContext, d: np.ndarray):
 
 def find_critical_hat_w(f: ConformalPolyMap, init: VortexConfiguration) -> CriticalPointReport:
     """Newton solve for a zero of the gradient of hat_w + map correction."""
-    validate_configuration(init)
     return _find_critical(init, *_hat_w_kernels(f, init.degrees_array()))
 
 

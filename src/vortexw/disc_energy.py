@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._calculus import assemble_hessian, grad_to_vec
-from .core import DEFAULT_TRUNC, FourierSeries, VortexConfiguration, validate_configuration
+from .core import DEFAULT_TRUNC, FourierSeries, VortexConfiguration
 from .errors import DegreeMismatch
 
 
@@ -36,7 +36,6 @@ class DiscEnergyContext:
     base_moments: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        validate_configuration(self.base)
         if self.trunc < 1:
             raise ValueError("trunc must be >= 1")
         c = np.zeros(self.trunc + 1, dtype=complex)
@@ -99,28 +98,24 @@ def _hat_w_d2(a, d):
 
 def hat_w(cfg: VortexConfiguration) -> float:
     """Renormalized energy of the canonical datum (prescribed-degree energy)."""
-    validate_configuration(cfg)
     return float(_hat_w(cfg.points_array(), cfg.degrees_array()))
 
 
 def hat_w_grad(cfg: VortexConfiguration) -> np.ndarray:
     """Analytic gradient of hat_w as a real 2k-vector (x1, y1, x2, y2, ...)."""
-    validate_configuration(cfg)
     return grad_to_vec(_hat_w_du(cfg.points_array(), cfg.degrees_array()))
 
 
 def hat_w_hess(cfg: VortexConfiguration) -> np.ndarray:
     """Analytic Hessian of hat_w, a symmetric 2k x 2k matrix."""
-    validate_configuration(cfg)
     return assemble_hessian(*_hat_w_d2(cfg.points_array(), cfg.degrees_array()))
 
 
 def _checked(ctx: DiscEnergyContext, cfg: VortexConfiguration):
-    """Validate cfg and return its point and degree arrays (a, d). Raise
-    DegreeMismatch unless cfg has the total degree of ctx.base: otherwise
-    the phase between their canonical data keeps a multivalued log term
-    and W is not defined."""
-    validate_configuration(cfg)
+    """The point and degree arrays (a, d) of cfg. Raise DegreeMismatch
+    unless cfg has the total degree of ctx.base: otherwise the phase
+    between their canonical data keeps a multivalued log term and W is not
+    defined."""
     if cfg.total_degree != ctx.base.total_degree:
         raise DegreeMismatch(
             f"configuration total degree {cfg.total_degree} differs from "

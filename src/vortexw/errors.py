@@ -29,10 +29,6 @@ class DegreeMismatch(VortexwError):
     pass
 
 
-class EvaluationAtVortex(VortexwError):
-    pass
-
-
 class InvalidRadius(VortexwError):
     pass
 

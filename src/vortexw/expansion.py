@@ -20,10 +20,8 @@ import numpy as np
 from ._kernels import grad_phi_field
 from .core import VortexConfiguration
 from .disc_energy import DiscEnergyContext, _checked, w_disc
-from .errors import EvaluationAtVortex, InvalidRadius
+from .errors import InvalidRadius
 from .harmonic import AnnulusQuadrature
-
-_VORTEX_EVAL_TOL = 1e-12
 
 PATCH_RADIAL = 96
 PATCH_ANGULAR = 256
@@ -39,28 +37,6 @@ def _gprime_coeffs(ctx: DiscEnergyContext) -> np.ndarray:
     kernel does not evaluate them on every node."""
     n = np.arange(1, ctx.trunc + 1)
     return np.trim_zeros(2.0 * n * ctx.psi.coeffs[1:], "b")
-
-
-def grad_phi_ag(ctx: DiscEnergyContext, cfg: VortexConfiguration, z):
-    """Gradient of the total phase potential at z, as dx + i dy.
-
-    The modulus squared of this field is the Dirichlet density of the
-    explicit unimodular map with vortices cfg and the boundary datum of
-    ctx: the phase ctx.psi over the canonical datum of ctx.base.
-    """
-    a, d = _checked(ctx, cfg)
-    zz = np.asarray(z, dtype=complex)
-    if np.any(np.abs(zz[..., None] - a) < _VORTEX_EVAL_TOL):
-        raise EvaluationAtVortex("z coincides with a vortex")
-    out = grad_phi_field(
-        zz,
-        a,
-        d,
-        ctx.base.points_array(),
-        ctx.base.degrees_array(),
-        _gprime_coeffs(ctx),
-    )
-    return out if out.ndim else complex(out)
 
 
 def _smoothstep(t: np.ndarray) -> np.ndarray:

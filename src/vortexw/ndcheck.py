@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._calculus import grad_to_vec, m_matrix
+from ._calculus import grad_to_vec
 from .core import (
     ConformalPolyMap,
     VortexConfiguration,
@@ -158,7 +158,7 @@ def magic_determinant_check(w: complex) -> bool:
     """det(M_w - 2I) and det(M_w + 2I) agree, both equal to 4 - |w|^2,
     where M_w is the matrix of xi -> conj(w xi)."""
     w = complex(w)
-    m = m_matrix(w)
+    m = np.array([[w.real, -w.imag], [-w.imag, -w.real]])
     det_minus = float(np.linalg.det(m - 2.0 * np.eye(2)))
     det_plus = float(np.linalg.det(m + 2.0 * np.eye(2)))
     target = 4.0 - abs(w) ** 2

@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._calculus import assemble_hessian, grad_to_vec
-from .core import ConformalPolyMap, VortexConfiguration, validate_configuration
+from .core import ConformalPolyMap, VortexConfiguration
 from .disc_energy import (
     DiscEnergyContext,
     _checked,
@@ -89,13 +89,11 @@ def _transport_w_hess(f, ctx, a, d) -> np.ndarray:
 
 def transport_hat_w(f: ConformalPolyMap, cfg: VortexConfiguration) -> float:
     """hat_w on Omega = f(D), evaluated at a = f(alpha) in disc coordinates."""
-    validate_configuration(cfg)
     return float(_transport_hat_w(f, cfg.points_array(), cfg.degrees_array()))
 
 
 def transport_hat_w_grad(f: ConformalPolyMap, cfg: VortexConfiguration) -> np.ndarray:
     """Analytic gradient of transport_hat_w as a real 2k-vector."""
-    validate_configuration(cfg)
     return grad_to_vec(_transport_hat_w_du(f, cfg.points_array(), cfg.degrees_array()))
 
 

@@ -1,6 +1,7 @@
 """Reference formulas for the finite-difference tests of the phase field,
 the map check that always builds the crossing table, and the CLI's input
-and output as the generic argparse and JSON paths give them.
+and output as the generic argparse and JSON paths give them; and grad_phi,
+the package's field kernel at given points, which those tests check.
 
 They are written from the definitions, term by term, and are not part of
 the package.
@@ -10,8 +11,10 @@ import re
 
 import numpy as np
 
+from vortexw._kernels import grad_phi_field
 from vortexw.core import MAP_GRID, ConformalPolyMap, _polygon_self_intersects
 from vortexw.disc_energy import _composite_coeffs
+from vortexw.expansion import _gprime_coeffs
 from vortexw.errors import BoundaryNotSimple, DegenerateDerivative
 
 
@@ -34,6 +37,12 @@ def phase_potential(ctx, cfg, z):
     u = _composite_coeffs(ctx, cfg.points_array(), cfg.degrees_array())
     n = np.arange(1, u.size + 1)
     return hat_phi(cfg, z) - 2 * np.real(np.sum(u * z**n))
+
+
+def grad_phi(ctx, cfg, z):
+    """Phase gradient dx + i dy at z, the field punctured_energy integrates."""
+    a0, d0, z = ctx.base.points_array(), ctx.base.degrees_array(), np.asarray(z, complex)
+    return grad_phi_field(z, cfg.points_array(), cfg.degrees_array(), a0, d0, _gprime_coeffs(ctx))[()]
 
 
 def fourier_values(series, theta):

@@ -12,13 +12,13 @@ KEPT = {
     "AnnulusQuadrature", "BACKEND", "BOUNDARY_MARGIN", "BoundaryNotSimple",
     "ConformalPolyMap", "CriticalPointReport", "DEFAULT_TRUNC",
     "DegenerateDerivative", "DegreeMismatch", "DiscEnergyContext", "EmptyConfiguration",
-    "EvaluationAtVortex", "ExpansionReport", "FourierSeries", "InvalidRadius",
+    "ExpansionReport", "FourierSeries", "InvalidRadius",
     "LeftAdmissibleRegion", "ND_TOL", "Nd1Report", "Nd2Report", "NewtonDiverged",
     "NoCriticalPointFound", "SEPARATION_MARGIN", "VortexConfiguration",
     "VortexTooCloseToBoundary", "VortexwError", "VorticesCollide",
     "assemble_du_matrix", "check_nd1", "check_nd2", "du_star_matrix_analytic_disc",
     "expansion_report", "find_critical_hat_w", "find_critical_w", "find_max_hat_w",
-    "grad_phi_ag", "h_half_seminorm_sq", "harmonic_conjugate", "hat_w",
+    "h_half_seminorm_sq", "harmonic_conjugate", "hat_w",
     "hat_w_grad", "hat_w_hess", "magic_determinant_check", "n_disc",
     "punctured_energy", "transport_hat_w", "transport_hat_w_grad", "transport_w",
     "transport_w_grad", "transport_w_hess", "validate_configuration",

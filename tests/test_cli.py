@@ -294,6 +294,27 @@ class TestSizeBounds:
         assert captured.out == ""
 
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_map_degree(self, tmp_path, capsys, monkeypatch, source):
+        def check(f):
+            raise Reached
+
+        def argv(degree):
+            coeffs = [0.0, 1.0] + [0.0] * (degree - 1)
+            if source == "flag":
+                return ["energy", "--vortex=0.1,0,1", "--map=" + ",".join(map(str, coeffs))]
+            conf = tmp_path / "conf.json"
+            conf.write_text(json.dumps({"map": {"coeffs": [[c, 0.0] for c in coeffs]}}))
+            return ["energy", "--vortex=0.1,0,1", "--config", str(conf)]
+
+        monkeypatch.setattr(cli, "validate_map", check)
+        with pytest.raises(Reached):
+            run(argv(cli.MAX_MAP_DEGREE))
+        assert run(argv(cli.MAX_MAP_DEGREE + 1)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: map degree must be at most 64, got 65\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("source", ["flag", "config", "landscape"])
     def test_degree(self, tmp_path, capsys, monkeypatch, source):
         def compute(*args):
@@ -677,6 +698,12 @@ class TestSelfcheckAndErrors:
             # f' = 1 + 2e308 z: its coefficient overflows, and f' vanishes at -5e-309
             (["energy", "--map", "0,1,1e308", "--vortex", "0,0,1"], 1),
             (["energy", "--vortex", "inf,0,1", "--vortex=0,inf,1"], 2),
+            # every c_m (m >= 1) subnormal: dividing by their largest modulus
+            # overflows, so the map is refused before it
+            (["energy", "--map", "0,1e-320", "--vortex", "0.5,0,1"], 1),
+            (["crit", "--map", "0,1e-320", "--vortex", "0.5,0,1"], 1),
+            (["nd", "--map", "1e-320,1e-320"], 1),
+            (["landscape", "--map", "0,1e-320", "--grid", "3"], 1),
         ],
     )
     def test_overflowing_input_prints_no_warning(self, capsys, argv, want):

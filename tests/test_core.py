@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -67,9 +68,23 @@ class TestVortexConfiguration:
             )
 
     def test_collision_names_first_pair(self):
-        cfg = VortexConfiguration([0.3, 0.1, 0.2j, 0.1 + 1e-10, 0.3], (1, 1, 1, 1, 1))
         with pytest.raises(VorticesCollide, match="vortices 0 and 4"):
-            validate_configuration(cfg)
+            VortexConfiguration([0.3, 0.1, 0.2j, 0.1 + 1e-10, 0.3], (1, 1, 1, 1, 1))
+
+    @pytest.mark.parametrize(
+        "points, degrees, error, message",
+        [
+            ([], (), EmptyConfiguration, "configuration has no vortices"),
+            ([0.1, 0.2], (1,), EmptyConfiguration, "2 points but 1 degrees"),
+            ([0.1, 0.9995j], (1, 1), VortexTooCloseToBoundary, "|0.9995j| = 0.9995 >= 0.999"),
+            ([0.1, 0.1 + 1e-10], (1, 1), VorticesCollide, "vortices 0 and 1 separated by 1.000e-10"),
+        ],
+    )
+    def test_construction_checks(self, points, degrees, error, message):
+        # every configuration is admissible: building one checks it, with
+        # the errors and messages of validate_configuration
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            VortexConfiguration(points, degrees)
 
     def test_nan_point_is_not_admissible(self):
         assert not configuration_is_admissible(np.array([complex("nan+0j")]))

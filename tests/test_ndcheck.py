@@ -121,9 +121,9 @@ class TestCheckNd1:
             assert np.linalg.svd(h_w, compute_uv=False)[-1] > 1e-8 * np.pi
 
     def test_validates_each_configuration_once(self, monkeypatch):
-        # the configuration is checked at each public entry, not in the
-        # Newton loop: once per start, plus the context and the full-energy
-        # Hessian
+        # a configuration is checked once, when it is built: here only the
+        # locations that the batched polish builds for its converged starts,
+        # never inside the Newton loop, the context or the Hessians
         calls = []
         check = core.validate_configuration
 

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -6,14 +8,22 @@ from vortexw import (
     DiscEnergyContext,
     FourierSeries,
     VortexConfiguration,
+    find_critical_hat_w,
+    find_critical_w,
     hat_w,
+    hat_w_grad,
+    hat_w_hess,
+    n_disc,
+    punctured_energy,
     transport_hat_w,
     transport_hat_w_grad,
     transport_w,
     transport_w_grad,
+    transport_w_hess,
     w_disc,
+    w_disc_hess,
 )
-from vortexw import disc_energy, transport
+from vortexw import core, disc_energy, transport
 from vortexw._calculus import assemble_hessian
 from vortexw.transport import _log_fprime_d2, _transport_hat_w_hess
 
@@ -98,20 +108,36 @@ class TestTransportW:
         assert transport_w(IDENTITY, ctx, cfg) == w_disc(ctx, cfg)
 
     def test_validates_once(self, monkeypatch):
+        # a configuration is checked once, when it is built: no function
+        # checks the ones it is given, and a Newton solve checks only the
+        # location it builds for its report
         f = ConformalPolyMap([0.0, 1.0, 0.05])
-        ctx = DiscEnergyContext(VortexConfiguration([0.1, -0.2j], (1, 1)), psi=FourierSeries.from_real(cos=[0.2]))
+        base = VortexConfiguration([0.1, -0.2j], (1, 1))
         cfg = VortexConfiguration([0.3, 0.1 + 0.2j], (1, 1))
+        one = VortexConfiguration([0.1j], (1,))
         calls = []
-        validate = disc_energy.validate_configuration
+        check = core.validate_configuration
 
-        def counting_validate(c):
+        def counted(c):
             calls.append(c)
-            return validate(c)
+            return check(c)
 
-        for mod in (disc_energy, transport):
-            monkeypatch.setattr(mod, "validate_configuration", counting_validate)
-        transport_w(f, ctx, cfg)
-        assert calls == [cfg]
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("vortexw") and getattr(mod, "validate_configuration", None) is check:
+                monkeypatch.setattr(mod, "validate_configuration", counted)
+        ctx = DiscEnergyContext(base, psi=FourierSeries.from_real(cos=[0.2]))
+        for fn in (hat_w, hat_w_grad, hat_w_hess):
+            fn(cfg)
+        for fn in (w_disc, w_disc_hess, n_disc):
+            fn(ctx, cfg)
+        for fn in (transport_hat_w, transport_hat_w_grad):
+            fn(f, cfg)
+        for fn in (transport_w, transport_w_grad, transport_w_hess):
+            fn(f, ctx, cfg)
+        punctured_energy(ctx, cfg, 0.01)
+        assert calls == []
+        reps = [find_critical_hat_w(f, one), find_critical_w(f, ctx, cfg)]
+        assert len(calls) == 2 and all(c is rep.location for c, rep in zip(calls, reps))
 
     def test_grad_correction_at_origin(self):
         # quadratic map: correction pi * conj(f''/f') = 2 pi conj(eps)
