@@ -24,7 +24,6 @@ from .core import (
     FourierSeries,
     VortexConfiguration,
     configuration_is_admissible,
-    validate_map,
 )
 from .critpoint import find_critical_hat_w, find_critical_w
 from .disc_energy import (
@@ -259,7 +258,6 @@ def _write(text: str, out_path: str | None):
 
 def _cmd_energy(args, conf):
     f = _build_map(args.map or conf.get("map"))
-    validate_map(f)
     cfg = _build_configuration(
         _parse_vortex_flag(args.vortex) if args.vortex else conf.get("vortices", [])
     )
@@ -282,7 +280,6 @@ def _cmd_energy(args, conf):
 
 def _cmd_crit(args, conf):
     f = _build_map(args.map or conf.get("map"))
-    validate_map(f)
     init = _build_configuration(
         _parse_vortex_flag(args.vortex) if args.vortex else conf.get("vortices", [])
     )
@@ -311,7 +308,7 @@ def _cmd_crit(args, conf):
 def _cmd_nd(args, conf):
     f = _build_map(args.map or conf.get("map"))
     trunc = _trunc(args, conf, 16)
-    nd1 = ndcheck.check_nd1(f)  # validates the map
+    nd1 = ndcheck.check_nd1(f)
     nd2 = ndcheck.check_nd2(f, nd1, trunc=trunc)
     _emit(
         {
@@ -374,7 +371,6 @@ def _cmd_expand(args, conf):
 
 def _cmd_landscape(args, conf):
     f = _build_map(args.map or conf.get("map"))
-    validate_map(f)
     n = _size("grid", args.grid, MAX_GRID)
     degree = _degree(args.degree)
     xs = np.linspace(-0.95, 0.95, n)

@@ -2,11 +2,12 @@
 conformal maps, their admissibility checks, and the nondegeneracy verdict.
 
 All types are immutable after construction and safe for concurrent reads.
-A VortexConfiguration is checked once, when it is built, so every one that
-exists is admissible and no function checks it again.
+Configurations and maps are checked once, when they are built, so every
+one that exists is admissible and no function checks it again.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -48,14 +49,19 @@ def is_nondegenerate(hessian: np.ndarray):
 class VortexConfiguration:
     """Distinct points alpha_j in the open unit disc with integer degrees
     d_j. Construction runs validate_configuration and raises its errors, so
-    every instance is admissible."""
+    every instance is admissible. A degree that is not an integer (a float,
+    a string or a bool) raises TypeError."""
 
     points: tuple
     degrees: tuple
 
     def __init__(self, points: Iterable[complex], degrees: Iterable[int]):
+        degrees = tuple(degrees)
+        # operator.index refuses floats and strings, which int() would truncate
+        if any(isinstance(d, (bool, np.bool_)) for d in degrees):
+            raise TypeError(f"vortex degrees must be integers, got {degrees!r}")
         object.__setattr__(self, "points", tuple(complex(p) for p in points))
-        object.__setattr__(self, "degrees", tuple(int(d) for d in degrees))
+        object.__setattr__(self, "degrees", tuple(map(operator.index, degrees)))
         validate_configuration(self)
 
     @property
@@ -107,7 +113,7 @@ def configuration_is_admissible(points):
     pts = np.asarray(points, dtype=complex)
     # written so that a NaN point fails it too
     inside = np.abs(pts) < 1.0 - BOUNDARY_MARGIN
-    ok = np.all(inside, axis=-1)
+    ok = inside.all(axis=-1)
     k = pts.shape[-1]
     if k > 1:
         # a point outside already fails its configuration; zeroed, a huge or
@@ -115,7 +121,7 @@ def configuration_is_admissible(points):
         pts = np.where(inside, pts, 0.0)
         gap = np.abs(pts[..., :, None] - pts[..., None, :])
         apart = (gap >= SEPARATION_MARGIN) | np.eye(k, dtype=bool)
-        ok &= np.all(apart, axis=(-2, -1))
+        ok &= apart.all(axis=(-2, -1))
     return bool(ok) if ok.ndim == 0 else ok
 
 
@@ -212,8 +218,10 @@ def _horner(c: np.ndarray, z):
 
 
 class ConformalPolyMap:
-    """Polynomial holomorphic map f(z) = sum_m c_m z^m with f'(z) != 0 on
-    the closed disc; represents the target domain Omega = f(D)."""
+    """Polynomial conformal bijection f(z) = sum_m c_m z^m of the closed disc
+    onto Omega = f(D). Construction refuses coefficients that are not finite
+    (ValueError) and runs validate_map, so f' has no zero and f', f'', f'''
+    are finite on the closed disc of every instance."""
 
     __slots__ = ("_coeffs", "_derivs")
 
@@ -221,15 +229,13 @@ class ConformalPolyMap:
         c = np.asarray(coeffs, dtype=complex).copy()
         if c.ndim != 1 or c.size < 2:
             raise ValueError("need at least coefficients c_0, c_1")
+        if not np.isfinite(c).all():
+            raise ValueError("map coefficients must be finite")
         c.setflags(write=False)
         self._coeffs = c
-        # coefficients of f, f', f'' and f''', taken once since the map is
-        # immutable. Near the top of the float range m c_m overflows to inf
-        # (and its imaginary part to nan); validate_map tests f' on the copy
-        # (f - c_0) / max_{m>=1} |c_m|, and a map whose f' coefficients
-        # overflow fails that test.
-        with np.errstate(over="ignore", invalid="ignore"):
-            self._derivs = tuple(_derivative_coeffs(c, m) for m in range(4))
+        validate_map(self)
+        # coefficients of f, f', f'' and f''', taken once since the map is immutable
+        self._derivs = tuple(_derivative_coeffs(c, m) for m in range(4))
 
     @classmethod
     def identity(cls) -> "ConformalPolyMap":
@@ -250,10 +256,9 @@ class ConformalPolyMap:
         return _horner(self._coeffs, z)
 
     def derivative(self, z, order: int = 1):
-        top = len(self._derivs) - 1
-        if order <= top:
+        if order < len(self._derivs):
             return _horner(self._derivs[order], z)
-        return _horner(_derivative_coeffs(self._derivs[top], order - top), z)
+        return _horner(_derivative_coeffs(self._coeffs, order), z)
 
     def __repr__(self) -> str:
         return f"ConformalPolyMap({list(self._coeffs)})"
@@ -298,19 +303,23 @@ def _polygon_self_intersects(p) -> bool:
 
 def validate_map(f: ConformalPolyMap) -> dict:
     """Numerical check that f is a conformal bijection of the closed disc.
+    ConformalPolyMap runs it once, on construction.
 
     Verifies c_1 != 0, that f' has no zero in the closed disc (polynomial
     root test backed by a grid minimum), and that the boundary curve, sampled
     at 512 points, is a simple loop of winding number one. The loop is simple
     when it is star-shaped about f(0), which takes one pass over the samples;
     only a loop that is not is checked pair by pair for crossing edges.
+    Last, it bounds f', f'' and f''' on the closed disc by sum_m m!/(m-j)!
+    |c_m|, j = 1, 2, 3, so that the energy kernels cannot overflow there.
 
     The tests run on g = (f - c_0) / max_{m>=1} |c_m|, so neither the verdict
     nor the report depends on c_0: a translated domain is accepted exactly
     when the domain itself is.
 
     Returns a small report dict; raises DegenerateDerivative (also when
-    every c_m, m >= 1, is subnormal) or BoundaryNotSimple.
+    every c_m, m >= 1, is subnormal, or a bound is past the float range)
+    or BoundaryNotSimple.
     """
     c = f.coeffs
     if c[1] == 0.0:
@@ -324,8 +333,8 @@ def validate_map(f: ConformalPolyMap) -> dict:
         raise DegenerateDerivative(
             f"max |c_m| (m >= 1) = {scale:.3g} is below the smallest normal float"
         )
-    g = ConformalPolyMap(np.concatenate(([0.0], c[1:] / scale)))
-    dcoef = g._derivs[1]
+    g = np.concatenate(([0.0], c[1:] / scale))
+    dcoef = _derivative_coeffs(g, 1)
     if dcoef.size > 1:
         roots = np.polynomial.polynomial.polyroots(dcoef)
         inside = roots[np.abs(roots) <= 1.0 + 1e-12]
@@ -336,13 +345,13 @@ def validate_map(f: ConformalPolyMap) -> dict:
     radii = np.linspace(0.0, 1.0, MAP_GRID)
     angles = np.linspace(0.0, 2 * np.pi, 4 * MAP_GRID, endpoint=False)
     grid = np.multiply.outer(radii, np.exp(1j * angles))
-    min_abs_gprime = float(np.min(np.abs(g.derivative(grid))))
+    min_abs_gprime = float(np.min(np.abs(_horner(dcoef, grid))))
     if min_abs_gprime <= 0.0:
         raise DegenerateDerivative("|f'| vanishes on the validation grid")
 
     n_samples = 512
     theta = np.linspace(0.0, 2 * np.pi, n_samples, endpoint=False)
-    bdry = g(np.exp(1j * theta))
+    bdry = _horner(g, np.exp(1j * theta))
     if np.any(np.abs(bdry) == 0.0):
         raise BoundaryNotSimple("boundary passes through f(0)")
     dtheta = np.angle(np.roll(bdry, -1) / bdry)
@@ -351,6 +360,11 @@ def validate_map(f: ConformalPolyMap) -> dict:
         raise BoundaryNotSimple(f"winding number {winding:.3f} != 1 about f(0)")
     if not _star_shaped(bdry) and _polygon_self_intersects(bdry):
         raise BoundaryNotSimple("boundary curve self-intersects")
+    # in Python floats, where a product past the range is inf, not a warning
+    for j in range(1, 4):
+        if np.isinf(scale * float(np.abs(dcoef).sum())):
+            raise DegenerateDerivative("f" + "'" * j + " can overflow on the closed disc")
+        dcoef = _derivative_coeffs(dcoef, 1)
     return {
         "min_abs_fprime": scale * min_abs_gprime,
         "winding": winding,

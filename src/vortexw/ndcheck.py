@@ -26,7 +26,6 @@ from .core import (
     ConformalPolyMap,
     VortexConfiguration,
     is_nondegenerate,
-    validate_map,
 )
 from .critpoint import find_max_hat_w
 from .disc_energy import DiscEnergyContext, _n_disc_alpha_jacobian, _seminorm_du
@@ -48,9 +47,8 @@ class Nd1Report:
 
 def check_nd1(f: ConformalPolyMap) -> Nd1Report:
     """Locate the maximizer of the transported hat_w for one vortex of
-    degree one and test that it is a nondegenerate critical point of both
-    energies."""
-    validate_map(f)
+    degree one on f, a map checked when it was built, and test that it is
+    a nondegenerate critical point of both energies."""
     try:
         rep = find_max_hat_w(f)
     except (NewtonDiverged, LeftAdmissibleRegion) as exc:

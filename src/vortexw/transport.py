@@ -19,25 +19,17 @@ from .disc_energy import (
     _w_disc_d2,
     _w_disc_du,
 )
-from .errors import DegenerateDerivative
-
-
-def _fprime(f: ConformalPolyMap, a) -> np.ndarray:
-    fp = f.derivative(a)
-    if np.any(fp == 0.0):
-        raise DegenerateDerivative("f' vanishes at a vortex")
-    return fp
 
 
 def _log_fprime(f: ConformalPolyMap, a, d):
     """Map correction pi sum_j d_j^2 log|f'(alpha_j)| for configurations
     a (..., k) with degrees d (k,)."""
-    return np.pi * np.sum(d**2 * np.log(np.abs(_fprime(f, a))), axis=-1)
+    return np.pi * np.sum(d**2 * np.log(np.abs(f.derivative(a))), axis=-1)
 
 
 def _log_fprime_du(f: ConformalPolyMap, a, d) -> np.ndarray:
     """Wirtinger derivatives of the map correction: pi d_j^2 f''/(2 f')."""
-    return 0.5 * np.pi * d**2 * (f.derivative(a, 2) / _fprime(f, a))
+    return 0.5 * np.pi * d**2 * (f.derivative(a, 2) / f.derivative(a))
 
 
 def _log_fprime_d2(f: ConformalPolyMap, a, d) -> np.ndarray:
@@ -45,7 +37,7 @@ def _log_fprime_d2(f: ConformalPolyMap, a, d) -> np.ndarray:
     correction for configurations a (..., k), (..., k, k): diagonal,
     pi d_j^2 (f3/f1 - (f2/f1)^2) / 2 with f_m the m-th derivative of f at
     alpha_j. The mixed derivatives d^2/(d alpha_j d conj(alpha_l)) vanish."""
-    fp = _fprime(f, a)
+    fp = f.derivative(a)
     r2 = f.derivative(a, 2) / fp
     r3 = f.derivative(a, 3) / fp
     diag = 0.5 * np.pi * d**2 * (r3 - r2**2)

@@ -10,9 +10,10 @@ import math
 import re
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from vortexw._kernels import grad_phi_field
-from vortexw.core import MAP_GRID, ConformalPolyMap, _polygon_self_intersects
+from vortexw.core import MAP_GRID, _polygon_self_intersects
 from vortexw.disc_energy import _composite_coeffs
 from vortexw.expansion import _gprime_coeffs
 from vortexw.errors import BoundaryNotSimple, DegenerateDerivative
@@ -60,17 +61,19 @@ def fd_complex_gradient(fn, z0, h=1e-6):
     ) / (2 * h)
 
 
-def validate_map_with_table(f):
-    """core.validate_map as it was before the star-shaped check: every
-    accepted boundary goes through the O(S^2) crossing table. The tests run
-    on f / max_m |c_m|, c_0 included, so it agrees with validate_map on maps
-    with c_0 = 0."""
-    c = f.coeffs
+def validate_map_with_table(c):
+    """core.validate_map as it was before the star-shaped check and the
+    overflow bound, on the coefficients c of a map: every accepted boundary
+    goes through the O(S^2) crossing table. The tests run on
+    f / max_m |c_m|, c_0 included, so it agrees with validate_map on maps
+    with c_0 = 0. It evaluates with numpy's polyval, not with the package's
+    ConformalPolyMap, whose construction runs validate_map."""
+    c = np.asarray(c, dtype=complex)
     if c[1] == 0.0:
         raise DegenerateDerivative("c_1 = 0")
     scale = float(np.max(np.abs(c)))
-    g = ConformalPolyMap(c / scale)
-    dcoef = g._derivs[1]
+    g = c / scale
+    dcoef = g[1:] * np.arange(1, g.size)
     if dcoef.size > 1:
         roots = np.polynomial.polynomial.polyroots(dcoef)
         inside = roots[np.abs(roots) <= 1.0 + 1e-12]
@@ -81,14 +84,14 @@ def validate_map_with_table(f):
     radii = np.linspace(0.0, 1.0, MAP_GRID)
     angles = np.linspace(0.0, 2 * np.pi, 4 * MAP_GRID, endpoint=False)
     grid = np.multiply.outer(radii, np.exp(1j * angles))
-    min_abs_gprime = float(np.min(np.abs(g.derivative(grid))))
+    min_abs_gprime = float(np.min(np.abs(polyval(grid, dcoef))))
     if min_abs_gprime <= 0.0:
         raise DegenerateDerivative("|f'| vanishes on the validation grid")
 
     n_samples = 512
     theta = np.linspace(0.0, 2 * np.pi, n_samples, endpoint=False)
-    bdry = g(np.exp(1j * theta))
-    rel = bdry - complex(g(0.0))
+    bdry = polyval(np.exp(1j * theta), g)
+    rel = bdry - complex(polyval(0.0, g))
     if np.any(np.abs(rel) == 0.0):
         raise BoundaryNotSimple("boundary passes through f(0)")
     dtheta = np.angle(np.roll(rel, -1) / rel)

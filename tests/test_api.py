@@ -69,3 +69,15 @@ def test_traced_functions_are_module_functions_of_their_layer():
         (attr,) = path
         obj = getattr(mod, attr, None)
         assert inspect.isfunction(obj) and obj.__module__ == mod.__name__, name
+
+
+def test_only_core_runs_the_domain_checks():
+    # a configuration or a map is checked once, when it is built, so no
+    # other module calls the checks
+    for path in sorted(Path(vortexw.__file__).parent.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                assert name not in ("validate_map", "validate_configuration"), (path.name, node.lineno)

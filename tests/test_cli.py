@@ -16,6 +16,7 @@ from vortexw import (
     DiscEnergyContext,
     VortexConfiguration,
     cli,
+    core,
     hat_w,
     ndcheck,
     transport_hat_w,
@@ -307,7 +308,7 @@ class TestSizeBounds:
             conf.write_text(json.dumps({"map": {"coeffs": [[c, 0.0] for c in coeffs]}}))
             return ["energy", "--vortex=0.1,0,1", "--config", str(conf)]
 
-        monkeypatch.setattr(cli, "validate_map", check)
+        monkeypatch.setattr(core, "validate_map", check)
         with pytest.raises(Reached):
             run(argv(cli.MAX_MAP_DEGREE))
         assert run(argv(cli.MAX_MAP_DEGREE + 1)) == 2
@@ -704,6 +705,9 @@ class TestSelfcheckAndErrors:
             (["crit", "--map", "0,1e-320", "--vortex", "0.5,0,1"], 1),
             (["nd", "--map", "1e-320,1e-320"], 1),
             (["landscape", "--map", "0,1e-320", "--grid", "3"], 1),
+            # f' reaches 1.8e308 on the unit circle: f''/f' = 8e307/inf = 0
+            # would drop the map term near it
+            (["energy", "--map", "0,1e308,4e307", "--vortex", "0.998,0,1"], 1),
         ],
     )
     def test_overflowing_input_prints_no_warning(self, capsys, argv, want):

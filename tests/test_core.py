@@ -86,6 +86,16 @@ class TestVortexConfiguration:
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             VortexConfiguration(points, degrees)
 
+    @pytest.mark.parametrize("degree", [1.7, 2.0, True, np.True_, "1"])
+    def test_degree_that_is_not_an_integer_is_refused(self, degree):
+        # int() would turn 1.7 and True into 1 and read "1" as a number
+        with pytest.raises(TypeError):
+            VortexConfiguration([0.3], (degree,))
+
+    def test_numpy_integer_degrees_are_accepted(self):
+        cfg = VortexConfiguration([0.3, -0.3], np.array([2, -1], dtype=np.int32))
+        assert cfg.degrees == (2, -1) and all(type(d) is int for d in cfg.degrees)
+
     def test_nan_point_is_not_admissible(self):
         assert not configuration_is_admissible(np.array([complex("nan+0j")]))
         with pytest.raises(VortexTooCloseToBoundary):
@@ -142,6 +152,16 @@ class TestConformalPolyMap:
         assert np.isclose(f.derivative(z, 2), 3 * z)
         assert np.isclose(f.derivative(z, 3), 3.0)
         assert f.derivative(z, 4) == 0.0
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [[0.0, float("inf")], [0.0, 1.0, float("nan")], [float("nan"), 1.0], [complex(0, float("inf")), 1.0]],
+    )
+    def test_coefficients_that_are_not_finite_are_refused(self, coeffs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^map coefficients must be finite$"):
+                ConformalPolyMap(coeffs)
 
 
 def segments_intersect_pairwise(p, q):
@@ -245,16 +265,31 @@ class TestValidateMap:
         # m c_m overflows, and f' has a zero inside the disc
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            f = ConformalPolyMap(coeffs)
-            with pytest.raises(DegenerateDerivative):
-                validate_map(f)
+            with pytest.raises(DegenerateDerivative, match="vanishes"):
+                ConformalPolyMap(coeffs)
 
-    def test_scaled_tests_do_not_overflow(self):
-        # |f'| reaches 1.8e308 on the unit circle; the tests run on f / 1e308
+    @pytest.mark.parametrize(
+        "coeffs, order",
+        [
+            # |f'| reaches 1.8e308 on the unit circle
+            ([0.0, 1e308, 4e307], 1),
+            ([0.0, 1e308, 0.0, 3e307], 1),
+            # f' = 1e307 (1 + z^9 / 2) is bounded; its third derivative reaches 3.6e308
+            ([0.0, 1e307] + [0.0] * 8 + [5e305], 3),
+        ],
+    )
+    def test_derivative_that_can_overflow_is_degenerate(self, coeffs, order):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = validate_map(ConformalPolyMap([0.0, 1e308, 4e307]))
-        assert report["min_abs_fprime"] == pytest.approx(2e307, rel=1e-3)
+            with pytest.raises(DegenerateDerivative, match="^f" + "'" * order + " can overflow"):
+                ConformalPolyMap(coeffs)
+
+    def test_scaled_tests_do_not_overflow(self):
+        # |f'| reaches 1.8e307 on the unit circle; the tests run on f / 1e307
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = validate_map(ConformalPolyMap([0.0, 1e307, 4e306]))
+        assert report["min_abs_fprime"] == pytest.approx(2e306, rel=1e-3)
 
     def test_zero_linear_coefficient_fails(self):
         with pytest.raises(DegenerateDerivative):
@@ -273,10 +308,7 @@ class TestValidateMap:
             exp_taylor(3.5, 20),
             [0.0, 1.0, 0.6],
         ):
-            shifted = [c0, *coeffs[1:]]
-            assert map_outcome(ConformalPolyMap(shifted)) == map_outcome(
-                ConformalPolyMap(coeffs)
-            )
+            assert map_outcome([c0, *coeffs[1:]]) == map_outcome(coeffs)
 
 
 def exp_taylor(a, deg):
@@ -284,10 +316,13 @@ def exp_taylor(a, deg):
     return [0.0] + [a ** (m - 1) / math.factorial(m) for m in range(1, deg + 1)]
 
 
-def map_outcome(f, check=validate_map):
-    """The report dict, or the type and message of the error raised."""
+def map_outcome(coeffs, check=None):
+    """The report dict of validate_map on the map with these coefficients
+    (of check on the coefficients, if given), or the type and message of
+    the error raised. A map that fails the check is not built, so the map
+    is built here, where its error is caught."""
     try:
-        return check(f)
+        return check(coeffs) if check else validate_map(ConformalPolyMap(coeffs))
     except (DegenerateDerivative, BoundaryNotSimple) as exc:
         return type(exc), str(exc)
 
@@ -321,10 +356,9 @@ class TestStarShapedBoundary:
         maps += [[0.0, 0.0, 1.0], [0.0, 1.0, 0.5], [0.0, 1.0, -0.5j], [0.0, 1.0, 0.0, 1.0 / 3.0]]
         seen = set()
         for coeffs in maps:
-            f = ConformalPolyMap(coeffs)
             del calls[:]
-            got = map_outcome(f)
-            assert got == map_outcome(f, validate_map_with_table), coeffs
+            got = map_outcome(coeffs)
+            assert got == map_outcome(coeffs, validate_map_with_table), coeffs
             if isinstance(got, dict):
                 seen.add("table" if calls else "star-shaped")
             else:
@@ -352,11 +386,11 @@ class TestStarShapedBoundary:
         # image of the disc overlaps itself (e^w is one-to-one only on
         # strips of height 2 pi)
         calls = count_table_calls(monkeypatch)
-        validate_map(ConformalPolyMap(exp_taylor(3.0, 20)))
+        ConformalPolyMap(exp_taylor(3.0, 20))
         assert calls == [512]
         del calls[:]
         with pytest.raises(BoundaryNotSimple, match="^boundary curve self-intersects$"):
-            validate_map(ConformalPolyMap(exp_taylor(3.5, 20)))
+            ConformalPolyMap(exp_taylor(3.5, 20))
         assert calls == [512]
 
     def test_star_shaped_polygons_do_not_cross(self):

@@ -1,4 +1,6 @@
+import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from vortexw import (
     w_disc,
     w_disc_hess,
 )
-from vortexw import core, disc_energy, transport
+from vortexw import cli, core, disc_energy, ndcheck, transport
 from vortexw._calculus import assemble_hessian
 from vortexw.transport import _log_fprime_d2, _transport_hat_w_hess
 
@@ -107,24 +109,32 @@ class TestTransportW:
         cfg = VortexConfiguration([0.3], (1,))
         assert transport_w(IDENTITY, ctx, cfg) == w_disc(ctx, cfg)
 
-    def test_validates_once(self, monkeypatch):
-        # a configuration is checked once, when it is built: no function
-        # checks the ones it is given, and a Newton solve checks only the
-        # location it builds for its report
-        f = ConformalPolyMap([0.0, 1.0, 0.05])
-        base = VortexConfiguration([0.1, -0.2j], (1, 1))
-        cfg = VortexConfiguration([0.3, 0.1 + 0.2j], (1, 1))
-        one = VortexConfiguration([0.1j], (1,))
-        calls = []
-        check = core.validate_configuration
+    def test_validates_once(self, monkeypatch, capsys):
+        # a configuration or a map is checked once, when it is built: no
+        # function checks the ones it is given, and a Newton solve checks
+        # only the location it builds for its report
+        calls, map_calls = [], []
+        check, check_map = core.validate_configuration, core.validate_map
 
         def counted(c):
             calls.append(c)
             return check(c)
 
+        def counted_map(f):
+            map_calls.append(f)
+            return check_map(f)
+
         for name, mod in list(sys.modules.items()):
             if name.startswith("vortexw") and getattr(mod, "validate_configuration", None) is check:
                 monkeypatch.setattr(mod, "validate_configuration", counted)
+            if name.startswith("vortexw") and getattr(mod, "validate_map", None) is check_map:
+                monkeypatch.setattr(mod, "validate_map", counted_map)
+        f = ConformalPolyMap([0.0, 1.0, 0.05])
+        assert map_calls == [f]
+        base = VortexConfiguration([0.1, -0.2j], (1, 1))
+        cfg = VortexConfiguration([0.3, 0.1 + 0.2j], (1, 1))
+        one = VortexConfiguration([0.1j], (1,))
+        del calls[:]
         ctx = DiscEnergyContext(base, psi=FourierSeries.from_real(cos=[0.2]))
         for fn in (hat_w, hat_w_grad, hat_w_hess):
             fn(cfg)
@@ -138,6 +148,12 @@ class TestTransportW:
         assert calls == []
         reps = [find_critical_hat_w(f, one), find_critical_w(f, ctx, cfg)]
         assert len(calls) == 2 and all(c is rep.location for c, rep in zip(calls, reps))
+        ndcheck.check_nd2(f, ndcheck.check_nd1(f), trunc=8)
+        assert map_calls == [f]
+        # the map that landscape builds from its --map
+        assert cli.run(["landscape", "--map=0,1,0.05", "--grid=9"]) == 0
+        capsys.readouterr()
+        assert len(map_calls) == 2 and map_calls[1].coeffs.tolist() == [0.0, 1.0, 0.05]
 
     def test_grad_correction_at_origin(self):
         # quadratic map: correction pi * conj(f''/f') = 2 pi conj(eps)
@@ -185,6 +201,44 @@ class TestLogFprimeHessian:
                 ) / (4 * h * h)
         np.testing.assert_allclose(hess, fd, atol=1e-5)
 
+
+
+def landscape_points(n=161):
+    """The admissible one-vortex configurations of the n x n landscape grid."""
+    xs = np.linspace(-0.95, 0.95, n)
+    p = (xs[None, :] + 1j * xs[:, None]).reshape(-1, 1)
+    return p[core.configuration_is_admissible(p)]
+
+
+def accepted_maps():
+    """The maps that the map check accepts in tests/test_core.py."""
+    rng = np.random.default_rng(3)
+    maps = [[0.0, 1.0, eps] for eps in (0.0, 0.05, 0.2, 0.45)]
+    for r in (0.02, 0.1, 0.25):
+        maps += [[0.0, 1.0, r * np.exp(1j * t)] for t in np.linspace(0.0, 2 * np.pi, 8, endpoint=False)]
+    for _ in range(20):
+        phase = np.exp(2j * np.pi * rng.uniform(size=2))
+        maps.append([0.0, 1.0, rng.uniform(0.02, 0.12) * phase[0], rng.uniform(0.005, 0.03) * phase[1]])
+    exp3 = [0.0] + [3.0 ** (m - 1) / math.factorial(m) for m in range(1, 21)]
+    maps += [exp3, [0.0, 1e-10, 3e-11], [0.0, 1.0, 0.1 - 0.05j, 0.02j]]
+    maps += [[0.0, r] for r in (1e-300, 1e160, 1e308)] + [[1e308, 1e308], [0.0, 1e307, 4e306]]
+    for c0 in (1e17, -3.0 + 2.0j, 1e300):
+        maps += [[c0, 1.0], [c0, 1.0, 0.2], [c0, 1e-10, 3e-11], [c0, *exp3[1:]]]
+    return maps
+
+
+class TestMapKernelsFinite:
+    # with f' checked once, when the map is built, the kernels divide by
+    # f'(alpha) and take its log unchecked: on every map the check accepts
+    # they stay finite at every point of the landscape grid
+    @pytest.mark.parametrize("coeffs", accepted_maps())
+    def test_hat_w_kernels_are_finite_on_the_grid(self, coeffs):
+        a, d = landscape_points(), np.ones(1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = ConformalPolyMap(coeffs)
+            for kernel in (transport._transport_hat_w, transport._transport_hat_w_du, _transport_hat_w_hess):
+                assert np.isfinite(kernel(f, a, d)).all()
 
 
 class TestBatchAxis:
