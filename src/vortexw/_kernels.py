@@ -32,11 +32,17 @@ def grad_phi_field(
     for c in gprime[::-1]:  # Horner, in place: h <- h z + i c
         h *= zz
         h += 1j * c
+    # every term goes through one scratch array: the ufuncs, operands and
+    # their order are those of d / (z - a) and d b / (1 - b z), so each
+    # value is the same to the bit, without a temporary per operation
+    s = np.empty_like(zz)
     for a, d in zip(alpha, degrees):
         b = np.conj(a)
-        h += d / (zz - a)
-        h -= d * b / (1.0 - b * zz)
+        h += np.divide(d, np.subtract(zz, a, out=s), out=s)
+        np.multiply(b, zz, out=s)
+        h -= np.divide(d * b, np.subtract(1.0, s, out=s), out=s)
     for a, d in zip(alpha0, degrees0):
         b = np.conj(a)
-        h += 2.0 * d * b / (1.0 - b * zz)
+        np.multiply(b, zz, out=s)
+        h += np.divide(2.0 * d * b, np.subtract(1.0, s, out=s), out=s)
     return np.conjugate(h, out=h)

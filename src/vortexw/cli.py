@@ -57,6 +57,13 @@ MAX_DEGREE = 1000
 # Largest degree of a --map accepted (one more coefficient than this): the
 # map check finds the roots of f' from a companion matrix of that size.
 MAX_MAP_DEGREE = 64
+# Most vortices accepted in one configuration (--vortex or --base, flag or
+# config): the configuration check builds a k x k table of pairwise gaps,
+# and crit solves 2k x 2k systems.
+MAX_VORTICES = 256
+# Most --rho radii accepted (flag or config): expand integrates k polar
+# patches of 24576 nodes per radius.
+MAX_RADII = 32
 
 
 class InputError(Exception):
@@ -101,6 +108,8 @@ def _build_configuration(entries) -> VortexConfiguration:
         degs = [e["degree"] for e in entries]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"bad vortex entry: {exc}") from exc
+    if len(pts) > MAX_VORTICES:
+        raise InputError(f"at most {MAX_VORTICES} vortices are accepted, got {len(pts)}")
     for deg in degs:
         _degree(deg)
     try:
@@ -344,6 +353,8 @@ def _cmd_expand(args, conf):
         rho_list = [float(t) for t in tokens]
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"bad rho list {rho_spec!r}") from exc
+    if len(rho_list) > MAX_RADII:
+        raise InputError(f"at most {MAX_RADII} rho values are accepted, got {len(rho_list)}")
     if (
         len(rho_list) < 3
         or not all(0.0 < r < 1.0 for r in rho_list)

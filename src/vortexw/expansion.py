@@ -70,15 +70,28 @@ def _window(r: np.ndarray, r_in: float, r_out: float) -> np.ndarray:
     return 1.0 - _smoothstep((r - r_in) / (r_out - r_in))
 
 
+def _global_weight(z: np.ndarray, a, windows) -> np.ndarray:
+    """The product over the patches of 1 - _window(|z - a_j|, r_in, r_out)
+    at the nodes z, to the bit. A factor is exactly 0.0 where t <= 0 and
+    exactly 1.0 where t >= 1, so the exponentials of the ramp are taken
+    only in the band 0 < t < 1. The band is selected by t itself: rounding
+    can make t exactly 1 just inside r_out."""
+    w0 = np.ones_like(z, dtype=float)
+    for a_j, (r_in, r_out) in zip(a, windows):
+        t = (np.abs(z - a_j) - r_in) / (r_out - r_in)
+        w0[t <= 0.0] = 0.0
+        band = (t > 0.0) & (t < 1.0)
+        w0[band] *= 1.0 - (1.0 - _smoothstep(t[band]))
+    return w0
+
+
 def _global_term(quad: AnnulusQuadrature, a, windows, field) -> float:
     """The global grid carries the complementary weight; nodes under any
     patch core (weight zero) are skipped so the singularities are never
     touched."""
     r_glob = quad.radial_nodes[:, None]
     z = r_glob * np.exp(1j * quad.angular_nodes[None, :])
-    w0 = np.ones_like(z, dtype=float)
-    for a_j, (r_in, r_out) in zip(a, windows):
-        w0 *= 1.0 - _window(np.abs(z - a_j), r_in, r_out)
+    w0 = _global_weight(z, a, windows)
     mask = w0 > 0.0
     vals = np.zeros_like(w0)
     vals[mask] = 0.5 * np.abs(field(z[mask])) ** 2 * w0[mask]

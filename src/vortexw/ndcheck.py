@@ -29,7 +29,12 @@ from .core import (
 )
 from .critpoint import find_max_hat_w
 from .disc_energy import DiscEnergyContext, _n_disc_alpha_jacobian, _seminorm_du
-from .errors import LeftAdmissibleRegion, NewtonDiverged, NoCriticalPointFound
+from .errors import (
+    DegenerateDerivative,
+    LeftAdmissibleRegion,
+    NewtonDiverged,
+    NoCriticalPointFound,
+)
 from .transport import _transport_w_hess, transport_w_hess
 
 TOL_OP = 1e-3
@@ -48,7 +53,11 @@ class Nd1Report:
 def check_nd1(f: ConformalPolyMap) -> Nd1Report:
     """Locate the maximizer of the transported hat_w for one vortex of
     degree one on f, a map checked when it was built, and test that it is
-    a nondegenerate critical point of both energies."""
+    a nondegenerate critical point of both energies.
+
+    The map check bounds f', f'' and f''' on the closed disc but not f, so
+    a0 = f(alpha0) can overflow: then DegenerateDerivative is raised, naming
+    a0."""
     try:
         rep = find_max_hat_w(f)
     except (NewtonDiverged, LeftAdmissibleRegion) as exc:
@@ -58,9 +67,13 @@ def check_nd1(f: ConformalPolyMap) -> Nd1Report:
     h_w = transport_w_hess(f, ctx, cfg)
     passed = rep.nondegenerate and is_nondegenerate(h_w)
     alpha0 = cfg.points[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        a0 = complex(f(alpha0))
+    if not np.isfinite(a0):
+        raise DegenerateDerivative(f"a0 = f(alpha0) overflows at alpha0 = {alpha0}")
     return Nd1Report(
         alpha0=alpha0,
-        a0=complex(f(alpha0)),
+        a0=a0,
         hessian_hat=rep.hessian,
         hessian_w=h_w,
         passed=passed,

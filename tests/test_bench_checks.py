@@ -2,12 +2,16 @@
 operation whose output vwbench would count as wrong fails here first."""
 import contextlib
 import importlib
+import inspect
 import io
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from vortexw import cli
+from vortexw import cli, expansion
+from vortexw.harmonic import AnnulusQuadrature
 
 VWBENCH = Path(__file__).resolve().parents[1] / "vwbench"
 
@@ -32,3 +36,44 @@ def test_certify_pass_checks_ok(monkeypatch, seed):
     # nd is checked against refs.single_vortex_maximizer and a polar-grid
     # global maximum, so more seeds give the maximizer more maps
     check_pass(monkeypatch, "certify", seed)
+
+
+def test_tracer_counts_every_field_kernel_call(monkeypatch):
+    # the tracer finds the kernel as a module global of expansion; a local
+    # alias or an inlined kernel would leave its counters at 0
+    monkeypatch.syspath_prepend(str(VWBENCH))
+    tracer = importlib.import_module("tracer")
+    workloads = importlib.import_module("workloads")
+    # install rebinds functions in every vortexw module: record each binding
+    # first, so that monkeypatch puts them back after the test
+    for name, mod in list(sys.modules.items()):
+        if name == "vortexw" or name.startswith("vortexw."):
+            for attr, obj in list(vars(mod).items()):
+                if inspect.isfunction(obj):
+                    monkeypatch.setattr(mod, attr, obj)
+    monkeypatch.setattr(AnnulusQuadrature, "build", AnnulusQuadrature.__dict__["build"])
+    trace = tracer.Tracer()
+    trace.install()
+
+    counts = {"calls": 0, "points": 0}
+    traced = expansion.grad_phi_field
+
+    def counting_kernel(z, *rest):
+        counts["calls"] += 1
+        counts["points"] += np.size(z)
+        return traced(z, *rest)
+
+    monkeypatch.setattr(expansion, "grad_phi_field", counting_kernel)
+    # three vortices and four radii: a patch per vortex and radius, and one
+    # global grid shared by all radii
+    op = workloads.build("expand", 7)[3]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.run(list(op.argv))
+    assert op.check(rc, out.getvalue(), err.getvalue()) == "ok"
+    patch_nodes = expansion.PATCH_RADIAL * expansion.PATCH_ANGULAR
+    assert counts["calls"] == 3 * 4 + 1
+    assert counts["points"] > 3 * 4 * patch_nodes
+    kernel = trace.stats["kernels.grad_phi_field"]
+    assert (kernel.calls, kernel.points) == (counts["calls"], counts["points"])
+    assert trace.stats["harmonic.AnnulusQuadrature.build"].calls == 1

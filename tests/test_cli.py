@@ -342,6 +342,55 @@ class TestSizeBounds:
             )
             assert captured.out == ""
 
+    @pytest.mark.parametrize("source", ["flag", "config", "base"])
+    def test_vortex_count(self, tmp_path, capsys, monkeypatch, source):
+        def compute(*args):
+            raise Reached
+
+        def argv(k):
+            # a sunflower of k points, about 0.9 sqrt(pi / k) apart
+            i = np.arange(k)
+            pts = (0.9 * np.sqrt((i + 0.5) / k) * np.exp(2.399963229728653j * i)).tolist()
+            degrees = [1] + [0] * (k - 1)
+            flags = [f"={p.real!r},{p.imag!r},{d}" for p, d in zip(pts, degrees)]
+            if source == "flag":
+                return ["energy"] + ["--vortex" + f for f in flags]
+            if source == "base":
+                return ["energy", "--vortex=0.1,0,1"] + ["--base" + f for f in flags]
+            conf = tmp_path / "conf.json"
+            vortices = [{"re": p.real, "im": p.imag, "degree": d} for p, d in zip(pts, degrees)]
+            conf.write_text(json.dumps({"vortices": vortices}))
+            return ["energy", "--config", str(conf)]
+
+        monkeypatch.setattr(cli, "hat_w", compute)
+        with pytest.raises(Reached):
+            run(argv(cli.MAX_VORTICES))
+        assert run(argv(cli.MAX_VORTICES + 1)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: at most 256 vortices are accepted, got 257\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_radius_count(self, tmp_path, capsys, monkeypatch, source):
+        def compute(*args):
+            raise Reached
+
+        def argv(n):
+            radii = [0.01 * 0.9**i for i in range(n)]
+            if source == "flag":
+                return ["expand", "--vortex=0.1,0,1", "--rho", ",".join(map(repr, radii))]
+            conf = tmp_path / "conf.json"
+            conf.write_text(json.dumps({"rho": radii}))
+            return ["expand", "--vortex=0.1,0,1", "--config", str(conf)]
+
+        monkeypatch.setattr(cli, "expansion_report", compute)
+        with pytest.raises(Reached):
+            run(argv(cli.MAX_RADII))
+        assert run(argv(cli.MAX_RADII + 1)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: at most 32 rho values are accepted, got 33\n"
+        assert captured.out == ""
+
 
 class TestExpand:
     def test_offset_vortex(self, capsys):
@@ -391,6 +440,32 @@ class TestExpand:
             "118.72807450218124",
         ]
         assert repr(payload["w_estimate"]) == "-7.2710420909231015"
+
+    def test_bytes_of_a_benchmark_operation_with_psi(self, capsys):
+        # the (1, -1) operation of the seed-7 expand pass: two psi modes run
+        # the kernel's Horner loop, and the base is the configuration itself
+        code, out = capture(
+            capsys,
+            [
+                "expand",
+                "--map=identity",
+                "--vortex=0.26649965159847616,0.06057881911806078,1",
+                "--vortex=0.4057917896655264,-0.26828593805711193,-1",
+                "--psi",
+                '{"cos": [0.1383457817241346, -0.06304545449803722], '
+                '"sin": [-0.05491332938303625, 0.008553418659028145]}',
+                "--rho",
+                "0.01,0.005,0.0025",
+            ],
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert [repr(e) for e in payload["energies"]] == [
+            "21.990142140639133",
+            "26.34667380461646",
+            "30.70218561242711",
+        ]
+        assert repr(payload["w_estimate"]) == "-6.942616656764087"
 
     def test_non_identity_map_rejected(self, capsys):
         code, _ = capture(
@@ -708,6 +783,8 @@ class TestSelfcheckAndErrors:
             # f' reaches 1.8e308 on the unit circle: f''/f' = 8e307/inf = 0
             # would drop the map term near it
             (["energy", "--map", "0,1e308,4e307", "--vortex", "0.998,0,1"], 1),
+            # f' and its derivatives are in range, but a0 = f(alpha0) is not
+            (["nd", "--map", "1.79e308,1e307,3e306"], 1),
         ],
     )
     def test_overflowing_input_prints_no_warning(self, capsys, argv, want):

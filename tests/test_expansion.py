@@ -233,3 +233,48 @@ class TestExpansionReport:
             expansion_report(CTX0, ORIGIN, [0.02, 0.01])
         with pytest.raises(InvalidRadius):
             expansion_report(CTX0, ORIGIN, [0.01, 0.02, 0.005])
+
+
+def full_grid_weight(z, a, windows):
+    """Oracle to the bit: the global weight as the product of
+    1 - _window(...) over every node, exponentials everywhere."""
+    w0 = np.ones_like(z, dtype=float)
+    for a_j, (r_in, r_out) in zip(a, windows):
+        w0 *= 1.0 - expansion._window(np.abs(z - a_j), r_in, r_out)
+    return w0
+
+
+class TestGlobalWeight:
+    @pytest.mark.parametrize(
+        "cfg, rho",
+        [(TRIPLE, 0.01), (TRIPLE, 0.00125), (PAIR, 0.005), (ORIGIN, 0.3), (VortexConfiguration([0.6], (1,)), 0.1)],
+    )
+    def test_band_only_weight_is_the_full_grid_product(self, cfg, rho):
+        quad = AnnulusQuadrature.build()
+        z = quad.radial_nodes[:, None] * np.exp(1j * quad.angular_nodes[None, :])
+        a = cfg.points_array()
+        windows = tuple((max(0.5 * r, rho), r) for r in expansion._patch_radii(cfg, rho))
+        w0 = expansion._global_weight(z, a, windows)
+        assert w0.tobytes() == full_grid_weight(z, a, windows).tobytes()
+
+    def test_hand_placed_nodes_at_the_band_edges(self):
+        r_in, r_out = 0.04597267314237451, 0.18706665018485646
+        # just inside r_out, t rounds to exactly 1
+        inside = np.nextafter(r_out, 0.0)
+        assert inside < r_out and (inside - r_in) / (r_out - r_in) == 1.0
+        r = np.array([
+            0.0, 0.5 * r_in, np.nextafter(r_in, 0.0), r_in, np.nextafter(r_in, 1.0),
+            0.5 * (r_in + r_out), np.nextafter(inside, 0.0), inside, r_out,
+            np.nextafter(r_out, 1.0), 0.3,
+        ])
+        a = np.array([0.0, 0.6 + 0.1j])
+        windows = ((r_in, r_out), (0.05, 0.12))
+        # |z - a_0| is r to the bit on both axes; the last rows are placed
+        # about the second vortex
+        z = np.concatenate([r, 1j * r, -r, a[1] + 0.5 * r])
+        t = (np.abs(z - a[0]) - r_in) / (r_out - r_in)
+        assert np.any(t == 0.0) and np.any(t == 1.0)
+        w0 = expansion._global_weight(z, a, windows)
+        assert w0.tobytes() == full_grid_weight(z, a, windows).tobytes()
+        # outside both bands the weight is exactly 0 or 1
+        assert w0[3] == 0.0 and w0[7] == 1.0

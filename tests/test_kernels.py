@@ -26,6 +26,24 @@ def grad_phi_field_direct(z, alpha, degrees, alpha0, degrees0, gprime):
     return out
 
 
+def grad_phi_field_alloc(z, alpha, degrees, alpha0, degrees0, gprime):
+    """Oracle to the bit: the kernel's terms as plain expressions, with a
+    fresh temporary for every operation."""
+    zz = np.asarray(z, dtype=complex)
+    h = np.zeros_like(zz)
+    for c in gprime[::-1]:
+        h *= zz
+        h += 1j * c
+    for a, d in zip(alpha, degrees):
+        b = np.conj(a)
+        h += d / (zz - a)
+        h -= d * b / (1.0 - b * zz)
+    for a, d in zip(alpha0, degrees0):
+        b = np.conj(a)
+        h += 2.0 * d * b / (1.0 - b * zz)
+    return np.conjugate(h, out=h)
+
+
 def random_inputs(seed, n=257, k=3, deg=16):
     rng = np.random.default_rng(seed)
     z = 0.95 * np.sqrt(rng.uniform(0, 1, n)) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
@@ -66,3 +84,24 @@ def test_scalar_and_shape_preservation():
 
 def test_backend_reported():
     assert vortexw.BACKEND == "numpy"
+
+
+def assert_same_bits(args):
+    out, ref = grad_phi_field(*args), grad_phi_field_alloc(*args)
+    assert out.shape == ref.shape and out.dtype == ref.dtype
+    assert out.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_scratch_kernel_is_bit_identical(seed):
+    z, alpha, _, alpha0, _, gprime = random_inputs(seed, k=1 + seed % 4)
+    # degrees that are not powers of two, so d / w and d * (1 / w) differ
+    rng = np.random.default_rng(seed)
+    degrees, degrees0 = (rng.choice([-3.0, -2.0, 3.0, 5.0], alpha.size) for _ in range(2))
+    assert_same_bits((z, alpha, degrees, alpha0, degrees0, gprime))
+    # 0-d and 2-D z
+    assert_same_bits((np.asarray(z[0]), alpha, degrees, alpha0, degrees0, gprime))
+    assert_same_bits((z[:256].reshape(16, 16), alpha, degrees, alpha0, degrees0, gprime))
+    # no phase polynomial, and no reference vortices
+    assert_same_bits((z, alpha, degrees, alpha0, degrees0, gprime[:0]))
+    assert_same_bits((z, alpha, degrees, alpha0[:0], degrees0[:0], gprime))
