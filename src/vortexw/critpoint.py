@@ -22,11 +22,9 @@ from .disc_energy import DiscEnergyContext, _checked
 from .errors import LeftAdmissibleRegion, NewtonDiverged
 from .transport import (
     _transport_hat_w,
-    _transport_hat_w_du,
-    _transport_hat_w_hess,
+    _transport_hat_w_derivs,
     _transport_w,
-    _transport_w_du,
-    _transport_w_hess,
+    _transport_w_derivs,
 )
 
 TOL_NEWTON = 1e-12
@@ -61,140 +59,158 @@ def _norms(r: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(r, r))
 
 
-def _newton(x0, residual, jacobian):
-    """Damped Newton on residual(x) = 0 from every row of x0 (m, 2k) at once,
-    with admissibility guard. residual maps rows (n, 2k) to (n, 2k) and
-    jacobian maps them to (n, 2k, 2k); both see admissible rows only.
+def _newton(x0, derivs):
+    """Damped Newton on F(x) = 0 from every row of x0 (m, 2k) at once, with
+    admissibility guard. derivs maps rows (n, 2k) to the residuals F (n, 2k)
+    and the Jacobians (n, 2k, 2k) there. It sees admissible rows only: the
+    starts, then the candidates of each line-search trial, whose Jacobians
+    are kept for the candidates accepted, for the next step.
 
     Each row takes the iterates it would take alone: Armijo backtracking
     from its full Newton step, at most MAX_ITER iterations, converged when
-    |residual| <= TOL_NEWTON. A row is dropped with NewtonDiverged
-    (singular Jacobian, stalled line search, no convergence) or
-    LeftAdmissibleRegion.
+    |F| <= TOL_NEWTON. A row is dropped with NewtonDiverged (singular
+    Jacobian, stalled line search, no convergence) or LeftAdmissibleRegion.
 
-    Returns (x, |residual|, iterations, errors), one entry per row; errors
+    Returns (x, |F|, iterations, jacobians, errors), one entry per row: the
+    Jacobian is the one evaluated with the last accepted iterate, and errors
     holds None for a converged row and the exception for a dropped one.
     """
     x = np.array(x0, dtype=float)
-    m = len(x)
-    r = np.zeros_like(x)
+    m, size = x.shape
     rn = np.full(m, np.inf)
     its = np.zeros(m, dtype=int)
-    active = configuration_is_admissible(_unpack(x))
+    jac = np.zeros((m, size, size))
+    live = configuration_is_admissible(_unpack(x))
     errors = [
         None if ok else LeftAdmissibleRegion("initial point outside admissible region")
-        for ok in active
+        for ok in live
     ]
-    if active.any():
-        r[active] = residual(x[active])
-        rn[active] = _norms(r[active])
+    # the live rows, compacted: indices, iterates, residuals, norms, Jacobians
+    rows = np.flatnonzero(live)
+    if rows.size == 0:
+        return x, rn, its, jac, errors
+    xs = x[rows]
+    r, j = derivs(xs)
+    rns = _norms(r)
+
+    def retire(out):
+        # write the live rows selected by out to the outputs, and drop them
+        nonlocal rows, xs, r, rns, j
+        gone = rows[out]
+        x[gone], rn[gone], jac[gone] = xs[out], rns[out], j[out]
+        keep = ~out
+        rows, xs, r, rns, j = rows[keep], xs[keep], r[keep], rns[keep], j[keep]
+
     for it in range(1, MAX_ITER + 2):
-        done = active & (rn <= TOL_NEWTON)
-        its[done] = it - 1
-        active &= ~done
-        rows = np.flatnonzero(active)
-        if it > MAX_ITER:
-            for i in rows:
-                errors[i] = NewtonDiverged(f"|F| = {rn[i]:.3e} after {MAX_ITER} iterations")
-            break
+        done = rns <= TOL_NEWTON
+        if done.any():
+            its[rows[done]] = it - 1
+            retire(done)
         if rows.size == 0:
             break
-        j = jacobian(x[rows])
-        step = np.zeros_like(x)
+        if it > MAX_ITER:
+            for i, v in zip(rows, rns):
+                errors[i] = NewtonDiverged(f"|F| = {v:.3e} after {MAX_ITER} iterations")
+            retire(np.ones(rows.size, dtype=bool))
+            break
         try:
-            step[rows] = np.linalg.solve(j, -r[rows][..., None])[..., 0]
+            step = np.linalg.solve(j, -r[..., None])[..., 0]
         except np.linalg.LinAlgError:
             # one solve per row gives the same bits and names the singular ones
-            for n, i in enumerate(rows):
+            step = np.zeros_like(xs)
+            singular = np.zeros(rows.size, dtype=bool)
+            for n in range(rows.size):
                 try:
-                    step[i] = np.linalg.solve(j[n], -r[i])
+                    step[n] = np.linalg.solve(j[n], -r[n])
                 except np.linalg.LinAlgError:
-                    errors[i] = NewtonDiverged(f"singular Jacobian at iteration {it}")
-                    active[i] = False
-            rows = rows[active[rows]]
+                    errors[rows[n]] = NewtonDiverged(f"singular Jacobian at iteration {it}")
+                    singular[n] = True
+            retire(singular)
+            step = step[~singular]
         # every row starts its backtracking from the full step here, so the
-        # rows still searching share one step size
+        # rows still searching share one step size; search indexes the live
+        # rows that have not taken a step yet
         lam = 1.0
-        while rows.size:
-            cand = x[rows] + lam * step[rows]
+        search = np.arange(rows.size)
+        while search.size:
+            cand = xs[search] + lam * step[search]
             ok = configuration_is_admissible(_unpack(cand))
-            took = np.zeros(rows.size, dtype=bool)
-            if ok.any():
-                r_new = residual(cand[ok])
+            every = ok.all()
+            tried, cand = (search, cand) if every else (search[ok], cand[ok])
+            if tried.size:
+                r_new, j_new = derivs(cand)
                 rn_new = _norms(r_new)
-                took[ok] = (rn_new <= (1.0 - 1e-4 * lam) * rn[rows[ok]]) | (rn_new <= TOL_NEWTON)
-                moved = rows[took]
-                x[moved] = cand[took]
-                r[moved] = r_new[took[ok]]
-                rn[moved] = rn_new[took[ok]]
-            rows = rows[~took]
+                took = (rn_new <= (1.0 - 1e-4 * lam) * rns[tried]) | (rn_new <= TOL_NEWTON)
+                moved = tried[took]
+                xs[moved], r[moved] = cand[took], r_new[took]
+                rns[moved], j[moved] = rn_new[took], j_new[took]
+                if every:
+                    search = search[~took]
+                else:
+                    left = ~ok
+                    left[ok] = ~took
+                    search = search[left]
             lam *= 0.5
             if lam < 1e-12:
-                for i in rows:
-                    if not configuration_is_admissible(_unpack(x[i] + lam * step[i])):
-                        errors[i] = LeftAdmissibleRegion("no admissible decreasing step found")
+                for n in search:
+                    if not configuration_is_admissible(_unpack(xs[n] + lam * step[n])):
+                        errors[rows[n]] = LeftAdmissibleRegion("no admissible decreasing step found")
                     else:
-                        errors[i] = NewtonDiverged(f"line search stalled at |F| = {rn[i]:.3e}")
-                    active[i] = False
+                        errors[rows[n]] = NewtonDiverged(f"line search stalled at |F| = {rns[n]:.3e}")
+                retire(np.isin(np.arange(rows.size), search))
                 break
-    return x, rn, its, errors
+    return x, rn, its, jac, errors
 
 
-def _polish(starts: np.ndarray, degrees: tuple, du, hess, value) -> list:
-    """Newton solves from every start (m, k) at once for zeros of the
-    gradient whose Wirtinger derivatives du(a) are given, with Jacobian
-    hess(a) and energy value(a): kernels on configurations a (n, k) with
-    these degrees, returning (n, k), (n, 2k, 2k) and (n,). _newton drops
-    an inadmissible start and keeps every iterate admissible, so the
-    kernels need no check.
+def _solve(starts: np.ndarray, derivs, value):
+    """_newton from every start (m, k) at once on the gradient of an energy
+    given by kernels on configurations a (n, k): derivs(a) gives its first
+    Wirtinger derivatives (n, k) and Hessians (n, 2k, 2k), value(a) its
+    values (n,). _newton keeps every iterate admissible, so the kernels
+    need no check. Returns the errors of _newton, one per start, and for the
+    converged starts in start order (points (n, k), |gradient| (n,),
+    iterations (n,), Hessians at the last accepted iterates, values (n,))."""
 
-    Returns one entry per start: its CriticalPointReport, or the
-    NewtonDiverged or LeftAdmissibleRegion that dropped it."""
-    x, rn, its, out = _newton(
-        _pack(starts),
-        lambda x: _pack(2.0 * np.conj(du(_unpack(x)))),
-        lambda x: hess(_unpack(x)),
-    )
-    kept = [i for i, error in enumerate(out) if error is None]
-    if kept:
-        a = _unpack(x[kept])
-        h, v = hess(a), value(a)
-        nondegenerate = is_nondegenerate(h)
-        for n, i in enumerate(kept):
-            out[i] = CriticalPointReport(
-                location=VortexConfiguration(a[n], degrees),
-                residual_norm=rn[i],
-                hessian=h[n],
-                nondegenerate=bool(nondegenerate[n]),
-                iterations=int(its[i]),
-                value=float(v[n]),
-            )
-    return out
+    def residual_jacobian(x):
+        du, h = derivs(_unpack(x))
+        return _pack(2.0 * np.conj(du)), h
+
+    x, rn, its, h, errors = _newton(_pack(starts), residual_jacobian)
+    kept = [i for i, error in enumerate(errors) if error is None]
+    a = _unpack(x[kept])
+    return errors, (a, rn[kept], its[kept], h[kept], value(a) if kept else np.zeros(0))
 
 
-def _find_critical(init: VortexConfiguration, du, hess, value) -> CriticalPointReport:
-    """_polish from init alone; raises the error that drops it."""
-    (rep,) = _polish(init.points_array()[None], init.degrees, du, hess, value)
-    if not isinstance(rep, CriticalPointReport):
-        raise rep
+def _reports(degrees: tuple, a, rn, its, h, v) -> list:
+    """One CriticalPointReport per converged start of _solve's arrays."""
+    return [
+        CriticalPointReport(VortexConfiguration(p, degrees), r, hn, bool(nd), int(i), float(val))
+        for p, r, hn, nd, i, val in zip(a, rn, h, is_nondegenerate(h), its, v)
+    ]
+
+
+def _find_critical(init: VortexConfiguration, derivs, value) -> CriticalPointReport:
+    """_solve from init alone; raises the error that drops it."""
+    (error,), solved = _solve(init.points_array()[None], derivs, value)
+    if error is not None:
+        raise error
+    (rep,) = _reports(init.degrees, *solved)
     return rep
 
 
 def _hat_w_kernels(f: ConformalPolyMap, d: np.ndarray):
-    """The kernels du, hess and value of _polish for the transported hat_w
+    """The kernels derivs and value of _solve for the transported hat_w
     with degrees d (k,)."""
     return (
-        lambda a: _transport_hat_w_du(f, a, d),
-        lambda a: _transport_hat_w_hess(f, a, d),
+        lambda a: _transport_hat_w_derivs(f, a, d, True),
         lambda a: _transport_hat_w(f, a, d),
     )
 
 
 def _w_kernels(f: ConformalPolyMap, ctx: DiscEnergyContext, d: np.ndarray):
-    """The kernels of _polish for the transported W with the datum of ctx."""
+    """The kernels of _solve for the transported W with the datum of ctx."""
     return (
-        lambda a: _transport_w_du(f, ctx, a, d),
-        lambda a: _transport_w_hess(f, ctx, a, d),
+        lambda a: _transport_w_derivs(f, ctx, a, d, True),
         lambda a: _transport_w(f, ctx, a, d),
     )
 
@@ -227,15 +243,14 @@ def _lattice_starts() -> np.ndarray:
 def find_max_hat_w(f: ConformalPolyMap) -> CriticalPointReport:
     """Interior maximizer of the transported hat_w for one vortex of degree
     one: the best critical point found by one batched Newton solve
-    (_polish) from the 13 starts of _lattice_starts(). Starts whose solve
-    fails are dropped."""
-    d = np.ones(1)
-    results = [
-        rep
-        for rep in _polish(_lattice_starts(), (1,), *_hat_w_kernels(f, d))
-        if isinstance(rep, CriticalPointReport)
-    ]
-    if not results:
+    (_solve) from the 13 starts of _lattice_starts(). Starts whose solve
+    fails are dropped. Only the winner gets a report: one configuration is
+    built and one Hessian tested for nondegeneracy."""
+    _, solved = _solve(_lattice_starts(), *_hat_w_kernels(f, np.ones(1)))
+    a, v = solved[0], solved[-1]
+    if not len(a):
         raise NewtonDiverged("no start converged")
     # largest value wins; only an exact tie in value falls to the smaller |alpha|
-    return min(results, key=lambda rep: (-rep.value, abs(rep.location.points[0])))
+    best = min(range(len(a)), key=lambda n: (-v[n], abs(a[n, 0])))
+    (rep,) = _reports((1,), *(arr[best : best + 1] for arr in solved))
+    return rep

@@ -70,30 +70,33 @@ def _hat_w(a, d):
     return np.pi * total
 
 
-def _hat_w_du(a, d):
-    """First Wirtinger derivatives d hat_w / d alpha_j, (..., k)."""
-    du = d**2 * np.conj(a) / (1.0 - np.abs(a) ** 2)
-    if a.shape[-1] > 1:
+def _hat_w_derivs(a, d, second=False):
+    """Wirtinger derivatives of hat_w for configurations a (..., k) with
+    degrees d (k,): (du, d2) with du[..., j] = d hat_w / d alpha_j. With
+    second, d2 is the pair d^2/(d alpha_j d alpha_l) and
+    d^2/(d alpha_j d conj(alpha_l)), (..., k, k) each; otherwise None.
+    1 - |alpha|^2 and the pair grid are computed once for both orders."""
+    d2w, ca = d**2, np.conj(a)
+    omr = 1.0 - np.abs(a) ** 2
+    du = d2w * ca / omr
+    paired = a.shape[-1] > 1
+    if paired:
         diff, q, w = _pairs(a, d)
-        du = du + np.sum(w * (1.0 / diff + np.conj(a[..., None, :]) / q), axis=-1)
-    return -np.pi * du
-
-
-def _hat_w_d2(a, d):
-    """Second Wirtinger derivatives of hat_w: d^2/(d alpha_j d alpha_l) and
-    d^2/(d alpha_j d conj(alpha_l)), (..., k, k) each."""
-    omr2 = (1.0 - np.abs(a) ** 2) ** 2
-    duv_diag = -(d**2) * np.conj(a) ** 2 / omr2
-    duvbar_diag = -(d**2) / omr2
-    if a.shape[-1] == 1:
-        return np.pi * duv_diag[..., None], np.pi * duvbar_diag[..., None]
-    diff, q, w = _pairs(a, d)
+        du = du + np.sum(w * (1.0 / diff + ca[..., None, :] / q), axis=-1)
+    du = -np.pi * du
+    if not second:
+        return du, None
+    omr2 = omr**2
+    duv_diag = -d2w * ca**2 / omr2
+    duvbar_diag = -d2w / omr2
+    if not paired:
+        return du, (np.pi * duv_diag[..., None], np.pi * duvbar_diag[..., None])
     duv = -w / diff**2
     duvbar = -w / q**2
     i = np.arange(a.shape[-1])
-    duv[..., i, i] = duv_diag - np.sum(duv - duvbar * np.conj(a[..., None, :]) ** 2, axis=-1)
+    duv[..., i, i] = duv_diag - np.sum(duv - duvbar * ca[..., None, :] ** 2, axis=-1)
     duvbar[..., i, i] = duvbar_diag
-    return np.pi * duv, np.pi * duvbar
+    return du, (np.pi * duv, np.pi * duvbar)
 
 
 def hat_w(cfg: VortexConfiguration) -> float:
@@ -103,12 +106,12 @@ def hat_w(cfg: VortexConfiguration) -> float:
 
 def hat_w_grad(cfg: VortexConfiguration) -> np.ndarray:
     """Analytic gradient of hat_w as a real 2k-vector (x1, y1, x2, y2, ...)."""
-    return grad_to_vec(_hat_w_du(cfg.points_array(), cfg.degrees_array()))
+    return grad_to_vec(_hat_w_derivs(cfg.points_array(), cfg.degrees_array())[0])
 
 
 def hat_w_hess(cfg: VortexConfiguration) -> np.ndarray:
     """Analytic Hessian of hat_w, a symmetric 2k x 2k matrix."""
-    return assemble_hessian(*_hat_w_d2(cfg.points_array(), cfg.degrees_array()))
+    return assemble_hessian(*_hat_w_derivs(cfg.points_array(), cfg.degrees_array(), True)[1])
 
 
 def _checked(ctx: DiscEnergyContext, cfg: VortexConfiguration):
@@ -174,20 +177,20 @@ def w_disc(ctx: DiscEnergyContext, cfg: VortexConfiguration) -> float:
     return float(_w_disc(ctx, *_checked(ctx, cfg)))
 
 
-def _seminorm_du(a, d, u):
-    """First Wirtinger derivatives of S(alpha) = 2 pi sum n |b_n(alpha) + c_n|^2,
-    (..., k), given its composite coefficients u_n (n = 1..N), (..., N): b_n
-    is antiholomorphic with d conj(b_n) / d alpha_j = d_j alpha_j^(n-1)."""
-    n = np.arange(1, u.shape[-1] + 1)
-    return 2.0 * np.pi * d * (a[..., :, None] ** (n - 1) @ (n * u)[..., None])[..., 0]
-
-
-def _seminorm_d2(a, d, u):
-    """Second Wirtinger derivatives of S, (..., k, k) each:
-    d^2 S/(d alpha_j d alpha_l) is diagonal, d^2 S/(d alpha_j d conj(alpha_l))
-    is one product of the power tables."""
+def _seminorm_derivs(a, d, u, second=False):
+    """Wirtinger derivatives of S(alpha) = 2 pi sum n |b_n(alpha) + c_n|^2
+    for configurations a (..., k) with degrees d (k,), given its composite
+    coefficients u_n (n = 1..N), (..., N): b_n is antiholomorphic with
+    d conj(b_n) / d alpha_j = d_j alpha_j^(n-1). Returns (du, d2) as
+    _hat_w_derivs does: du (..., k); with second, d2 holds
+    d^2 S/(d alpha_j d alpha_l), which is diagonal, and
+    d^2 S/(d alpha_j d conj(alpha_l)), one product of the power tables.
+    The table alpha_j^(n-1) is computed once for both orders."""
     n = np.arange(1, u.shape[-1] + 1)
     pw = a[..., :, None] ** (n - 1)
+    du = 2.0 * np.pi * d * (pw @ (n * u)[..., None])[..., 0]
+    if not second:
+        return du, None
     pw2 = np.zeros_like(pw)
     pw2[..., 1:] = pw[..., :-1]
     duv = np.zeros(a.shape + a.shape[-1:], dtype=complex)
@@ -195,24 +198,23 @@ def _seminorm_d2(a, d, u):
     duv[..., i, i] = 2.0 * np.pi * d * (pw2 @ (n * (n - 1) * u)[..., None])[..., 0]
     dpw = d[:, None] * pw
     duvbar = 2.0 * np.pi * (n * dpw) @ np.swapaxes(dpw.conj(), -1, -2)
-    return duv, duvbar
+    return du, (duv, duvbar)
 
 
-def _w_disc_du(ctx, a, d):
-    """First Wirtinger derivatives of w_disc, (..., k)."""
-    return _hat_w_du(a, d) + _seminorm_du(a, d, _composite_coeffs(ctx, a, d))
-
-
-def _w_disc_d2(ctx, a, d):
-    """Second Wirtinger derivatives of w_disc, (..., k, k) each."""
-    duv_h, duvbar_h = _hat_w_d2(a, d)
-    duv_s, duvbar_s = _seminorm_d2(a, d, _composite_coeffs(ctx, a, d))
-    return duv_h + duv_s, duvbar_h + duvbar_s
+def _w_disc_derivs(ctx, a, d, second=False):
+    """Wirtinger derivatives of w_disc, (du, d2) as _hat_w_derivs returns
+    them; the composite coefficients are computed once for both orders."""
+    du_h, d2_h = _hat_w_derivs(a, d, second)
+    du_s, d2_s = _seminorm_derivs(a, d, _composite_coeffs(ctx, a, d), second)
+    du = du_h + du_s
+    if not second:
+        return du, None
+    return du, (d2_h[0] + d2_s[0], d2_h[1] + d2_s[1])
 
 
 def w_disc_hess(ctx: DiscEnergyContext, cfg: VortexConfiguration) -> np.ndarray:
     """Analytic alpha-Hessian of w_disc, symmetric 2k x 2k."""
-    return assemble_hessian(*_w_disc_d2(ctx, *_checked(ctx, cfg)))
+    return assemble_hessian(*_w_disc_derivs(ctx, *_checked(ctx, cfg), True)[1])
 
 
 def n_disc(ctx: DiscEnergyContext, cfg: VortexConfiguration) -> FourierSeries:

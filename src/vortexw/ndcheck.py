@@ -28,14 +28,14 @@ from .core import (
     is_nondegenerate,
 )
 from .critpoint import find_max_hat_w
-from .disc_energy import DiscEnergyContext, _n_disc_alpha_jacobian, _seminorm_du
+from .disc_energy import DiscEnergyContext, _n_disc_alpha_jacobian, _seminorm_derivs
 from .errors import (
     DegenerateDerivative,
     LeftAdmissibleRegion,
     NewtonDiverged,
     NoCriticalPointFound,
 )
-from .transport import _transport_w_hess, transport_w_hess
+from .transport import _transport_w_derivs, transport_w_hess
 
 TOL_OP = 1e-3
 STABILITY_REL = 1e-2
@@ -106,8 +106,19 @@ def _psi_columns(a, d, trunc: int):
     coefficient n a_n, so dN/dpsi = n E; grad_alpha W depends on psi only
     through the seminorm term, linear in its coefficients c_n = -i a_n."""
     n = np.arange(1, trunc + 1)
-    e = np.kron(np.eye(trunc), [0.5, -0.5j])
-    return n[:, None] * e, grad_to_vec(_seminorm_du(a, d, (-1j * e).T).T)
+    e = _mode_matrix(trunc)
+    return n[:, None] * e, grad_to_vec(_seminorm_derivs(a, d, (-1j * e).T)[0].T)
+
+
+def _mode_matrix(trunc: int) -> np.ndarray:
+    """E of _psi_columns, (trunc, 2 trunc): the bytes of
+    np.kron(np.eye(trunc), [0.5, -0.5j]), signed zeros included."""
+    e = np.zeros((trunc, 2 * trunc), dtype=complex)
+    e.imag[:, 1::2] = -0.0
+    i = np.arange(trunc)
+    e.real[i, 2 * i] = 0.5
+    e.imag[i, 2 * i + 1] = -0.5
+    return e
 
 
 def assemble_du_matrix(f: ConformalPolyMap, nd1: Nd1Report, trunc: int) -> np.ndarray:
@@ -128,7 +139,7 @@ def assemble_du_matrix(f: ConformalPolyMap, nd1: Nd1Report, trunc: int) -> np.nd
     ctx = DiscEnergyContext(cfg, trunc=trunc)
     a, d = cfg.points_array(), cfg.degrees_array()
     dn_dpsi, dg_dpsi = _psi_columns(a, d, trunc)
-    h = _transport_w_hess(f, ctx, a, d)
+    h = _transport_w_derivs(f, ctx, a, d, True)[1]
     dn_dalpha = _n_disc_alpha_jacobian(trunc, a, d).T
     du = dn_dpsi - dn_dalpha @ np.linalg.solve(h, dg_dpsi)
     # mode coefficient c on cos n theta, sin n theta: (2 Re c, -2 Im c), the

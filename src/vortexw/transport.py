@@ -13,11 +13,9 @@ from .disc_energy import (
     DiscEnergyContext,
     _checked,
     _hat_w,
-    _hat_w_d2,
-    _hat_w_du,
+    _hat_w_derivs,
     _w_disc,
-    _w_disc_d2,
-    _w_disc_du,
+    _w_disc_derivs,
 )
 
 
@@ -27,24 +25,37 @@ def _log_fprime(f: ConformalPolyMap, a, d):
     return np.pi * np.sum(d**2 * np.log(np.abs(f.derivative(a))), axis=-1)
 
 
-def _log_fprime_du(f: ConformalPolyMap, a, d) -> np.ndarray:
-    """Wirtinger derivatives of the map correction: pi d_j^2 f''/(2 f')."""
-    return 0.5 * np.pi * d**2 * (f.derivative(a, 2) / f.derivative(a))
-
-
-def _log_fprime_d2(f: ConformalPolyMap, a, d) -> np.ndarray:
-    """Second Wirtinger derivatives d^2/(d alpha_j d alpha_l) of the map
-    correction for configurations a (..., k), (..., k, k): diagonal,
+def _log_fprime_derivs(f: ConformalPolyMap, a, d, second=False):
+    """Wirtinger derivatives of the map correction for configurations
+    a (..., k): du = pi d_j^2 f''/(2 f') (..., k), and with second the
+    second derivatives d^2/(d alpha_j d alpha_l), (..., k, k): diagonal,
     pi d_j^2 (f3/f1 - (f2/f1)^2) / 2 with f_m the m-th derivative of f at
-    alpha_j. The mixed derivatives d^2/(d alpha_j d conj(alpha_l)) vanish."""
+    alpha_j (the mixed derivatives d^2/(d alpha_j d conj(alpha_l))
+    vanish); otherwise None. f' and f''/f' are computed once for both."""
     fp = f.derivative(a)
     r2 = f.derivative(a, 2) / fp
+    du = 0.5 * np.pi * d**2 * r2
+    if not second:
+        return du, None
     r3 = f.derivative(a, 3) / fp
     diag = 0.5 * np.pi * d**2 * (r3 - r2**2)
     out = np.zeros(diag.shape + diag.shape[-1:], dtype=complex)
     i = np.arange(diag.shape[-1])
     out[..., i, i] = diag
-    return out
+    return du, out
+
+
+def _with_map(f, a, d, disc):
+    """The derivatives on Omega of an energy whose disc Wirtinger
+    derivatives at a are disc = (du, d2): its first Wirtinger derivatives
+    (..., k), and its real Hessians (..., 2k, 2k) where d2 is given, else
+    None."""
+    du, d2 = disc
+    du_m, d2_m = _log_fprime_derivs(f, a, d, d2 is not None)
+    if d2 is None:
+        return du + du_m, None
+    duv, duvbar = d2
+    return du + du_m, assemble_hessian(duv + d2_m, duvbar)
 
 
 def _transport_hat_w(f: ConformalPolyMap, a, d):
@@ -52,15 +63,11 @@ def _transport_hat_w(f: ConformalPolyMap, a, d):
     return _hat_w(a, d) + _log_fprime(f, a, d)
 
 
-def _transport_hat_w_du(f: ConformalPolyMap, a, d):
-    """First Wirtinger derivatives of hat_w on Omega, (..., k)."""
-    return _hat_w_du(a, d) + _log_fprime_du(f, a, d)
-
-
-def _transport_hat_w_hess(f: ConformalPolyMap, a, d) -> np.ndarray:
-    """Hessians of hat_w on Omega for configurations a (..., k), (..., 2k, 2k)."""
-    duv, duvbar = _hat_w_d2(a, d)
-    return assemble_hessian(duv + _log_fprime_d2(f, a, d), duvbar)
+def _transport_hat_w_derivs(f: ConformalPolyMap, a, d, hessian=False):
+    """First Wirtinger derivatives of hat_w on Omega for configurations
+    a (..., k) with degrees d (k,), (..., k), and with hessian its real
+    Hessians (..., 2k, 2k), else None: both from one pass over a."""
+    return _with_map(f, a, d, _hat_w_derivs(a, d, hessian))
 
 
 def _transport_w(f, ctx, a, d):
@@ -68,15 +75,10 @@ def _transport_w(f, ctx, a, d):
     return _w_disc(ctx, a, d) + _log_fprime(f, a, d)
 
 
-def _transport_w_du(f, ctx, a, d) -> np.ndarray:
-    """First Wirtinger derivatives of the full energy on Omega, (..., k)."""
-    return _w_disc_du(ctx, a, d) + _log_fprime_du(f, a, d)
-
-
-def _transport_w_hess(f, ctx, a, d) -> np.ndarray:
-    """Hessians of the full energy on Omega, (..., 2k, 2k)."""
-    duv, duvbar = _w_disc_d2(ctx, a, d)
-    return assemble_hessian(duv + _log_fprime_d2(f, a, d), duvbar)
+def _transport_w_derivs(f, ctx, a, d, hessian=False):
+    """First Wirtinger derivatives of the full energy on Omega, (..., k),
+    and with hessian its real Hessians (..., 2k, 2k), else None."""
+    return _with_map(f, a, d, _w_disc_derivs(ctx, a, d, hessian))
 
 
 def transport_hat_w(f: ConformalPolyMap, cfg: VortexConfiguration) -> float:
@@ -86,7 +88,7 @@ def transport_hat_w(f: ConformalPolyMap, cfg: VortexConfiguration) -> float:
 
 def transport_hat_w_grad(f: ConformalPolyMap, cfg: VortexConfiguration) -> np.ndarray:
     """Analytic gradient of transport_hat_w as a real 2k-vector."""
-    return grad_to_vec(_transport_hat_w_du(f, cfg.points_array(), cfg.degrees_array()))
+    return grad_to_vec(_transport_hat_w_derivs(f, cfg.points_array(), cfg.degrees_array())[0])
 
 
 def transport_w(f: ConformalPolyMap, ctx: DiscEnergyContext, cfg: VortexConfiguration) -> float:
@@ -96,10 +98,10 @@ def transport_w(f: ConformalPolyMap, ctx: DiscEnergyContext, cfg: VortexConfigur
 
 def transport_w_grad(f, ctx, cfg) -> np.ndarray:
     """Analytic gradient of transport_w as a real 2k-vector."""
-    return grad_to_vec(_transport_w_du(f, ctx, *_checked(ctx, cfg)))
+    return grad_to_vec(_transport_w_derivs(f, ctx, *_checked(ctx, cfg))[0])
 
 
 def transport_w_hess(f, ctx, cfg) -> np.ndarray:
     """Analytic Hessian of transport_w, a symmetric 2k x 2k matrix."""
-    return _transport_w_hess(f, ctx, *_checked(ctx, cfg))
+    return _transport_w_derivs(f, ctx, *_checked(ctx, cfg), True)[1]
 

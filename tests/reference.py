@@ -1,7 +1,9 @@
 """Reference formulas for the finite-difference tests of the phase field,
-the map check that always builds the crossing table, and the CLI's input
-and output as the generic argparse and JSON paths give them; and grad_phi,
-the package's field kernel at given points, which those tests check.
+the map check that always builds the crossing table, the CLI's input
+and output as the generic argparse and JSON paths give them, and the
+derivative kernels of the transported energies as separate first- and
+second-derivative functions; and grad_phi, the package's field kernel at
+given points, which those tests check.
 
 They are written from the definitions, term by term, and are not part of
 the package.
@@ -12,9 +14,10 @@ import re
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
+from vortexw._calculus import assemble_hessian
 from vortexw._kernels import grad_phi_field
 from vortexw.core import MAP_GRID, _polygon_self_intersects
-from vortexw.disc_energy import _composite_coeffs
+from vortexw.disc_energy import _composite_coeffs, _pairs
 from vortexw.expansion import _gprime_coeffs
 from vortexw.errors import BoundaryNotSimple, DegenerateDerivative
 
@@ -141,3 +144,93 @@ def glue_signed_values(argv, flags=("--vortex", "--base", "--map")):
         else:
             out.append(tok)
     return out
+
+
+# The derivative kernels of hat_w, of the seminorm term, of the map
+# correction and of the transported energies, one function per order, each
+# computing its own intermediates. The package computes both orders in one
+# pass; these give the same bits, operation for operation.
+
+
+def hat_w_du(a, d):
+    du = d**2 * np.conj(a) / (1.0 - np.abs(a) ** 2)
+    if a.shape[-1] > 1:
+        diff, q, w = _pairs(a, d)
+        du = du + np.sum(w * (1.0 / diff + np.conj(a[..., None, :]) / q), axis=-1)
+    return -np.pi * du
+
+
+def hat_w_d2(a, d):
+    omr2 = (1.0 - np.abs(a) ** 2) ** 2
+    duv_diag = -(d**2) * np.conj(a) ** 2 / omr2
+    duvbar_diag = -(d**2) / omr2
+    if a.shape[-1] == 1:
+        return np.pi * duv_diag[..., None], np.pi * duvbar_diag[..., None]
+    diff, q, w = _pairs(a, d)
+    duv = -w / diff**2
+    duvbar = -w / q**2
+    i = np.arange(a.shape[-1])
+    duv[..., i, i] = duv_diag - np.sum(duv - duvbar * np.conj(a[..., None, :]) ** 2, axis=-1)
+    duvbar[..., i, i] = duvbar_diag
+    return np.pi * duv, np.pi * duvbar
+
+
+def seminorm_du(a, d, u):
+    n = np.arange(1, u.shape[-1] + 1)
+    return 2.0 * np.pi * d * (a[..., :, None] ** (n - 1) @ (n * u)[..., None])[..., 0]
+
+
+def seminorm_d2(a, d, u):
+    n = np.arange(1, u.shape[-1] + 1)
+    pw = a[..., :, None] ** (n - 1)
+    pw2 = np.zeros_like(pw)
+    pw2[..., 1:] = pw[..., :-1]
+    duv = np.zeros(a.shape + a.shape[-1:], dtype=complex)
+    i = np.arange(a.shape[-1])
+    duv[..., i, i] = 2.0 * np.pi * d * (pw2 @ (n * (n - 1) * u)[..., None])[..., 0]
+    dpw = d[:, None] * pw
+    duvbar = 2.0 * np.pi * (n * dpw) @ np.swapaxes(dpw.conj(), -1, -2)
+    return duv, duvbar
+
+
+def w_disc_du(ctx, a, d):
+    return hat_w_du(a, d) + seminorm_du(a, d, _composite_coeffs(ctx, a, d))
+
+
+def w_disc_d2(ctx, a, d):
+    duv_h, duvbar_h = hat_w_d2(a, d)
+    duv_s, duvbar_s = seminorm_d2(a, d, _composite_coeffs(ctx, a, d))
+    return duv_h + duv_s, duvbar_h + duvbar_s
+
+
+def log_fprime_du(f, a, d):
+    return 0.5 * np.pi * d**2 * (f.derivative(a, 2) / f.derivative(a))
+
+
+def log_fprime_d2(f, a, d):
+    fp = f.derivative(a)
+    r2 = f.derivative(a, 2) / fp
+    r3 = f.derivative(a, 3) / fp
+    diag = 0.5 * np.pi * d**2 * (r3 - r2**2)
+    out = np.zeros(diag.shape + diag.shape[-1:], dtype=complex)
+    i = np.arange(diag.shape[-1])
+    out[..., i, i] = diag
+    return out
+
+
+def transport_hat_w_du(f, a, d):
+    return hat_w_du(a, d) + log_fprime_du(f, a, d)
+
+
+def transport_hat_w_hess(f, a, d):
+    duv, duvbar = hat_w_d2(a, d)
+    return assemble_hessian(duv + log_fprime_d2(f, a, d), duvbar)
+
+
+def transport_w_du(f, ctx, a, d):
+    return w_disc_du(ctx, a, d) + log_fprime_du(f, a, d)
+
+
+def transport_w_hess(f, ctx, a, d):
+    duv, duvbar = w_disc_d2(ctx, a, d)
+    return assemble_hessian(duv + log_fprime_d2(f, a, d), duvbar)

@@ -38,12 +38,11 @@ def test_certify_pass_checks_ok(monkeypatch, seed):
     check_pass(monkeypatch, "certify", seed)
 
 
-def test_tracer_counts_every_field_kernel_call(monkeypatch):
-    # the tracer finds the kernel as a module global of expansion; a local
-    # alias or an inlined kernel would leave its counters at 0
+def installed_tracer(monkeypatch):
+    """vwbench's tracer, installed for this test only, and vwbench's
+    workloads module."""
     monkeypatch.syspath_prepend(str(VWBENCH))
     tracer = importlib.import_module("tracer")
-    workloads = importlib.import_module("workloads")
     # install rebinds functions in every vortexw module: record each binding
     # first, so that monkeypatch puts them back after the test
     for name, mod in list(sys.modules.items()):
@@ -54,6 +53,13 @@ def test_tracer_counts_every_field_kernel_call(monkeypatch):
     monkeypatch.setattr(AnnulusQuadrature, "build", AnnulusQuadrature.__dict__["build"])
     trace = tracer.Tracer()
     trace.install()
+    return trace, importlib.import_module("workloads")
+
+
+def test_tracer_counts_every_field_kernel_call(monkeypatch):
+    # the tracer finds the kernel as a module global of expansion; a local
+    # alias or an inlined kernel would leave its counters at 0
+    trace, workloads = installed_tracer(monkeypatch)
 
     counts = {"calls": 0, "points": 0}
     traced = expansion.grad_phi_field
@@ -77,3 +83,20 @@ def test_tracer_counts_every_field_kernel_call(monkeypatch):
     kernel = trace.stats["kernels.grad_phi_field"]
     assert (kernel.calls, kernel.points) == (counts["calls"], counts["points"])
     assert trace.stats["harmonic.AnnulusQuadrature.build"].calls == 1
+
+
+def test_certify_operation_builds_three_configurations(monkeypatch):
+    # an nd at trunc 16 builds one configuration for the maximizer's
+    # report and one for each of the two operator assemblies (N and 2N);
+    # the maximizer's other converged starts get no report
+    trace, workloads = installed_tracer(monkeypatch)
+    op = workloads.build("certify", 7)[2]
+    assert op.argv[-2:] == ("--trunc", "16")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.run(list(op.argv))
+    assert op.check(rc, out.getvalue(), err.getvalue()) == "ok"
+    per_layer = trace.per_layer(1)
+    assert per_layer["core.validate_configuration.calls"]["value"] == 3
+    assert per_layer["critpoint.find_max_hat_w.calls"]["value"] == 1
+    assert per_layer["transport.transport_w_hess.calls"]["value"] == 1

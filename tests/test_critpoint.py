@@ -17,9 +17,10 @@ from vortexw import (
     transport_hat_w,
     transport_hat_w_grad,
 )
-from vortexw import critpoint, ndcheck
+from vortexw import critpoint
 from vortexw.core import BOUNDARY_MARGIN, configuration_is_admissible
-from vortexw.transport import _transport_hat_w_hess
+
+from reference import transport_hat_w_hess
 
 IDENTITY = ConformalPolyMap.identity()
 
@@ -27,9 +28,9 @@ IDENTITY = ConformalPolyMap.identity()
 def polish_loop(f, pts, degrees):
     """The Newton polish of one start as find_max_hat_w ran it, start by
     start, before the polish was batched: through the checked public
-    functions and the one-configuration Hessian kernel, the oracle for the
-    batched polish. Returns (points, residual_norm, iterations, value,
-    hessian), or None where the start is dropped."""
+    functions and the one-configuration Hessian kernel of reference.py, the
+    oracle for the batched polish. Returns (points, residual_norm,
+    iterations, value, hessian), or None where the start is dropped."""
     d = np.asarray(degrees, dtype=float)
 
     def residual(x):
@@ -46,7 +47,7 @@ def polish_loop(f, pts, degrees):
         if it > critpoint.MAX_ITER:
             return None
         try:
-            step = np.linalg.solve(_transport_hat_w_hess(f, critpoint._unpack(x), d), -r)
+            step = np.linalg.solve(transport_hat_w_hess(f, critpoint._unpack(x), d), -r)
         except np.linalg.LinAlgError:
             return None
         lam = 1.0
@@ -63,7 +64,15 @@ def polish_loop(f, pts, degrees):
         x, r, rn = x_new, r_new, rn_new
     a = critpoint._unpack(x)
     value = transport_hat_w(f, VortexConfiguration(a, degrees))
-    return a, rn, it - 1, value, _transport_hat_w_hess(f, a, d)
+    return a, rn, it - 1, value, transport_hat_w_hess(f, a, d)
+
+
+def polish(starts, degrees, derivs, value):
+    """critpoint._solve from every start (m, k) with these degrees: one
+    entry per start, its CriticalPointReport or the error that dropped it."""
+    errors, solved = critpoint._solve(starts, derivs, value)
+    reports = iter(critpoint._reports(degrees, *solved))
+    return [next(reports) if error is None else error for error in errors]
 
 
 def seeded_pairs():
@@ -238,11 +247,22 @@ def synthetic_residual(x):
     return r
 
 
-def synthetic_jacobian(x):
+def synthetic_derivs(x):
     j = np.tile(np.eye(4), (len(x), 1, 1))
     for n, row in enumerate(x):
         j[n, :2, :2] *= {"singular": 0.0, "slow": 40.0}.get(SYNTHETIC[row[2]], 1.0)
-    return j
+    return synthetic_residual(x), j
+
+
+def overshoot_derivs(x):
+    """One vortex at x0 + i x1: F = (x0, x1), except (10, 0) left of
+    x0 = -0.1. The Jacobian is a label of the region, c I with c = 0.5
+    right of x0 = 0.1, 3 left of -0.1 and 1 between, so a start at (0.2, 0)
+    first tries (-0.2, 0), is refused there, and takes (0, 0) at half the
+    step; a start in the middle band takes the origin at the full step."""
+    r = np.where(x[:, :1] < -0.1, [10.0, 0.0], x)
+    c = np.select([x[:, 0] > 0.1, x[:, 0] < -0.1], [0.5, 3.0], 1.0)
+    return r, c[:, None, None] * np.eye(2)
 
 
 def find_critical_w_loop(f, ctx, pts, degrees):
@@ -269,7 +289,7 @@ class TestBatchedPolish:
             ctx = DiscEnergyContext(VortexConfiguration([0.6j, -0.6j], (1, -1)), 16, psi)
             kernels = critpoint._w_kernels(f, ctx, d)
             loop = partial(find_critical_w_loop, f, ctx, degrees=degrees)
-        batch = critpoint._polish(starts, degrees, *kernels)
+        batch = polish(starts, degrees, *kernels)
         for pts, rep in zip(starts, batch):
             want = loop(pts)
             assert (want is None) == (not isinstance(rep, critpoint.CriticalPointReport))
@@ -316,7 +336,7 @@ class TestBatchedPolish:
         starts = np.array([[0.3, 0.2, tag, 0.0] for tag in SYNTHETIC] + [[1.5, 0.0, -0.5, 0.0]])
         # the outward row starts just inside the boundary margin
         starts[4, :2] = (1.0 - BOUNDARY_MARGIN - 1e-13, 0.0)
-        x, rn, its, errors = critpoint._newton(starts, synthetic_residual, synthetic_jacobian)
+        x, rn, its, _, errors = critpoint._newton(starts, synthetic_derivs)
         assert errors[0] is None
         assert [(type(e), str(e)) for e in errors[1:]] == [
             (NewtonDiverged, "singular Jacobian at iteration 1"),
@@ -326,30 +346,68 @@ class TestBatchedPolish:
             (LeftAdmissibleRegion, "initial point outside admissible region"),
         ]
         for n in range(len(starts)):
-            x1, rn1, its1, (error,) = critpoint._newton(
-                starts[n : n + 1], synthetic_residual, synthetic_jacobian
-            )
+            x1, rn1, its1, _, (error,) = critpoint._newton(starts[n : n + 1], synthetic_derivs)
             assert (type(error), str(error)) == (type(errors[n]), str(errors[n]))
             if error is None:
                 assert (x1[0].tobytes(), rn1[0], its1[0]) == (x[n].tobytes(), rn[n], its[n])
 
+    def test_stored_jacobian_is_the_accepted_iterates(self):
+        # row 0's full step is refused and its half step converges, in the
+        # rounds where row 1 takes its full step: each row reports the
+        # Jacobian evaluated at its own accepted iterate, never the one of
+        # a refused candidate
+        calls = []
+
+        def counted(x):
+            calls.append(len(x))
+            return overshoot_derivs(x)
+
+        starts = np.array([[0.2, 0.0], [0.05, 0.05]])
+        x, rn, its, jac, errors = critpoint._newton(starts, counted)
+        assert errors == [None, None]
+        assert calls == [2, 2, 1]
+        assert x.tobytes() == np.zeros((2, 2)).tobytes()
+        assert list(rn) == [0.0, 0.0] and list(its) == [1, 1]
+        assert jac.tobytes() == overshoot_derivs(x)[1].tobytes()
+        assert jac.tobytes() == np.array([np.eye(2), np.eye(2)]).tobytes()
+
     def test_hessian_kernel_calls(self, monkeypatch):
-        # one batched Jacobian per Newton round, as many rounds as the
-        # slowest start takes, and one call for the Hessians of the reports,
-        # whatever the number of starts
+        # one batched derivative evaluation per Newton round, the start's
+        # included, as many rounds as the slowest start takes, on the rows
+        # still live; none after the loop, one value call, and one
+        # configuration built, for the winner's report
         f = ConformalPolyMap([0.0, 1.0, 0.1])
         kernels = critpoint._hat_w_kernels(f, np.ones(1))
-        reps = critpoint._polish(critpoint._lattice_starts(), (1,), *kernels)
+        reps = polish(critpoint._lattice_starts(), (1,), *kernels)
         rounds = max(rep.iterations for rep in reps)
-        calls = []
-        hess = critpoint._transport_hat_w_hess
+        live = [sum(rep.iterations >= n for rep in reps) for n in range(rounds + 1)]
+        calls = {"derivs": [], "value": 0, "built": 0}
+        derivs, value = critpoint._transport_hat_w_derivs, critpoint._transport_hat_w
+        build = VortexConfiguration.__init__
 
-        def counted(f, a, d):
-            calls.append(a.shape)
-            return hess(f, a, d)
+        def counted_derivs(f, a, d, hessian=False):
+            calls["derivs"].append((a.shape, hessian))
+            return derivs(f, a, d, hessian)
 
-        monkeypatch.setattr(critpoint, "_transport_hat_w_hess", counted)
-        ndcheck.check_nd1(f)
+        def counted_value(f, a, d):
+            calls["value"] += 1
+            return value(f, a, d)
+
+        def counted_build(cfg, points, degrees):
+            calls["built"] += 1
+            build(cfg, points, degrees)
+
+        monkeypatch.setattr(critpoint, "_transport_hat_w_derivs", counted_derivs)
+        monkeypatch.setattr(critpoint, "_transport_hat_w", counted_value)
+        monkeypatch.setattr(VortexConfiguration, "__init__", counted_build)
+        rep = find_max_hat_w(f)
         assert rounds == 6
-        assert len(calls) == 1 + rounds
-        assert calls[0] == calls[-1] == (13, 1)
+        assert live[0] == 13
+        assert calls["derivs"] == [((n, 1), True) for n in live]
+        assert calls["value"] == 1
+        assert calls["built"] == 1
+        # the report the winner got from polish, under the same tie-break
+        want = min(reps, key=lambda r: (-r.value, abs(r.location.points[0])))
+        fields = ("location", "residual_norm", "nondegenerate", "iterations", "value")
+        assert [getattr(rep, k) for k in fields] == [getattr(want, k) for k in fields]
+        assert rep.hessian.tobytes() == want.hessian.tobytes()

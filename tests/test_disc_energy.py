@@ -25,12 +25,10 @@ from vortexw.disc_energy import (
     _base_shift_coeffs,
     _composite_coeffs,
     _hat_w,
-    _hat_w_d2,
-    _hat_w_du,
-    _seminorm_d2,
-    _seminorm_du,
+    _hat_w_derivs,
+    _seminorm_derivs,
     _w_disc,
-    _w_disc_du,
+    _w_disc_derivs,
 )
 
 from reference import fd_complex_gradient, fourier_values, grad_phi, hat_phi
@@ -422,8 +420,8 @@ class TestArrayKernelsMatchLoops:
         a, d = cfg.points_array(), cfg.degrees_array()
         du, duv, duvbar = hat_w_wirtinger_loop(cfg)
         assert hat_w(cfg) == pytest.approx(hat_w_loop(cfg), rel=1e-12)
-        assert_rel_close(_hat_w_du(a, d), du)
-        got_uv, got_uvbar = _hat_w_d2(a, d)
+        got_du, (got_uv, got_uvbar) = _hat_w_derivs(a, d, True)
+        assert_rel_close(got_du, du)
         assert_rel_close(got_uv, duv)
         assert_rel_close(got_uvbar, duvbar)
 
@@ -437,8 +435,8 @@ class TestArrayKernelsMatchLoops:
         a, d = cfg.points_array(), cfg.degrees_array()
         u = _composite_coeffs(ctx, a, d)
         du, duv, duvbar = seminorm_term_wirtinger_loop(ctx, cfg)
-        assert_rel_close(_seminorm_du(a, d, u), du)
-        got_uv, got_uvbar = _seminorm_d2(a, d, u)
+        got_du, (got_uv, got_uvbar) = _seminorm_derivs(a, d, u, True)
+        assert_rel_close(got_du, du)
         assert_rel_close(got_uv, duv)
         assert_rel_close(got_uvbar, duvbar)
 
@@ -450,7 +448,7 @@ class TestArrayKernelsMatchLoops:
         a = np.array([c.points_array() for c in cfgs])
         d = cfgs[0].degrees_array()
         assert_rel_close(_hat_w(a, d), [hat_w_loop(c) for c in cfgs])
-        for row, c in zip(_hat_w_du(a, d), cfgs):
+        for row, c in zip(_hat_w_derivs(a, d)[0], cfgs):
             assert_rel_close(row, hat_w_wirtinger_loop(c)[0])
         # the W kernels give the per-configuration results stacked, bit for
         # bit, with a phase and a base of another vortex count
@@ -459,7 +457,10 @@ class TestArrayKernelsMatchLoops:
         u = _composite_coeffs(ctx, a, d)
         for got, rows in [
             (_w_disc(ctx, a, d), [_w_disc(ctx, p, d) for p in a]),
-            (_w_disc_du(ctx, a, d), [_w_disc_du(ctx, p, d) for p in a]),
-            *zip(_seminorm_d2(a, d, u), zip(*[_seminorm_d2(p, d, q) for p, q in zip(a, u)])),
+            (_w_disc_derivs(ctx, a, d)[0], [_w_disc_derivs(ctx, p, d)[0] for p in a]),
+            *zip(
+                _seminorm_derivs(a, d, u, True)[1],
+                zip(*[_seminorm_derivs(p, d, q, True)[1] for p, q in zip(a, u)]),
+            ),
         ]:
             assert got.tobytes() == np.array(rows).tobytes()

@@ -181,6 +181,11 @@ class TestAssembleDu:
         np.testing.assert_allclose(dn, dn_loop, rtol=0, atol=1e-14)
         np.testing.assert_allclose(dg, dg_loop, rtol=0, atol=1e-14)
 
+    def test_mode_matrix_is_the_kron_construction_bit_for_bit(self):
+        for trunc in range(1, 65):
+            e = np.kron(np.eye(trunc), [0.5, -0.5j])
+            assert ndcheck._mode_matrix(trunc).tobytes() == e.tobytes()
+
     def test_higher_modes_are_pure_stiff_part(self):
         # rank-<=2 coupling: only the mode-1 block deviates from the diagonal n
         fd = assemble_du_matrix(IDENTITY, check_nd1(IDENTITY), 6)

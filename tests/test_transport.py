@@ -1,3 +1,4 @@
+import inspect
 import math
 import sys
 import warnings
@@ -27,7 +28,9 @@ from vortexw import (
 )
 from vortexw import cli, core, disc_energy, ndcheck, transport
 from vortexw._calculus import assemble_hessian
-from vortexw.transport import _log_fprime_d2, _transport_hat_w_hess
+from vortexw.transport import _log_fprime_derivs, _transport_hat_w_derivs, _transport_w_derivs
+
+import reference
 
 IDENTITY = ConformalPolyMap.identity()
 
@@ -92,7 +95,7 @@ class TestTransportHatW:
     def test_hess_matches_fd(self):
         f = ConformalPolyMap([0.0, 1.0, 0.05, 0.03])
         cfg = VortexConfiguration([0.2 - 0.25j], (1,))
-        hess = _transport_hat_w_hess(f, cfg.points_array(), cfg.degrees_array())
+        hess = _transport_hat_w_derivs(f, cfg.points_array(), cfg.degrees_array(), True)[1]
         h = 1e-6
         cols = []
         for step in (h, 1j * h):
@@ -168,6 +171,10 @@ class TestTransportW:
         )
 
 
+def _log_fprime_d2(f, a, d):
+    return _log_fprime_derivs(f, a, d, True)[1]
+
+
 class TestLogFprimeHessian:
     # Hessian of alpha -> pi log|f'(alpha)| at one point, from its Wirtinger
     # kernel; the mixed second derivative of a harmonic function is zero
@@ -237,8 +244,9 @@ class TestMapKernelsFinite:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             f = ConformalPolyMap(coeffs)
-            for kernel in (transport._transport_hat_w, transport._transport_hat_w_du, _transport_hat_w_hess):
-                assert np.isfinite(kernel(f, a, d)).all()
+            assert np.isfinite(transport._transport_hat_w(f, a, d)).all()
+            for out in (*_transport_hat_w_derivs(f, a, d, True), _transport_hat_w_derivs(f, a, d)[0]):
+                assert np.isfinite(out).all()
 
 
 class TestBatchAxis:
@@ -253,21 +261,102 @@ class TestBatchAxis:
         a = 0.8 * np.sqrt(rng.uniform(0, 1, (6, k)))
         a = a * np.exp(2j * np.pi * rng.uniform(0, 1, (6, k)))
         d = np.array([1.0, -1.0, 2.0][:k])
-        duv, duvbar = disc_energy._hat_w_d2(a, d)
+        duv, duvbar = disc_energy._hat_w_derivs(a, d, True)[1]
 
         def stacked(fn, *rows):
             return np.array([fn(*args) for args in zip(*rows)]).tobytes()
 
         assert assemble_hessian(duv, duvbar).tobytes() == stacked(assemble_hessian, duv, duvbar)
         assert _log_fprime_d2(f, a, d).tobytes() == stacked(lambda p: _log_fprime_d2(f, p, d), a)
-        assert _transport_hat_w_hess(f, a, d).tobytes() == stacked(
-            lambda p: _transport_hat_w_hess(f, p, d), a
-        )
+        for n in (0, 1):
+            assert _transport_hat_w_derivs(f, a, d, True)[n].tobytes() == stacked(
+                lambda p: _transport_hat_w_derivs(f, p, d, True)[n], a
+            )
         # the W kernels, with a phase and a base of another vortex count but
         # the same total degree
         base_degrees = {1: (2, -1), 2: (1, 1, -2), 3: (1, 1)}[k]
         base = VortexConfiguration([0.1, -0.3j, 0.2 + 0.2j][: len(base_degrees)], base_degrees)
         psi = FourierSeries.from_real(cos=[0.2, -0.1], sin=[0.05, 0.1, 0.03])
         ctx = DiscEnergyContext(base, 16, psi)
-        for fn in (transport._transport_w, transport._transport_w_du, transport._transport_w_hess):
+        for fn in (
+            transport._transport_w,
+            lambda f, ctx, a, d: _transport_w_derivs(f, ctx, a, d)[0],
+            lambda f, ctx, a, d: _transport_w_derivs(f, ctx, a, d, True)[1],
+        ):
             assert fn(f, ctx, a, d).tobytes() == stacked(lambda p: fn(f, ctx, p, d), a)
+
+
+class TestFusedKernelsMatchReference:
+    # the derivative kernels compute both orders in one pass; each output
+    # keeps the bits of the separate first- and second-derivative kernels
+    # of reference.py, on batches of 0, 1 and 2 leading axes
+    MAPS = [[0.0, 1.0], [0.0, 1.0, 0.1], [0.1, 1.0, 0.08 - 0.03j, 0.02j]]
+    SHAPES = [(), (3,), (2, 3)]
+
+    @staticmethod
+    def batch(rng, shape, k):
+        a = 0.85 * np.sqrt(rng.uniform(0, 1, shape + (k,)))
+        return a * np.exp(2j * np.pi * rng.uniform(0, 1, shape + (k,)))
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_hat_w(self, k):
+        rng = np.random.default_rng(40 + k)
+        # d^2 = 9 is not a power of two, so a reordered product shows
+        d = rng.choice([-3.0, -1.0, 1.0, 2.0, 3.0], size=k)
+        for coeffs in self.MAPS:
+            f = ConformalPolyMap(coeffs)
+            for shape in self.SHAPES:
+                a = self.batch(rng, shape, k)
+                du, hess = _transport_hat_w_derivs(f, a, d, True)
+                grad, none = _transport_hat_w_derivs(f, a, d)
+                assert none is None
+                assert du.tobytes() == grad.tobytes() == reference.transport_hat_w_du(f, a, d).tobytes()
+                assert hess.tobytes() == reference.transport_hat_w_hess(f, a, d).tobytes()
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_w(self, k):
+        # every truncation from 1 to 129, a nonzero phase, and a base of
+        # another vortex count with the same total degree
+        rng = np.random.default_rng(80 + k)
+        d = rng.choice([-1.0, 1.0, 3.0], size=k)
+        total = int(d.sum())
+        base = VortexConfiguration([0.1, -0.3j, 0.2 + 0.2j], (total - 1, 2, -1))
+        psi = FourierSeries.from_real(cos=rng.normal(0, 0.2, 6), sin=rng.normal(0, 0.2, 6), trunc=129)
+        for trunc in range(1, 130):
+            ctx = DiscEnergyContext(base, trunc, psi)
+            f = ConformalPolyMap(self.MAPS[trunc % len(self.MAPS)])
+            a = self.batch(rng, self.SHAPES[trunc % len(self.SHAPES)], k)
+            du, hess = _transport_w_derivs(f, ctx, a, d, True)
+            grad, none = _transport_w_derivs(f, ctx, a, d)
+            assert none is None
+            assert du.tobytes() == grad.tobytes() == reference.transport_w_du(f, ctx, a, d).tobytes()
+            assert hess.tobytes() == reference.transport_w_hess(f, ctx, a, d).tobytes()
+
+    def test_gradient_callers_take_no_second_derivative(self, monkeypatch):
+        # hat_w_grad, transport_*_grad and the energy subcommand ask every
+        # derivative kernel for the first order only
+        asked = []
+        for mod, name in [
+            (disc_energy, "_hat_w_derivs"),
+            (disc_energy, "_seminorm_derivs"),
+            (transport, "_hat_w_derivs"),
+            (transport, "_w_disc_derivs"),
+            (transport, "_log_fprime_derivs"),
+        ]:
+            fn = getattr(mod, name)
+
+            def recording(*args, _fn=fn, **kwargs):
+                bound = inspect.signature(_fn).bind(*args, **kwargs)
+                asked.append(bound.arguments.get("second", False))
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(mod, name, recording)
+        monkeypatch.setattr(transport, "assemble_hessian", None)
+        f = ConformalPolyMap([0.0, 1.0, 0.1, 0.02j])
+        cfg = VortexConfiguration([0.3 + 0.1j, -0.2 + 0.4j], (1, -1))
+        psi = FourierSeries.from_real(cos=[0.05], sin=[0.0, 0.02])
+        ctx = DiscEnergyContext(VortexConfiguration([0.1, -0.2], (2, -2)), 16, psi)
+        hat_w_grad(cfg), transport_hat_w_grad(f, cfg), transport_w_grad(f, ctx, cfg)
+        argv = ["energy", "--map", "0,1,0.1", "--vortex=0.3,0.1,1", "--vortex=-0.2,0.4,-1"]
+        assert cli.run(argv + ["--psi", '{"cos":[0.05]}']) == 0
+        assert len(asked) > 5 and not any(asked)
