@@ -38,6 +38,7 @@ from .errors import (
     LeftAdmissibleRegion,
     NewtonDiverged,
     NoCriticalPointFound,
+    QuadratureNotConverged,
     VortexTooCloseToBoundary,
     VortexwError,
     VorticesCollide,
@@ -88,6 +89,7 @@ __all__ = [
     "Nd2Report",
     "NewtonDiverged",
     "NoCriticalPointFound",
+    "QuadratureNotConverged",
     "SEPARATION_MARGIN",
     "VortexConfiguration",
     "VortexTooCloseToBoundary",

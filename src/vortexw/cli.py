@@ -61,8 +61,8 @@ MAX_MAP_DEGREE = 64
 # config): the configuration check builds a k x k table of pairwise gaps,
 # and crit solves 2k x 2k systems.
 MAX_VORTICES = 256
-# Most --rho radii accepted (flag or config): expand integrates k polar
-# patches of 24576 nodes per radius.
+# Most --rho radii accepted (flag or config): expand evaluates k core
+# circles of up to expansion.MAX_NODES nodes per radius.
 MAX_RADII = 32
 
 

@@ -43,3 +43,7 @@ class LeftAdmissibleRegion(VortexwError):
 
 class NoCriticalPointFound(VortexwError):
     pass
+
+
+class QuadratureNotConverged(VortexwError):
+    pass

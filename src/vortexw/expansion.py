@@ -6,10 +6,13 @@ with core discs of radius rho removed behaves as
     E(rho) = pi (sum_j d_j^2) log(1/rho) + W + O(rho),
 
 which ties the closed-form energies back to the integral they renormalize.
-The punctured integral is computed with a smooth partition of unity: one
-log-radial polar patch around each vortex plus a global grid carrying the
-complementary weight, so every integrand seen by a quadrature rule is
-smooth on its domain.
+The field is grad Phi for a Phi harmonic on the punctured disc (see
+_potential), so by Green's identity E is the boundary integral
+
+    1/2 oint_{|z|=1} Phi d_r Phi dtheta - 1/2 sum_j oint_{|z-a_j|=rho} Phi d_r Phi rho dtheta,
+
+whose integrands are smooth and periodic: the trapezoid rule converges on
+them geometrically, and half of its nodes give its error estimate.
 """
 from __future__ import annotations
 
@@ -20,11 +23,13 @@ import numpy as np
 from ._kernels import grad_phi_field
 from .core import VortexConfiguration
 from .disc_energy import DiscEnergyContext, _checked, w_disc
-from .errors import InvalidRadius
-from .harmonic import AnnulusQuadrature
+from .errors import InvalidRadius, QuadratureNotConverged
 
-PATCH_RADIAL = 96
-PATCH_ANGULAR = 256
+# Nodes per circle of the trapezoid rule: its start, its cap, and the
+# agreement of the M- and M/2-node means that stops its doubling.
+M_START = 64
+MAX_NODES = 2**14
+TOL_TRAPEZOID = 1e-12
 
 # Smallest core radius punctured_energy accepts, whatever the vortices; the
 # bound also rises to 1024 ulps of the largest |a_j| (see punctured_energy).
@@ -39,64 +44,46 @@ def _gprime_coeffs(ctx: DiscEnergyContext) -> np.ndarray:
     return np.trim_zeros(2.0 * n * ctx.psi.coeffs[1:], "b")
 
 
-def _smoothstep(t: np.ndarray) -> np.ndarray:
-    """C-infinity ramp: 0 for t <= 0, 1 for t >= 1."""
-    t = np.clip(t, 0.0, 1.0)
-    with np.errstate(divide="ignore", over="ignore"):
-        lo = np.where(t > 0.0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
-        hi = np.where(t < 1.0, np.exp(-1.0 / np.maximum(1.0 - t, 1e-300)), 0.0)
-    return lo / (lo + hi)
+def _potential(z, alpha, degrees, alpha0, degrees0, gprime) -> np.ndarray:
+    """Phi = Re F at the points z, where F' = h of grad_phi_field (same
+    arguments), so grad Phi = conj(h): sum_j d_j (log|z - a_j|
+    + log|1 - conj(a_j) z|) - 2 sum_l d0_l log|1 - conj(a0_l) z| - Im G(z),
+    with G' = P = gprime and G(0) = 0."""
+    zz = np.asarray(z, dtype=complex)
+    g = np.zeros_like(zz)
+    for c in (gprime / np.arange(1, gprime.size + 1))[::-1]:  # Horner: g <- (g + c) z
+        g += c
+        g *= zz
+    phi = -g.imag
+    for a, d in zip(alpha, degrees):
+        phi += d * (np.log(np.abs(zz - a)) + np.log(np.abs(1.0 - np.conj(a) * zz)))
+    for a, d in zip(alpha0, degrees0):
+        phi -= 2.0 * d * np.log(np.abs(1.0 - np.conj(a) * zz))
+    return phi
 
 
-def _patch_radii(cfg: VortexConfiguration, rho: float) -> np.ndarray:
-    """Outer radius of each vortex patch: well inside the disc, clear of the
-    other vortices, and leaving room for the window above rho."""
-    a = cfg.points_array()
-    diff = a[:, None] - a[None, :]
-    # moduli by np.hypot, which rounds as abs of one complex scalar does;
-    # np.abs over a complex array can differ from it in the last place
-    gap = np.hypot(diff.real, diff.imag)
-    gap[np.eye(cfg.k, dtype=bool)] = np.inf
-    margins = np.minimum(1.0 - np.hypot(a.real, a.imag), np.min(gap, axis=1))
-    if np.any(rho >= 0.5 * margins):
-        raise InvalidRadius(
-            f"rho = {rho} not below half the vortex separation margins"
-        )
-    return np.maximum(0.4 * margins, np.minimum(1.8 * rho, 0.9 * margins))
-
-
-def _window(r: np.ndarray, r_in: float, r_out: float) -> np.ndarray:
-    """Weight 1 inside r_in, smoothly 0 beyond r_out."""
-    return 1.0 - _smoothstep((r - r_in) / (r_out - r_in))
-
-
-def _global_weight(z: np.ndarray, a, windows) -> np.ndarray:
-    """The product over the patches of 1 - _window(|z - a_j|, r_in, r_out)
-    at the nodes z, to the bit. A factor is exactly 0.0 where t <= 0 and
-    exactly 1.0 where t >= 1, so the exponentials of the ramp are taken
-    only in the band 0 < t < 1. The band is selected by t itself: rounding
-    can make t exactly 1 just inside r_out."""
-    w0 = np.ones_like(z, dtype=float)
-    for a_j, (r_in, r_out) in zip(a, windows):
-        t = (np.abs(z - a_j) - r_in) / (r_out - r_in)
-        w0[t <= 0.0] = 0.0
-        band = (t > 0.0) & (t < 1.0)
-        w0[band] *= 1.0 - (1.0 - _smoothstep(t[band]))
-    return w0
-
-
-def _global_term(quad: AnnulusQuadrature, a, windows, field) -> float:
-    """The global grid carries the complementary weight; nodes under any
-    patch core (weight zero) are skipped so the singularities are never
-    touched."""
-    r_glob = quad.radial_nodes[:, None]
-    z = r_glob * np.exp(1j * quad.angular_nodes[None, :])
-    w0 = _global_weight(z, a, windows)
-    mask = w0 > 0.0
-    vals = np.zeros_like(w0)
-    vals[mask] = 0.5 * np.abs(field(z[mask])) ** 2 * w0[mask]
-    dtheta = 2 * np.pi / quad.angular_nodes.size
-    return float(np.sum(quad.radial_weights @ (vals * r_glob)) * dtheta)
+def _trapezoid(integrand, m: int, where: str) -> np.ndarray:
+    """Means over theta of the periodic f of integrand(u) -> (f, q), each
+    (..., u.size) at the nodes u = e^{i theta}: f = Phi q, q = rho d_r Phi,
+    and (1 + |Phi|) |q| is the scale. From m nodes the rule doubles,
+    evaluating only the new odd nodes, until on every circle the mean of f
+    and that of its even-indexed half (the m/2 rule) differ by at most
+    TOL_TRAPEZOID times the mean scale, or raises QuadratureNotConverged
+    beyond MAX_NODES nodes, as it does for a value that is not finite."""
+    f, q = integrand(np.exp(2j * np.pi * np.arange(m) / m))
+    total, half = np.sum(f, axis=-1), np.sum(f[..., ::2], axis=-1)
+    scale = np.sum(np.abs(f) + np.abs(q), axis=-1)
+    while not np.all(np.abs(total / m - half / (m // 2)) <= TOL_TRAPEZOID * scale / m):
+        if 2 * m > MAX_NODES:
+            raise QuadratureNotConverged(
+                f"the trapezoid rule on {where} has not converged at {MAX_NODES} nodes"
+            )
+        f, q = integrand(np.exp(1j * np.pi * (2 * np.arange(m) + 1) / m))
+        half = total
+        total = total + np.sum(f, axis=-1)
+        scale = scale + np.sum(np.abs(f) + np.abs(q), axis=-1)
+        m *= 2
+    return total / m
 
 
 def punctured_energy(ctx: DiscEnergyContext, cfg: VortexConfiguration, rho):
@@ -104,63 +91,61 @@ def punctured_energy(ctx: DiscEnergyContext, cfg: VortexConfiguration, rho):
     the discs of radius rho about the vortices removed.
 
     rho is one radius (the result is a float) or a sequence of radii (the
-    result is a tuple of floats, in the same order). The quadrature rules
-    are built once per call, and the global term is computed once per
-    distinct set of patch windows.
+    result is a tuple of floats, in the same order). The unit-circle term
+    is computed once per call, and the k core circles of a radius in one
+    kernel call per doubling. Each rule starts at M_START nodes, or at the
+    first power of two above 4 deg G, so that its M/2 rule integrates the
+    polynomial part of Phi d_r Phi exactly. A circle that needs more than
+    MAX_NODES = 16384 nodes (the unit circle, for one vortex beyond |a| of
+    about 0.998) raises QuadratureNotConverged.
 
     Every radius must lie in (0, 1), below half of each vortex's clearance,
     and at or above max(RHO_FLOOR, 1024 ulps of max_j |a_j|): about
     1.4e-14 for a vortex at 0.1 and 1.1e-13 for one at 0.5 or beyond.
-    Below that the patch nodes a_j + rho e^{i theta} round away the offset
-    they are built from, or the 96-node log-radial rule spreads over too
-    long a span log(r_out / rho); either costs more than about 1e-3 of the
-    energy. Any other radius raises InvalidRadius before any quadrature.
+    At 1024 ulps the rounded nodes a_j + rho e^{i theta} keep their offsets
+    z - a_j within 2^-11 of rho e^{i theta}, distinct and in order. The
+    rule takes the self term d_j log|z - a_j| of Phi at the exact offset
+    rho, and d_r Phi along the rounded one, so rounding moves only the
+    smooth part of the integrand. RHO_FLOOR keeps d_j / rho and the
+    offsets normal floats far from overflow. Any other radius raises
+    InvalidRadius before any node is evaluated.
     """
     a, d = _checked(ctx, cfg)
     scalar = np.ndim(rho) == 0
     radii = (rho,) if scalar else tuple(rho)
     rho_min = max(RHO_FLOOR, 1024 * float(np.spacing(np.max(np.abs(a)))))
-    r_outs = []
+    diff = a[:, None] - a[None, :]
+    # moduli by np.hypot, which rounds as abs of one complex scalar does;
+    # np.abs over a complex array can differ from it in the last place
+    gap = np.hypot(diff.real, diff.imag) + np.diag(np.full(cfg.k, np.inf))
+    half_margin = 0.5 * np.min(np.minimum(1.0 - np.hypot(a.real, a.imag), np.min(gap, axis=1)))
     for r in radii:
         if not 0.0 < r < 1.0:
             raise InvalidRadius(f"rho = {r} outside (0, 1)")
         if r < rho_min:
             raise InvalidRadius(f"rho = {r} below {rho_min:.3g}, the smallest radius resolved here")
-        r_outs.append(_patch_radii(cfg, r))
-    a0 = ctx.base.points_array()
-    d0 = ctx.base.degrees_array()
-    gp = _gprime_coeffs(ctx)
+        if r >= half_margin:
+            raise InvalidRadius(f"rho = {r} not below half the vortex separation margins")
+    args = (a, d, ctx.base.points_array(), ctx.base.degrees_array(), _gprime_coeffs(ctx))
+    m = max(M_START, 2 ** (4 * args[-1].size).bit_length())
 
-    def field(z):
-        return grad_phi_field(z, a, d, a0, d0, gp)
+    def unit(u):
+        q = (grad_phi_field(u, *args) * np.conj(u)).real
+        return _potential(u, *args) * q, q
 
-    x, w = np.polynomial.legendre.leggauss(PATCH_RADIAL)
-    theta = np.linspace(0.0, 2 * np.pi, PATCH_ANGULAR, endpoint=False)
-    dtheta = 2 * np.pi / PATCH_ANGULAR
-    quad = AnnulusQuadrature.build()
-    global_terms = {}
+    outer = _trapezoid(unit, m, "the unit circle")
     energies = []
-    for rho_i, r_out in zip(radii, r_outs):
-        # (r_in, r_out) of each patch window: the windows, and so the
-        # global term, depend on rho only through these pairs
-        windows = tuple((max(0.5 * r, rho_i), r) for r in r_out)
-        # before the patches: at the first radius no patch array is alive
-        # yet to add to the peak memory of the global grid
-        if windows not in global_terms:
-            global_terms[windows] = _global_term(quad, a, windows, field)
-        # polar patches in log-radial coordinates around each vortex
-        total = 0.0
-        for j in range(cfg.k):
-            t_lo, t_hi = np.log(rho_i), np.log(r_out[j])
-            t = 0.5 * (t_lo + t_hi) + 0.5 * (t_hi - t_lo) * x
-            wt = 0.5 * (t_hi - t_lo) * w
-            r = np.exp(t)
-            z = a[j] + r[:, None] * np.exp(1j * theta[None, :])
-            g = field(z)
-            vals = 0.5 * (g.real**2 + g.imag**2) * _window(r, *windows[j])[:, None]
-            # area element r dr dtheta = r^2 dt dtheta in log-radial coordinates
-            total += float(np.sum(wt @ (vals * r[:, None] ** 2)) * dtheta)
-        energies.append(total + global_terms[windows])
+    for r in radii:
+
+        def cores(u, r=r):
+            z = a[:, None] + r * u
+            w = z - a[:, None]
+            q = (grad_phi_field(z, *args) * np.conj(w)).real
+            phi = _potential(z, *args) + d[:, None] * (np.log(r) - np.log(np.abs(w)))
+            return phi * q, q
+
+        inner = _trapezoid(cores, m, f"the circles of radius {r}")
+        energies.append(float(np.pi * (outer - np.sum(inner))))
     return energies[0] if scalar else tuple(energies)
 
 
@@ -187,10 +172,12 @@ def expansion_report(ctx: DiscEnergyContext, cfg: VortexConfiguration, rho_list)
         raise InvalidRadius("need at least 3 strictly decreasing rho values")
     coeff_log = np.pi * float(np.sum(cfg.degrees_array() ** 2))
     energies = punctured_energy(ctx, cfg, rho)
-    y = np.array(energies) - coeff_log * np.log(1.0 / np.array(rho))
-    design = np.column_stack([np.ones(len(rho)), np.array(rho)])
-    (w_est, slope), *_ = np.linalg.lstsq(design, y, rcond=None)
-    residuals = tuple(y - design @ [w_est, slope])
+    x = np.array(rho)
+    y = np.array(energies) - coeff_log * np.log(1.0 / x)
+    xc = x - np.mean(x)  # the least-squares line through (x, y), centred
+    slope = np.sum(xc * (y - np.mean(y))) / np.sum(xc * xc)
+    w_est = np.mean(y) - slope * np.mean(x)
+    residuals = tuple(y - (w_est + slope * x))
     slopes = (
         (e1 - e2) / (np.log(1.0 / r1) - np.log(1.0 / r2))
         for e1, e2, r1, r2 in zip(energies, energies[1:], rho, rho[1:])

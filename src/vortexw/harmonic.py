@@ -2,8 +2,10 @@
 
 Everything acts mode-wise on truncated series: the harmonic extension of
 a mode e^{i n theta} is r^{|n|} e^{i n theta}, which makes conjugation
-and the H^{1/2} seminorm exact coefficient maps. The disc rule carries
-the global grid of the punctured-energy quadrature.
+and the H^{1/2} seminorm exact coefficient maps. The package builds no
+disc rule: AnnulusQuadrature is the global grid of the area rule that
+tests/reference.py keeps as an oracle for expansion.punctured_energy, and
+vwbench's tracer counts its builds.
 """
 from __future__ import annotations
 

@@ -14,7 +14,7 @@ KEPT = {
     "DegenerateDerivative", "DegreeMismatch", "DiscEnergyContext", "EmptyConfiguration",
     "ExpansionReport", "FourierSeries", "InvalidRadius",
     "LeftAdmissibleRegion", "ND_TOL", "Nd1Report", "Nd2Report", "NewtonDiverged",
-    "NoCriticalPointFound", "SEPARATION_MARGIN", "VortexConfiguration",
+    "NoCriticalPointFound", "QuadratureNotConverged", "SEPARATION_MARGIN", "VortexConfiguration",
     "VortexTooCloseToBoundary", "VortexwError", "VorticesCollide",
     "assemble_du_matrix", "check_nd1", "check_nd2", "du_star_matrix_analytic_disc",
     "expansion_report", "find_critical_hat_w", "find_critical_w", "find_max_hat_w",

@@ -70,19 +70,19 @@ def test_tracer_counts_every_field_kernel_call(monkeypatch):
         return traced(z, *rest)
 
     monkeypatch.setattr(expansion, "grad_phi_field", counting_kernel)
-    # three vortices and four radii: a patch per vortex and radius, and one
-    # global grid shared by all radii
+    # three vortices at |a| <= 0.37 and four radii: one call on the unit
+    # circle and one per radius for its three core circles, each rule
+    # converged at the first M_START nodes
     op = workloads.build("expand", 7)[3]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = cli.run(list(op.argv))
     assert op.check(rc, out.getvalue(), err.getvalue()) == "ok"
-    patch_nodes = expansion.PATCH_RADIAL * expansion.PATCH_ANGULAR
-    assert counts["calls"] == 3 * 4 + 1
-    assert counts["points"] > 3 * 4 * patch_nodes
+    assert counts["calls"] == 1 + 4
+    assert counts["points"] == expansion.M_START * (1 + 4 * 3)
     kernel = trace.stats["kernels.grad_phi_field"]
     assert (kernel.calls, kernel.points) == (counts["calls"], counts["points"])
-    assert trace.stats["harmonic.AnnulusQuadrature.build"].calls == 1
+    assert trace.stats["harmonic.AnnulusQuadrature.build"].calls == 0
 
 
 def test_certify_operation_builds_three_configurations(monkeypatch):

@@ -1,7 +1,11 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -14,6 +18,7 @@ from vortexw import (
     BOUNDARY_MARGIN,
     ConformalPolyMap,
     DiscEnergyContext,
+    FourierSeries,
     VortexConfiguration,
     cli,
     core,
@@ -24,7 +29,8 @@ from vortexw import (
 )
 from vortexw.cli import run
 
-from reference import glue_signed_values, jsonable
+import reference
+from reference import energies_at_twice_the_nodes, glue_signed_values, jsonable
 
 
 def capture(capsys, argv):
@@ -392,6 +398,46 @@ class TestSizeBounds:
         assert captured.out == ""
 
 
+def check_expand_fit(points, degrees, trunc, fractions):
+    """expand at the given fractions of the margin of the points exits 0,
+    writes nothing to stderr, and fits W to the closed form within the
+    expand benchmark's tolerance, 1e-2."""
+    margin = reference.margin(points)
+    argv = ["expand", f"--trunc={trunc}", "--rho", ",".join(repr(f * margin) for f in fractions)]
+    argv += [f"--vortex={p.real!r},{p.imag!r},{d}" for p, d in zip(np.asarray(points, dtype=complex).tolist(), degrees)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert (code, err.getvalue()) == (0, ""), argv
+    payload = json.loads(out.getvalue())
+    assert payload["abs_err"] <= 1e-2
+    assert payload["slope_check"] is True
+
+
+@st.composite
+def _crowded_configuration(draw):
+    """Points, degrees, trunc and radii as fractions of the margin: an
+    alternating k-gon, a (1, -1) pair a small distance apart, or one vortex
+    near the boundary at trunc 256, where the closed form's truncation
+    error stays below about 1e-4."""
+    kind = draw(st.sampled_from(["polygon", "pair", "boundary"]))
+    turn = np.exp(1j * draw(st.floats(0.0, 2 * np.pi)))
+    if kind == "polygon":
+        k = 2 * draw(st.integers(4, 16))
+        points, degrees = reference.alternating_polygon(k, draw(st.floats(0.3, 0.6)))
+        points = points * turn
+        trunc = 64
+    elif kind == "pair":
+        centre = draw(st.floats(0.0, 0.5)) * turn
+        half = 0.5 * draw(st.floats(0.005, 0.05)) * np.exp(1j * draw(st.floats(0.0, np.pi)))
+        points, degrees, trunc = np.array([centre - half, centre + half]), (1, -1), 64
+    else:
+        r = draw(st.floats(0.9, 0.98))
+        points, degrees, trunc = np.array([r * turn]), (1,), 256
+    top = draw(st.floats(0.005, 0.05))
+    return points, degrees, trunc, (top, 0.5 * top, 0.25 * top)
+
+
 class TestExpand:
     def test_offset_vortex(self, capsys):
         code, out = capture(
@@ -414,9 +460,9 @@ class TestExpand:
         assert payload["abs_err"] <= 5e-3
         assert payload["slope_check"] is True
 
-    def test_bytes_of_a_benchmark_operation(self, capsys):
+    def test_bytes_of_a_benchmark_operation(self, capsys, monkeypatch):
         # three vortices, four radii; the reprs are those the summation
-        # order of the punctured-energy quadrature gave when it was pinned
+        # order of the punctured-energy rule gave when it was pinned
         code, out = capture(
             capsys,
             [
@@ -434,14 +480,22 @@ class TestExpand:
         assert code == 0
         payload = json.loads(out)
         assert [repr(e) for e in payload["energies"]] == [
-            "79.51914427138352",
-            "92.59409524581397",
-            "105.66196925101866",
-            "118.72807450218124",
+            "79.5194169441896",
+            "92.59436810239407",
+            "105.66224221264282",
+            "118.7283480787455",
         ]
-        assert repr(payload["w_estimate"]) == "-7.2710420909231015"
+        assert repr(payload["w_estimate"]) == "-7.2707686899220905"
+        # each pinned energy is its rule's value at twice the nodes
+        cfg = VortexConfiguration(
+            [-0.11272645038628784 - 0.22505744017870793j, -0.3683592693024358 - 0.03426079919646207j,
+             0.19521006021448217 + 0.028573767378831626j],
+            (2, -1, 1),
+        )
+        twice = energies_at_twice_the_nodes(monkeypatch, DiscEnergyContext(cfg), cfg, payload["rho"])
+        np.testing.assert_allclose(payload["energies"], twice, rtol=1e-12, atol=0)
 
-    def test_bytes_of_a_benchmark_operation_with_psi(self, capsys):
+    def test_bytes_of_a_benchmark_operation_with_psi(self, capsys, monkeypatch):
         # the (1, -1) operation of the seed-7 expand pass: two psi modes run
         # the kernel's Horner loop, and the base is the configuration itself
         code, out = capture(
@@ -461,11 +515,64 @@ class TestExpand:
         assert code == 0
         payload = json.loads(out)
         assert [repr(e) for e in payload["energies"]] == [
-            "21.990142140639133",
-            "26.34667380461646",
-            "30.70218561242711",
+            "21.990098833411214",
+            "26.346630412163",
+            "30.70214227173344",
         ]
-        assert repr(payload["w_estimate"]) == "-6.942616656764087"
+        assert repr(payload["w_estimate"]) == "-6.94266004007053"
+        cfg = VortexConfiguration([0.26649965159847616 + 0.06057881911806078j, 0.4057917896655264 - 0.26828593805711193j], (1, -1))
+        psi = FourierSeries.from_real(
+            cos=[0.1383457817241346, -0.06304545449803722], sin=[-0.05491332938303625, 0.008553418659028145], trunc=64
+        )
+        twice = energies_at_twice_the_nodes(monkeypatch, DiscEnergyContext(cfg, 64, psi), cfg, payload["rho"])
+        np.testing.assert_allclose(payload["energies"], twice, rtol=1e-12, atol=0)
+
+    def test_same_stdout_with_blas_pinned_and_unpinned(self):
+        # the expand path makes no BLAS call, so the thread count of the
+        # BLAS pool cannot reach its bytes
+        argv = [
+            "expand", "--map=identity",
+            "--vortex=-0.11272645038628784,-0.22505744017870793,2",
+            "--vortex=-0.3683592693024358,-0.03426079919646207,-1",
+            "--vortex=0.19521006021448217,0.028573767378831626,1",
+            "--psi", "zero", "--rho", "0.01,0.005,0.0025,0.00125",
+        ]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outs = []
+        for pinned in (True, False):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+            env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+            if pinned:
+                env["OPENBLAS_NUM_THREADS"] = "1"
+            proc = subprocess.run(
+                [sys.executable, "-c", "import sys; from vortexw.cli import run; sys.exit(run(sys.argv[1:]))", *argv],
+                env=env, capture_output=True, check=True,
+            )
+            assert proc.stderr == b""
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["slope_check"] is True
+
+    @pytest.mark.parametrize("name", list(reference.CROWDED))
+    def test_crowded_and_near_boundary_sweeps(self, name):
+        # radii of 0.02, 0.01 and 0.005 of the margin; the area rule read
+        # abs_err 6.3e-3, 0.246, 0.107, 2.13, 0.107 and 0.589 on these
+        # cases, and the boundary rule 1.2e-4 ... 3.9e-4
+        points, degrees, trunc = reference.CROWDED[name]
+        check_expand_fit(points, degrees, trunc, reference.CROWDED_RADII)
+
+    @given(_crowded_configuration())
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    def test_crowded_and_near_boundary_configurations(self, case):
+        check_expand_fit(*case)
+
+    def test_beyond_the_node_cap_exits_1(self, capsys):
+        # a vortex at 0.998 needs more than expansion.MAX_NODES nodes on
+        # the unit circle
+        code = run(["expand", "--vortex=0.998,0,1", "--rho", "4e-5,2e-5,1e-5"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        assert json.loads(captured.out)["error"] == "QuadratureNotConverged"
 
     def test_non_identity_map_rejected(self, capsys):
         code, _ = capture(

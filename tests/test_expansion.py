@@ -8,15 +8,23 @@ from vortexw import (
     DiscEnergyContext,
     FourierSeries,
     InvalidRadius,
+    QuadratureNotConverged,
     VortexConfiguration,
     expansion_report,
     hat_w,
     punctured_energy,
 )
-from vortexw.expansion import RHO_FLOOR, _gprime_coeffs
+from vortexw.expansion import MAX_NODES, RHO_FLOOR, _gprime_coeffs, _potential
 from vortexw.harmonic import AnnulusQuadrature
 
-from reference import fd_complex_gradient, grad_phi, phase_potential
+import reference
+from reference import (
+    area_punctured_energy,
+    energies_at_twice_the_nodes,
+    fd_complex_gradient,
+    grad_phi,
+    phase_potential,
+)
 
 ORIGIN = VortexConfiguration([0.0], (1,))
 CTX0 = DiscEnergyContext(ORIGIN)
@@ -34,7 +42,7 @@ RADII = (0.01, 0.005, 0.0025, 0.00125)
 
 def count_work(monkeypatch):
     """Count the field-kernel calls of the expansion module and the
-    disc rules it builds."""
+    disc rules built, which only the area-rule oracle builds."""
     counts = {"kernel": 0, "build": 0}
     kernel, build = expansion.grad_phi_field, AnnulusQuadrature.build
 
@@ -133,10 +141,9 @@ class TestPuncturedEnergy:
     @pytest.mark.parametrize(
         "ctx, cfg, psi, radii",
         [
-            # the global term is shared by all four radii
+            # the unit-circle term is shared by all four radii
             (DiscEnergyContext(TRIPLE), TRIPLE, FourierSeries.zeros(64), RADII),
-            # 1.8 rho > 0.4 margin: the outer radius, and so the window,
-            # changes with rho and no global term may be shared
+            # radii of the size of the margin
             (CTX0, ORIGIN, FourierSeries.zeros(64), (0.3, 0.25, 0.2)),
             (
                 CTX0,
@@ -187,11 +194,27 @@ class TestExpansionReport:
             (DiscEnergyContext(TRIPLE), TRIPLE),
         ],
     )
-    def test_global_grid_and_rules_once_per_report(self, monkeypatch, ctx, cfg):
+    def test_unit_circle_term_once_per_report(self, monkeypatch, ctx, cfg):
         counts = count_work(monkeypatch)
+        calls = []
+        kernel = expansion.grad_phi_field
+
+        def recording_kernel(z, *rest):
+            calls.append(np.shape(z))
+            return kernel(z, *rest)
+
+        monkeypatch.setattr(expansion, "grad_phi_field", recording_kernel)
+        punctured_energy(ctx, cfg, RADII[0])
+        unit_calls = sum(len(shape) == 1 for shape in calls)
+        calls.clear()
         expansion_report(ctx, cfg, RADII)
-        # one patch per vortex and radius, one global grid for all radii
-        assert counts == {"kernel": len(RADII) * cfg.k + 1, "build": 1}
+        # the unit circle (1-D nodes) first, as often as for one radius;
+        # then the k core circles of each radius stacked in one call per
+        # doubling, and the area rule's disc grid is never built
+        assert all(len(shape) == 1 for shape in calls[:unit_calls])
+        assert all(len(shape) == 2 and shape[0] == cfg.k for shape in calls[unit_calls:])
+        assert len(calls) - unit_calls >= len(RADII)
+        assert counts["build"] == 0
 
     def test_centered_vortex_estimate_is_zero(self):
         rep = expansion_report(CTX0, ORIGIN, [0.02, 0.01, 0.005])
@@ -240,11 +263,12 @@ def full_grid_weight(z, a, windows):
     1 - _window(...) over every node, exponentials everywhere."""
     w0 = np.ones_like(z, dtype=float)
     for a_j, (r_in, r_out) in zip(a, windows):
-        w0 *= 1.0 - expansion._window(np.abs(z - a_j), r_in, r_out)
+        w0 *= 1.0 - reference._window(np.abs(z - a_j), r_in, r_out)
     return w0
 
 
 class TestGlobalWeight:
+    # the global weight of the area-rule oracle, reference._global_weight
     @pytest.mark.parametrize(
         "cfg, rho",
         [(TRIPLE, 0.01), (TRIPLE, 0.00125), (PAIR, 0.005), (ORIGIN, 0.3), (VortexConfiguration([0.6], (1,)), 0.1)],
@@ -253,8 +277,8 @@ class TestGlobalWeight:
         quad = AnnulusQuadrature.build()
         z = quad.radial_nodes[:, None] * np.exp(1j * quad.angular_nodes[None, :])
         a = cfg.points_array()
-        windows = tuple((max(0.5 * r, rho), r) for r in expansion._patch_radii(cfg, rho))
-        w0 = expansion._global_weight(z, a, windows)
+        windows = tuple((max(0.5 * r, rho), r) for r in reference._patch_radii(cfg, rho))
+        w0 = reference._global_weight(z, a, windows)
         assert w0.tobytes() == full_grid_weight(z, a, windows).tobytes()
 
     def test_hand_placed_nodes_at_the_band_edges(self):
@@ -274,7 +298,120 @@ class TestGlobalWeight:
         z = np.concatenate([r, 1j * r, -r, a[1] + 0.5 * r])
         t = (np.abs(z - a[0]) - r_in) / (r_out - r_in)
         assert np.any(t == 0.0) and np.any(t == 1.0)
-        w0 = expansion._global_weight(z, a, windows)
+        w0 = reference._global_weight(z, a, windows)
         assert w0.tobytes() == full_grid_weight(z, a, windows).tobytes()
         # outside both bands the weight is exactly 0 or 1
         assert w0[3] == 0.0 and w0[7] == 1.0
+
+
+def crowded(name):
+    """Context, configuration and radii of a case of reference.CROWDED."""
+    points, degrees, trunc = reference.CROWDED[name]
+    cfg = VortexConfiguration(points, degrees)
+    base = VortexConfiguration([0.0], degrees) if cfg.k == 1 else cfg
+    return DiscEnergyContext(base, trunc), cfg, tuple(f * reference.margin(points) for f in reference.CROWDED_RADII)
+
+
+# the (1, -1) operation of the seed-7 expand pass, with two psi modes
+PSI_PAIR = VortexConfiguration([0.26649965159847616 + 0.06057881911806078j, 0.4057917896655264 - 0.26828593805711193j], (1, -1))
+PSI2 = FourierSeries.from_real(
+    cos=[0.1383457817241346, -0.06304545449803722], sin=[-0.05491332938303625, 0.008553418659028145], trunc=64
+)
+BENIGN = [
+    (DiscEnergyContext(PSI_PAIR, 64, PSI2), PSI_PAIR, (0.01, 0.005, 0.0025)),
+    (CTX0, VortexConfiguration([0.5], (1,)), (0.02, 0.01, 0.005)),
+    (DiscEnergyContext(TRIPLE), TRIPLE, RADII),
+]
+
+# degrees and psi modes of the four operations of an expand benchmark pass
+BENCH_OPS = (((1,), 0, (0.02, 0.01, 0.005)), ((-2,), 3, (0.02, 0.01, 0.005, 0.0025)),
+             ((1, -1), 2, (0.01, 0.005, 0.0025)), ((2, -1, 1), 0, (0.01, 0.005, 0.0025, 0.00125)))
+
+
+def benchmark_like(seed):
+    """The operations of an expand pass as the benchmark draws them: at
+    |a| <= 0.55, at least 0.3 apart, psi modes of size at most 0.2."""
+    rng = np.random.default_rng(seed)
+    for degrees, modes, radii in BENCH_OPS:
+        while True:
+            pts = 0.55 * np.sqrt(rng.uniform(size=len(degrees))) * np.exp(2j * np.pi * rng.uniform(size=len(degrees)))
+            if len(pts) == 1 or np.min(np.abs(pts[:, None] - pts[None, :]) + np.eye(len(pts))) >= 0.3:
+                break
+        cfg = VortexConfiguration(pts, degrees)
+        base = VortexConfiguration([0.0], degrees) if cfg.k == 1 else cfg
+        psi = FourierSeries.from_real(cos=rng.uniform(-0.2, 0.2, modes), sin=rng.uniform(-0.2, 0.2, modes), trunc=64)
+        yield DiscEnergyContext(base, 64, psi), cfg, radii
+
+
+class TestBoundaryRule:
+    @pytest.mark.parametrize("ctx, cfg, radii", BENIGN)
+    def test_potential_gradient_is_the_field(self, ctx, cfg, radii):
+        args = (cfg.points_array(), cfg.degrees_array(), ctx.base.points_array(),
+                ctx.base.degrees_array(), _gprime_coeffs(ctx))
+        for z0 in (0.1 + 0.55j, -0.5 - 0.2j, 0.9 * np.exp(2.0j)):
+            fd = fd_complex_gradient(lambda z: _potential(z, *args), z0)
+            assert expansion.grad_phi_field(np.array(z0), *args) == pytest.approx(fd, abs=1e-8)
+
+    @pytest.mark.parametrize("name", ["32-gon", "pair-0.01", "boundary-0.98"])
+    def test_flux_through_each_core_circle(self, name):
+        # the outward flux of grad Phi through |z - a_j| = rho is 2 pi d_j,
+        # by the trapezoid rule on 256 nodes of the circle
+        ctx, cfg, radii = crowded(name)
+        a, d = cfg.points_array(), cfg.degrees_array()
+        args = (a, d, ctx.base.points_array(), ctx.base.degrees_array(), _gprime_coeffs(ctx))
+        u = np.exp(2j * np.pi * np.arange(256) / 256)
+        for rho in (radii[0], 0.25 * reference.margin(a)):
+            g = expansion.grad_phi_field(a[:, None] + rho * u, *args)
+            flux = 2 * np.pi * np.mean((g * np.conj(rho * u)).real, axis=-1)
+            np.testing.assert_allclose(flux, 2 * np.pi * d, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize(
+        "ctx, cfg, radii",
+        [crowded(name) for name in reference.CROWDED] + BENIGN,
+        ids=[*reference.CROWDED, "pair-with-psi", "vortex-at-0.5", "triple"],
+    )
+    def test_twice_the_nodes_agree(self, monkeypatch, ctx, cfg, radii):
+        energies = punctured_energy(ctx, cfg, radii)
+        np.testing.assert_allclose(
+            energies, energies_at_twice_the_nodes(monkeypatch, ctx, cfg, radii), rtol=1e-12, atol=0
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_agrees_with_the_area_rule_on_benchmark_configurations(self, seed):
+        # the area rule's own error on these configurations is up to about
+        # 3e-4 (2.7e-4 over the 40 operations of benchmark seeds 0-9)
+        for ctx, cfg, radii in benchmark_like(seed):
+            np.testing.assert_allclose(
+                punctured_energy(ctx, cfg, radii), area_punctured_energy(ctx, cfg, radii), rtol=0, atol=5e-4
+            )
+
+    def test_psi_modes_raise_the_starting_node_count(self, monkeypatch):
+        # the mode n = 32 puts the mode 2n = 64 into Phi d_r Phi, which the
+        # 64- and 32-node rules alias alike; the rule starts above 4n
+        psi = FourierSeries.from_real(cos=[0.0] * 31 + [0.1], trunc=64)
+        ctx = replace(CTX0, psi=psi)
+        sizes = []
+        kernel = expansion.grad_phi_field
+
+        def recording_kernel(z, *rest):
+            sizes.append(np.shape(z)[-1])
+            return kernel(z, *rest)
+
+        monkeypatch.setattr(expansion, "grad_phi_field", recording_kernel)
+        rep = expansion_report(ctx, ORIGIN, [0.02, 0.01, 0.005])
+        assert sizes[0] == 256
+        # E = pi log(1/rho) + W - O(rho^64) for a centred vortex
+        assert abs(rep.w_estimate - rep.w_formula) <= 1e-10
+
+    def test_unit_circle_beyond_the_node_cap_is_refused(self):
+        # the unit-circle rule converges about as |a|^M: 0.99 takes 4096
+        # nodes, 0.998 more than MAX_NODES
+        assert np.isfinite(punctured_energy(CTX0, VortexConfiguration([0.99], (1,)), 1e-4))
+        with pytest.raises(QuadratureNotConverged, match=f"unit circle has not converged at {MAX_NODES} nodes"):
+            punctured_energy(CTX0, VortexConfiguration([0.998], (1,)), 1e-5)
+
+    def test_integrand_that_is_not_finite_is_refused(self):
+        # Phi overflows on the unit circle; the area rule returned nan here
+        ctx = DiscEnergyContext(ORIGIN, 8, FourierSeries.from_real(cos=[1e300, 1e300], trunc=8))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(QuadratureNotConverged):
+            punctured_energy(ctx, VortexConfiguration([0.3], (1,)), 0.01)
