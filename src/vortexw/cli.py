@@ -61,8 +61,9 @@ MAX_MAP_DEGREE = 64
 # config): the configuration check builds a k x k table of pairwise gaps,
 # and crit solves 2k x 2k systems.
 MAX_VORTICES = 256
-# Most --rho radii accepted (flag or config): expand evaluates k core
-# circles of up to expansion.MAX_NODES nodes per radius.
+# Most --rho radii accepted (flag or config): expand integrates over k
+# core circles of up to expansion.MAX_NODES nodes per radius, in kernel
+# calls of at most k expansion.MAX_NODES / 2 points whatever the count.
 MAX_RADII = 32
 
 
@@ -393,28 +394,42 @@ def _cmd_landscape(args, conf):
     ok = configuration_is_admissible(configs)
     values = np.full(p.size, np.nan)
     values[ok] = _transport_hat_w(f, configs[ok], np.array([float(degree)]))
-    _write(_landscape_text(xs.tolist(), values.tolist(), args.csv), args.out)
+    _write(_landscape_text(xs.tolist(), values, args.csv), args.out)
     return 0
 
 
-# The rows of {"rows": [{"x": x, "y": y, "hat_w": v}, ...]} as _emit would
-# write them, keys sorted; a row of the CSV is "{x:.6f},{y:.6f},{v}".
-_JSON_ROW = '    {\n      "hat_w": %s,\n      "x": %s,\n      "y": %s\n    }'
+# A row of {"rows": [{"x": x, "y": y, "hat_w": v}, ...]} as _emit would
+# write it, keys sorted, is _ROW_HEAD v _ROW_X x _ROW_Y y _ROW_END; a row of
+# the CSV is "{x:.6f},{y:.6f},{v}".
+_ROW_HEAD = '    {\n      "hat_w": '
+_ROW_X = ',\n      "x": '
+_ROW_Y = ',\n      "y": '
+_ROW_END = "\n    }"
 
 
-def _landscape_text(axis: list, values: list, csv: bool) -> str:
+def _landscape_text(axis: list, values: np.ndarray, csv: bool) -> str:
     """The landscape output without the generic encoder: the n coordinates
     of an axis are formatted once and shared by x and y, and only the n^2
     values one by one. Rows run over y, x fastest."""
     n = len(axis)
-    ax = ["{:.6f}".format(t) for t in axis] if csv else list(map(repr, axis))
-    xs, ys = ax * n, [t for t in ax for _ in range(n)]
     if csv:
-        rows = map(",".join, zip(xs, ys, map(repr, values)))
+        ax = ["{:.6f}".format(t) for t in axis]
+        xs, ys = ax * n, [t for t in ax for _ in range(n)]
+        rows = map(",".join, zip(xs, ys, map(repr, values.tolist())))
         return "x,y,hat_w\n" + "\n".join(rows) + "\n"
-    vs = [repr(v) if math.isfinite(v) else "null" for v in values]
-    rows = map(_JSON_ROW.__mod__, zip(vs, xs, ys))
-    return '{\n  "rows": [\n' + ",\n".join(rows) + "\n  ]\n}\n"
+    vs = list(map(repr, values.tolist()))
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        vs[i] = "null"
+    # value, x part and y tail of each row in turn; a y tail closes its row
+    # and opens the next
+    ax = list(map(repr, axis))
+    tails = [t + _ROW_END + ",\n" + _ROW_HEAD for t in ax]
+    pieces = [""] * (3 * n * n)
+    pieces[0::3] = vs
+    pieces[1::3] = [_ROW_X + t + _ROW_Y for t in ax] * n
+    pieces[2::3] = [t for t in tails for _ in range(n)]
+    pieces[-1] = ax[-1] + _ROW_END
+    return '{\n  "rows": [\n' + _ROW_HEAD + "".join(pieces) + "\n  ]\n}\n"
 
 
 def _cmd_selfcheck(args, conf):

@@ -312,6 +312,8 @@ def validate_map(f: ConformalPolyMap) -> dict:
     only a loop that is not is checked pair by pair for crossing edges.
     Last, it bounds f', f'' and f''' on the closed disc by sum_m m!/(m-j)!
     |c_m|, j = 1, 2, 3, so that the energy kernels cannot overflow there.
+    An affine map c_0 + c_1 z passes all of these tests, so its report is
+    given in closed form, without sampling: min |f'| = |c_1|, winding 1.
 
     The tests run on g = (f - c_0) / max_{m>=1} |c_m|, so neither the verdict
     nor the report depends on c_0: a translated domain is accepted exactly
@@ -333,6 +335,10 @@ def validate_map(f: ConformalPolyMap) -> dict:
         raise DegenerateDerivative(
             f"max |c_m| (m >= 1) = {scale:.3g} is below the smallest normal float"
         )
+    if c.size == 2:
+        # f = c_0 + c_1 z: f' = c_1 has no zero, the boundary is a circle
+        # about f(0), and f'' = f''' = 0
+        return {"min_abs_fprime": scale, "winding": 1.0, "samples": 512}
     g = np.concatenate(([0.0], c[1:] / scale))
     dcoef = _derivative_coeffs(g, 1)
     if dcoef.size > 1:

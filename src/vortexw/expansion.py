@@ -62,28 +62,51 @@ def _potential(z, alpha, degrees, alpha0, degrees0, gprime) -> np.ndarray:
     return phi
 
 
-def _trapezoid(integrand, m: int, where: str) -> np.ndarray:
-    """Means over theta of the periodic f of integrand(u) -> (f, q), each
-    (..., u.size) at the nodes u = e^{i theta}: f = Phi q, q = rho d_r Phi,
-    and (1 + |Phi|) |q| is the scale. From m nodes the rule doubles,
-    evaluating only the new odd nodes, until on every circle the mean of f
-    and that of its even-indexed half (the m/2 rule) differ by at most
-    TOL_TRAPEZOID times the mean scale, or raises QuadratureNotConverged
-    beyond MAX_NODES nodes, as it does for a value that is not finite."""
-    f, q = integrand(np.exp(2j * np.pi * np.arange(m) / m))
-    total, half = np.sum(f, axis=-1), np.sum(f[..., ::2], axis=-1)
-    scale = np.sum(np.abs(f) + np.abs(q), axis=-1)
-    while not np.all(np.abs(total / m - half / (m // 2)) <= TOL_TRAPEZOID * scale / m):
+def _trapezoid(integrand, m: int, sizes, where) -> np.ndarray:
+    """Means over theta of the periodic f of integrand(rows, u) -> (f, q),
+    each (rows.size, u.size), on the circles rows at the nodes
+    u = e^{i theta}: f = Phi q, q = rho d_r Phi, and (1 + |Phi|) |q| is
+    the scale. The circles come in consecutive groups of the given sizes,
+    named where. From m nodes each group doubles, evaluating only the new
+    odd nodes, until on each of its circles the mean of f and that of its
+    even-indexed half (the m/2 rule) differ by at most TOL_TRAPEZOID times
+    the mean scale; the groups still doubling share the kernel calls. An
+    open group beyond MAX_NODES nodes, as one whose value is not finite,
+    raises QuadratureNotConverged, the first such group named. A call
+    holds at most max(sizes) MAX_NODES / 2 points, what one group evaluates
+    in its last doubling, so that memory does not grow with the number of
+    groups."""
+    group = np.repeat(np.arange(len(sizes)), sizes)
+    cap = max(sizes) * MAX_NODES // 2
+
+    def sums(rows, u):
+        # the row sums of f, of the scale, and of f on the even-indexed nodes
+        step = max(1, cap // u.size)
+        parts = []
+        for i in range(0, rows.size, step):
+            f, q = integrand(rows[i : i + step], u)
+            parts.append((np.sum(f, axis=-1), np.sum(np.abs(f) + np.abs(q), axis=-1), np.sum(f[:, ::2], axis=-1)))
+        return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+
+    means = np.empty(group.size)
+    rows = np.arange(group.size)
+    total, scale, half = sums(rows, np.exp(2j * np.pi * np.arange(m) / m))
+    while True:
+        settled = np.abs(total / m - half / (m // 2)) <= TOL_TRAPEZOID * scale / m
+        open_groups = np.zeros(len(sizes), dtype=bool)
+        open_groups[group[rows[~settled]]] = True
+        live = open_groups[group[rows]]
+        means[rows[~live]] = total[~live] / m
+        if not live.any():
+            return means
         if 2 * m > MAX_NODES:
             raise QuadratureNotConverged(
-                f"the trapezoid rule on {where} has not converged at {MAX_NODES} nodes"
+                f"the trapezoid rule on {where[group[rows[live][0]]]} has not converged at {MAX_NODES} nodes"
             )
-        f, q = integrand(np.exp(1j * np.pi * (2 * np.arange(m) + 1) / m))
-        half = total
-        total = total + np.sum(f, axis=-1)
-        scale = scale + np.sum(np.abs(f) + np.abs(q), axis=-1)
+        rows, half = rows[live], total[live]
+        new, new_scale, _ = sums(rows, np.exp(1j * np.pi * (2 * np.arange(m) + 1) / m))
+        total, scale = half + new, scale[live] + new_scale
         m *= 2
-    return total / m
 
 
 def punctured_energy(ctx: DiscEnergyContext, cfg: VortexConfiguration, rho):
@@ -91,13 +114,17 @@ def punctured_energy(ctx: DiscEnergyContext, cfg: VortexConfiguration, rho):
     the discs of radius rho about the vortices removed.
 
     rho is one radius (the result is a float) or a sequence of radii (the
-    result is a tuple of floats, in the same order). The unit-circle term
-    is computed once per call, and the k core circles of a radius in one
-    kernel call per doubling. Each rule starts at M_START nodes, or at the
-    first power of two above 4 deg G, so that its M/2 rule integrates the
-    polynomial part of Phi d_r Phi exactly. A circle that needs more than
-    MAX_NODES = 16384 nodes (the unit circle, for one vortex beyond |a| of
-    about 0.998) raises QuadratureNotConverged.
+    result is a tuple of floats, in the same order). One trapezoid rule
+    runs on every circle of the call: the unit circle, as a circle about 0
+    of radius 1 with no self term, and for each radius its k core circles,
+    as one group. Each group doubles its nodes until it converges, and the
+    circles of the groups still doubling share one kernel call per
+    doubling. Each rule starts at M_START nodes, or at the first power of
+    two above 4 deg G, so that its M/2 rule integrates the polynomial part
+    of Phi d_r Phi exactly. A circle that needs more than MAX_NODES = 16384
+    nodes (the unit circle, for one vortex beyond |a| of about 0.998)
+    raises QuadratureNotConverged, naming the unit circle before any
+    radius and the radii in order.
 
     Every radius must lie in (0, 1), below half of each vortex's clearance,
     and at or above max(RHO_FLOOR, 1024 ulps of max_j |a_j|): about
@@ -128,25 +155,23 @@ def punctured_energy(ctx: DiscEnergyContext, cfg: VortexConfiguration, rho):
             raise InvalidRadius(f"rho = {r} not below half the vortex separation margins")
     args = (a, d, ctx.base.points_array(), ctx.base.degrees_array(), _gprime_coeffs(ctx))
     m = max(M_START, 2 ** (4 * args[-1].size).bit_length())
+    # the unit circle first, then the k core circles of each radius
+    centre = np.concatenate(([0.0], np.tile(a, len(radii))))
+    radius = np.concatenate(([1.0], np.repeat(radii, cfg.k)))
+    weight = np.concatenate(([0.0], np.tile(d, len(radii))))
 
-    def unit(u):
-        q = (grad_phi_field(u, *args) * np.conj(u)).real
-        return _potential(u, *args) * q, q
+    def circles(rows, u):
+        c, r = centre[rows, None], radius[rows, None]
+        z = c + r * u
+        w = z - c
+        q = (grad_phi_field(z, *args) * np.conj(w)).real
+        phi = _potential(z, *args) + weight[rows, None] * (np.log(r) - np.log(np.abs(w)))
+        return phi * q, q
 
-    outer = _trapezoid(unit, m, "the unit circle")
-    energies = []
-    for r in radii:
-
-        def cores(u, r=r):
-            z = a[:, None] + r * u
-            w = z - a[:, None]
-            q = (grad_phi_field(z, *args) * np.conj(w)).real
-            phi = _potential(z, *args) + d[:, None] * (np.log(r) - np.log(np.abs(w)))
-            return phi * q, q
-
-        inner = _trapezoid(cores, m, f"the circles of radius {r}")
-        energies.append(float(np.pi * (outer - np.sum(inner))))
-    return energies[0] if scalar else tuple(energies)
+    where = ("the unit circle", *(f"the circles of radius {r}" for r in radii))
+    means = _trapezoid(circles, m, (1,) + (cfg.k,) * len(radii), where)
+    energies = np.pi * (means[0] - np.sum(means[1:].reshape(len(radii), cfg.k), axis=-1))
+    return float(energies[0]) if scalar else tuple(energies.tolist())
 
 
 @dataclass(frozen=True)

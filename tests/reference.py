@@ -5,7 +5,10 @@ derivative kernels of the transported energies as separate first- and
 second-derivative functions; grad_phi, the package's field kernel at
 given points, which those tests check; and area_punctured_energy, the
 punctured energy by an area quadrature, the oracle of the boundary rule
-that expansion.punctured_energy uses, and that rule at twice its nodes.
+that expansion.punctured_energy uses, that rule at twice its nodes, and
+per_radius_punctured_energy, the rule run circle group by circle group,
+the bit-for-bit oracle of its batched form; and the crowded
+configurations the rule is tested on.
 
 They are written from the definitions, term by term, and are not part of
 the package.
@@ -14,6 +17,7 @@ import math
 import re
 
 import numpy as np
+from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyval
 
 from vortexw._calculus import assemble_hessian
@@ -21,8 +25,8 @@ from vortexw._kernels import grad_phi_field
 from vortexw.core import MAP_GRID, _polygon_self_intersects
 from vortexw.disc_energy import _checked, _composite_coeffs, _pairs
 from vortexw import expansion
-from vortexw.expansion import RHO_FLOOR, _gprime_coeffs
-from vortexw.errors import BoundaryNotSimple, DegenerateDerivative, InvalidRadius
+from vortexw.expansion import RHO_FLOOR, _gprime_coeffs, _potential
+from vortexw.errors import BoundaryNotSimple, DegenerateDerivative, InvalidRadius, QuadratureNotConverged
 from vortexw.harmonic import AnnulusQuadrature
 
 
@@ -74,6 +78,30 @@ CROWDED = {
 CROWDED_RADII = (0.02, 0.01, 0.005)
 
 
+@st.composite
+def crowded_configuration(draw):
+    """Points, degrees, trunc and radii as fractions of the margin: an
+    alternating k-gon, a (1, -1) pair a small distance apart, or one vortex
+    near the boundary at trunc 256, where the closed form's truncation
+    error stays below about 1e-4."""
+    kind = draw(st.sampled_from(["polygon", "pair", "boundary"]))
+    turn = np.exp(1j * draw(st.floats(0.0, 2 * np.pi)))
+    if kind == "polygon":
+        k = 2 * draw(st.integers(4, 16))
+        points, degrees = alternating_polygon(k, draw(st.floats(0.3, 0.6)))
+        points = points * turn
+        trunc = 64
+    elif kind == "pair":
+        centre = draw(st.floats(0.0, 0.5)) * turn
+        half = 0.5 * draw(st.floats(0.005, 0.05)) * np.exp(1j * draw(st.floats(0.0, np.pi)))
+        points, degrees, trunc = np.array([centre - half, centre + half]), (1, -1), 64
+    else:
+        r = draw(st.floats(0.9, 0.98))
+        points, degrees, trunc = np.array([r * turn]), (1,), 256
+    top = draw(st.floats(0.005, 0.05))
+    return points, degrees, trunc, (top, 0.5 * top, 0.25 * top)
+
+
 def margin(points) -> float:
     """The smallest clearance of the points: to the unit circle and to the
     nearest other point."""
@@ -83,22 +111,25 @@ def margin(points) -> float:
 
 
 def energies_at_twice_the_nodes(monkeypatch, ctx, cfg, radii):
-    """expansion.punctured_energy(ctx, cfg, radii) with every circle's
-    trapezoid rule replaced by one plain sum over twice the nodes the
-    doubling rule chose for it."""
+    """expansion.punctured_energy(ctx, cfg, radii) with the trapezoid rule
+    replaced by one plain sum on each circle over twice the nodes the
+    doubling rule chose for the circle's group."""
     chosen = expansion._trapezoid
 
-    def doubled(integrand, m, where):
-        sizes = []
+    def doubled(integrand, m, sizes, where):
+        nodes = np.zeros(sum(sizes), dtype=int)
 
-        def recording(u):
-            sizes.append(u.size)
-            return integrand(u)
+        def recording(rows, u):
+            nodes[rows] += u.size
+            return integrand(rows, u)
 
-        chosen(recording, m, where)
-        n = 2 * sum(sizes)
-        f, _ = integrand(np.exp(2j * np.pi * np.arange(n) / n))
-        return np.sum(f, axis=-1) / n
+        chosen(recording, m, sizes, where)
+        means = np.empty(nodes.size)
+        for row, count in enumerate(nodes):
+            n = 2 * count
+            f, _ = integrand(np.array([row]), np.exp(2j * np.pi * np.arange(n) / n))
+            means[row] = np.sum(f) / n
+        return means
 
     with monkeypatch.context() as mp:
         mp.setattr(expansion, "_trapezoid", doubled)
@@ -412,4 +443,66 @@ def area_punctured_energy(ctx, cfg, rho):
             # area element r dr dtheta = r^2 dt dtheta in log-radial coordinates
             total += float(np.sum(wt @ (vals * r[:, None] ** 2)) * dtheta)
         energies.append(total + global_terms[windows])
+    return energies[0] if scalar else tuple(energies)
+
+
+def _per_radius_trapezoid(integrand, m: int, where: str) -> np.ndarray:
+    """The trapezoid rule of per_radius_punctured_energy on one group of
+    circles: integrand(u) -> (f, q), each (..., u.size), doubled from m
+    nodes until every circle's m- and m/2-node means agree."""
+    f, q = integrand(np.exp(2j * np.pi * np.arange(m) / m))
+    total, half = np.sum(f, axis=-1), np.sum(f[..., ::2], axis=-1)
+    scale = np.sum(np.abs(f) + np.abs(q), axis=-1)
+    while not np.all(np.abs(total / m - half / (m // 2)) <= expansion.TOL_TRAPEZOID * scale / m):
+        if 2 * m > expansion.MAX_NODES:
+            raise QuadratureNotConverged(
+                f"the trapezoid rule on {where} has not converged at {expansion.MAX_NODES} nodes"
+            )
+        f, q = integrand(np.exp(1j * np.pi * (2 * np.arange(m) + 1) / m))
+        half = total
+        total = total + np.sum(f, axis=-1)
+        scale = scale + np.sum(np.abs(f) + np.abs(q), axis=-1)
+        m *= 2
+    return total / m
+
+
+def per_radius_punctured_energy(ctx, cfg, rho):
+    """expansion.punctured_energy with one trapezoid rule for the unit
+    circle and one for the core circles of each radius, run one after the
+    other, each in its own kernel calls. The batched rule must give the
+    same floats to the bit, and raise the same QuadratureNotConverged."""
+    a, d = _checked(ctx, cfg)
+    scalar = np.ndim(rho) == 0
+    radii = (rho,) if scalar else tuple(rho)
+    rho_min = max(RHO_FLOOR, 1024 * float(np.spacing(np.max(np.abs(a)))))
+    diff = a[:, None] - a[None, :]
+    gap = np.hypot(diff.real, diff.imag) + np.diag(np.full(cfg.k, np.inf))
+    half_margin = 0.5 * np.min(np.minimum(1.0 - np.hypot(a.real, a.imag), np.min(gap, axis=1)))
+    for r in radii:
+        if not 0.0 < r < 1.0:
+            raise InvalidRadius(f"rho = {r} outside (0, 1)")
+        if r < rho_min:
+            raise InvalidRadius(f"rho = {r} below {rho_min:.3g}, the smallest radius resolved here")
+        if r >= half_margin:
+            raise InvalidRadius(f"rho = {r} not below half the vortex separation margins")
+    args = (a, d, ctx.base.points_array(), ctx.base.degrees_array(), _gprime_coeffs(ctx))
+    m = max(expansion.M_START, 2 ** (4 * args[-1].size).bit_length())
+
+    def unit(u):
+        q = (grad_phi_field(u, *args) * np.conj(u)).real
+        return _potential(u, *args) * q, q
+
+    outer = _per_radius_trapezoid(unit, m, "the unit circle")
+    energies = []
+    for r in radii:
+
+        def cores(u, r=r):
+            z = a[:, None] + r * u
+            w = z - a[:, None]
+            q = (grad_phi_field(z, *args) * np.conj(w)).real
+            phi = _potential(z, *args) + d[:, None] * (np.log(r) - np.log(np.abs(w)))
+            return phi * q, q
+
+        inner = _per_radius_trapezoid(cores, m, f"the circles of radius {r}")
+        energies.append(float(np.pi * (outer - np.sum(inner))))
     return energies[0] if scalar else tuple(energies)

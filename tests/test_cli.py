@@ -414,30 +414,6 @@ def check_expand_fit(points, degrees, trunc, fractions):
     assert payload["slope_check"] is True
 
 
-@st.composite
-def _crowded_configuration(draw):
-    """Points, degrees, trunc and radii as fractions of the margin: an
-    alternating k-gon, a (1, -1) pair a small distance apart, or one vortex
-    near the boundary at trunc 256, where the closed form's truncation
-    error stays below about 1e-4."""
-    kind = draw(st.sampled_from(["polygon", "pair", "boundary"]))
-    turn = np.exp(1j * draw(st.floats(0.0, 2 * np.pi)))
-    if kind == "polygon":
-        k = 2 * draw(st.integers(4, 16))
-        points, degrees = reference.alternating_polygon(k, draw(st.floats(0.3, 0.6)))
-        points = points * turn
-        trunc = 64
-    elif kind == "pair":
-        centre = draw(st.floats(0.0, 0.5)) * turn
-        half = 0.5 * draw(st.floats(0.005, 0.05)) * np.exp(1j * draw(st.floats(0.0, np.pi)))
-        points, degrees, trunc = np.array([centre - half, centre + half]), (1, -1), 64
-    else:
-        r = draw(st.floats(0.9, 0.98))
-        points, degrees, trunc = np.array([r * turn]), (1,), 256
-    top = draw(st.floats(0.005, 0.05))
-    return points, degrees, trunc, (top, 0.5 * top, 0.25 * top)
-
-
 class TestExpand:
     def test_offset_vortex(self, capsys):
         code, out = capture(
@@ -561,7 +537,7 @@ class TestExpand:
         points, degrees, trunc = reference.CROWDED[name]
         check_expand_fit(points, degrees, trunc, reference.CROWDED_RADII)
 
-    @given(_crowded_configuration())
+    @given(reference.crowded_configuration())
     @settings(max_examples=12, deadline=None, derandomize=True)
     def test_crowded_and_near_boundary_configurations(self, case):
         check_expand_fit(*case)
@@ -572,7 +548,9 @@ class TestExpand:
         code = run(["expand", "--vortex=0.998,0,1", "--rho", "4e-5,2e-5,1e-5"])
         captured = capsys.readouterr()
         assert code == 1 and captured.err == ""
-        assert json.loads(captured.out)["error"] == "QuadratureNotConverged"
+        payload = json.loads(captured.out)
+        assert payload["error"] == "QuadratureNotConverged"
+        assert payload["message"].startswith("the trapezoid rule on the unit circle has not converged")
 
     def test_non_identity_map_rejected(self, capsys):
         code, _ = capture(

@@ -295,6 +295,36 @@ class TestValidateMap:
         with pytest.raises(DegenerateDerivative):
             validate_map(ConformalPolyMap([0.0, 0.0, 1.0]))
 
+    def test_identity_report_is_exact(self):
+        assert validate_map(ConformalPolyMap.identity()) == {"min_abs_fprime": 1.0, "winding": 1.0, "samples": 512}
+
+    def test_affine_report_agrees_with_the_sampled_one(self):
+        # c_0 + c_1 z + 0 z^2 has the same values but takes the sampled path,
+        # whose winding is 1 within a few ulps
+        rng = np.random.default_rng(11)
+        for log_size in np.linspace(-300.0, 307.0, 41):
+            c0, c1 = rng.normal(size=2) + 1j * rng.normal(size=2)
+            c0 *= 10.0 ** rng.uniform(-300.0, 300.0)
+            c1 *= 10.0**log_size / abs(c1)
+            report = validate_map(ConformalPolyMap([c0, c1]))
+            sampled = validate_map(ConformalPolyMap([c0, c1, 0.0]))
+            assert report["min_abs_fprime"] == pytest.approx(abs(c1), rel=1e-15, abs=0.0)
+            assert report["min_abs_fprime"] == pytest.approx(sampled["min_abs_fprime"], rel=1e-15, abs=0.0)
+            assert report["winding"] == pytest.approx(sampled["winding"], rel=1e-15, abs=0.0)
+            assert report["samples"] == sampled["samples"]
+
+    @pytest.mark.parametrize(
+        "coeffs, message",
+        [
+            ([1.0, 0.0], "^c_1 = 0$"),
+            ([0.0, 1e-310], "below the smallest normal float$"),
+            ([3.0, 2e-320j], "below the smallest normal float$"),
+        ],
+    )
+    def test_affine_refusals(self, coeffs, message):
+        with pytest.raises(DegenerateDerivative, match=message):
+            ConformalPolyMap(coeffs)
+
     @pytest.mark.parametrize("c0", [1e17, -3.0 + 2.0j, 1e300])
     def test_translation_does_not_change_the_verdict(self, c0):
         # 1 + 1e-17 z rounds to 1: scaled by a max over c_0 too, the boundary

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from vortexw import expansion
 from vortexw import (
@@ -23,6 +24,7 @@ from reference import (
     energies_at_twice_the_nodes,
     fd_complex_gradient,
     grad_phi,
+    per_radius_punctured_energy,
     phase_potential,
 )
 
@@ -57,6 +59,20 @@ def count_work(monkeypatch):
     monkeypatch.setattr(expansion, "grad_phi_field", counting_kernel)
     monkeypatch.setattr(AnnulusQuadrature, "build", staticmethod(counting_build))
     return counts
+
+
+def record_kernel_shapes(monkeypatch, module):
+    """The shapes of the points of each field-kernel call made through
+    module, in order."""
+    shapes = []
+    kernel = module.grad_phi_field
+
+    def recording_kernel(z, *rest):
+        shapes.append(np.shape(z))
+        return kernel(z, *rest)
+
+    monkeypatch.setattr(module, "grad_phi_field", recording_kernel)
+    return shapes
 
 
 class TestGradPhiAg:
@@ -194,26 +210,26 @@ class TestExpansionReport:
             (DiscEnergyContext(TRIPLE), TRIPLE),
         ],
     )
-    def test_unit_circle_term_once_per_report(self, monkeypatch, ctx, cfg):
+    def test_one_kernel_call_per_doubling_on_every_open_circle(self, monkeypatch, ctx, cfg):
+        # the per-radius rule, one radius at a time, gives the calls of the
+        # unit circle (1-D nodes) and of each radius's core circles
+        ref_shapes = record_kernel_shapes(monkeypatch, reference)
+        unit_calls, core_calls = 0, []
+        for r in RADII:
+            ref_shapes.clear()
+            per_radius_punctured_energy(ctx, cfg, r)
+            unit_calls = sum(len(shape) == 1 for shape in ref_shapes)
+            core_calls.append(len(ref_shapes) - unit_calls)
+        m = ref_shapes[0][0]
+        # one call per doubling holds every circle whose group still doubles
+        want = [
+            ((i < unit_calls) + cfg.k * sum(i < n for n in core_calls), m if i == 0 else m << (i - 1))
+            for i in range(max(unit_calls, *core_calls))
+        ]
         counts = count_work(monkeypatch)
-        calls = []
-        kernel = expansion.grad_phi_field
-
-        def recording_kernel(z, *rest):
-            calls.append(np.shape(z))
-            return kernel(z, *rest)
-
-        monkeypatch.setattr(expansion, "grad_phi_field", recording_kernel)
-        punctured_energy(ctx, cfg, RADII[0])
-        unit_calls = sum(len(shape) == 1 for shape in calls)
-        calls.clear()
+        shapes = record_kernel_shapes(monkeypatch, expansion)
         expansion_report(ctx, cfg, RADII)
-        # the unit circle (1-D nodes) first, as often as for one radius;
-        # then the k core circles of each radius stacked in one call per
-        # doubling, and the area rule's disc grid is never built
-        assert all(len(shape) == 1 for shape in calls[:unit_calls])
-        assert all(len(shape) == 2 and shape[0] == cfg.k for shape in calls[unit_calls:])
-        assert len(calls) - unit_calls >= len(RADII)
+        assert shapes == want
         assert counts["build"] == 0
 
     def test_centered_vortex_estimate_is_zero(self):
@@ -304,12 +320,18 @@ class TestGlobalWeight:
         assert w0[3] == 0.0 and w0[7] == 1.0
 
 
-def crowded(name):
-    """Context, configuration and radii of a case of reference.CROWDED."""
-    points, degrees, trunc = reference.CROWDED[name]
+def case(points, degrees, trunc, fractions):
+    """Context, configuration and radii, as fractions of the margin, of a
+    crowded case: the base is the configuration, or a vortex at 0 of the
+    same degree."""
     cfg = VortexConfiguration(points, degrees)
     base = VortexConfiguration([0.0], degrees) if cfg.k == 1 else cfg
-    return DiscEnergyContext(base, trunc), cfg, tuple(f * reference.margin(points) for f in reference.CROWDED_RADII)
+    return DiscEnergyContext(base, trunc), cfg, tuple(f * reference.margin(points) for f in fractions)
+
+
+def crowded(name):
+    """Context, configuration and radii of a case of reference.CROWDED."""
+    return case(*reference.CROWDED[name], reference.CROWDED_RADII)
 
 
 # the (1, -1) operation of the seed-7 expand pass, with two psi modes
@@ -415,3 +437,90 @@ class TestBoundaryRule:
         ctx = DiscEnergyContext(ORIGIN, 8, FourierSeries.from_real(cos=[1e300, 1e300], trunc=8))
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(QuadratureNotConverged):
             punctured_energy(ctx, VortexConfiguration([0.3], (1,)), 0.01)
+
+
+PSI32 = (replace(CTX0, psi=FourierSeries.from_real(cos=[0.0] * 31 + [0.1], trunc=64)), ORIGIN, (0.02, 0.01, 0.005))
+# the unit circle of a vortex at 0.9 doubles to 512 nodes, its cores stop at 64
+NEAR_BOUNDARY = (CTX0, VortexConfiguration([0.9], (1,)), (0.02, 0.01, 0.005))
+# of a (1, -1) pair 0.05 apart, only the cores at radius 0.0245 double
+PAIR_005 = VortexConfiguration([0.175, 0.225], (1, -1))
+ONE_RADIUS_DOUBLES = (DiscEnergyContext(PAIR_005), PAIR_005, (0.0245, 0.005, 0.0005))
+# with a third vortex far from the pair, its core at 0.0245 doubles with
+# the pair's: a group stops only when all of its circles agree
+TRIPLE_WITH_PAIR = VortexConfiguration([0.175, 0.225, -0.5], (1, -1, 1))
+WHOLE_GROUP_DOUBLES = (DiscEnergyContext(TRIPLE_WITH_PAIR), TRIPLE_WITH_PAIR, (0.0245, 0.005))
+
+
+class TestOneRuleOverEveryCircle:
+    # the batched rule against the per-radius rule it replaced, to the bit
+
+    @pytest.mark.parametrize(
+        "ctx, cfg, radii",
+        [crowded(name) for name in reference.CROWDED] + BENIGN + [PSI32],
+        ids=[*reference.CROWDED, "pair-with-psi", "vortex-at-0.5", "triple", "psi-mode-32"],
+    )
+    def test_same_floats_as_the_per_radius_rule(self, ctx, cfg, radii):
+        assert punctured_energy(ctx, cfg, radii) == per_radius_punctured_energy(ctx, cfg, radii)
+
+    @given(reference.crowded_configuration())
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    def test_same_floats_on_crowded_configurations(self, drawn):
+        ctx, cfg, radii = case(*drawn)
+        assert punctured_energy(ctx, cfg, radii) == per_radius_punctured_energy(ctx, cfg, radii)
+
+    @pytest.mark.parametrize(
+        "ctx, cfg, radii, want",
+        [
+            (*NEAR_BOUNDARY, [(4, 64), (1, 64), (1, 128), (1, 256)]),
+            (*ONE_RADIUS_DOUBLES, [(7, 64), (2, 64)]),
+            (*WHOLE_GROUP_DOUBLES, [(7, 64), (3, 64)]),
+        ],
+        ids=["unit-circle-doubles", "one-radius-doubles", "whole-group-doubles"],
+    )
+    def test_groups_that_converged_are_not_evaluated_again(self, monkeypatch, ctx, cfg, radii, want):
+        expected = per_radius_punctured_energy(ctx, cfg, radii)
+        shapes = record_kernel_shapes(monkeypatch, expansion)
+        assert punctured_energy(ctx, cfg, radii) == expected
+        assert shapes == want
+
+    def test_no_kernel_call_holds_more_than_one_group_at_the_cap(self, monkeypatch):
+        # from 8 nodes, with a cap of 64, every group doubles once; the 13
+        # circles at 8 nodes are more than the k MAX_NODES / 2 = 96 points
+        # a call may hold, so each evaluation is split
+        monkeypatch.setattr(expansion, "M_START", 8)
+        monkeypatch.setattr(expansion, "MAX_NODES", 64)
+        ctx = DiscEnergyContext(TRIPLE)
+        expected = per_radius_punctured_energy(ctx, TRIPLE, RADII)
+        shapes = record_kernel_shapes(monkeypatch, expansion)
+        assert punctured_energy(ctx, TRIPLE, RADII) == expected
+        assert max(np.prod(shape) for shape in shapes) <= TRIPLE.k * 64 // 2
+        assert shapes == [(12, 8), (1, 8), (12, 8)]
+
+    @pytest.mark.parametrize(
+        "ctx, cfg, radii, max_nodes, where",
+        [
+            # Phi overflows on the unit circle
+            (
+                DiscEnergyContext(ORIGIN, 8, FourierSeries.from_real(cos=[1e300, 1e300], trunc=8)),
+                VortexConfiguration([0.3], (1,)), (0.01, 0.005), MAX_NODES, "the unit circle",
+            ),
+            (CTX0, VortexConfiguration([0.998], (1,)), (2e-5, 1e-5), MAX_NODES, "the unit circle"),
+            # the cores at 0.0245 and 0.0225 both fail; the first is named
+            (DiscEnergyContext(PAIR_005), PAIR_005, (0.005, 0.0245, 0.0225), 64, "the circles of radius 0.0245"),
+            # the unit circle fails with the cores at 0.0098, and comes first
+            (
+                DiscEnergyContext(VortexConfiguration([0.0], (2,))), VortexConfiguration([0.93, 0.95], (1, 1)),
+                (0.001, 0.0098), 64, "the unit circle",
+            ),
+        ],
+        ids=["not-finite", "vortex-at-0.998", "two-radii", "unit-circle-and-a-radius"],
+    )
+    def test_refusal_names_the_circle_the_per_radius_rule_names(self, monkeypatch, ctx, cfg, radii, max_nodes, where):
+        monkeypatch.setattr(expansion, "MAX_NODES", max_nodes)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(QuadratureNotConverged) as expected:
+                per_radius_punctured_energy(ctx, cfg, radii)
+            with pytest.raises(QuadratureNotConverged) as refused:
+                punctured_energy(ctx, cfg, radii)
+        assert str(refused.value) == str(expected.value)
+        assert str(refused.value) == f"the trapezoid rule on {where} has not converged at {max_nodes} nodes"
