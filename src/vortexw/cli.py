@@ -18,6 +18,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import ndcheck
+from ._calculus import grad_to_vec
 from .core import (
     DEFAULT_TRUNC,
     ConformalPolyMap,
@@ -28,6 +29,11 @@ from .core import (
 from .critpoint import find_critical_hat_w, find_critical_w
 from .disc_energy import (
     DiscEnergyContext,
+    _composite_coeffs,
+    _hat_w,
+    _hat_w_derivs,
+    _seminorm,
+    _seminorm_derivs,
     hat_w,
     hat_w_grad,
     hat_w_hess,
@@ -36,13 +42,7 @@ from .disc_energy import (
 from .errors import VortexwError
 from .expansion import expansion_report
 from .harmonic import h_half_seminorm_sq, harmonic_conjugate
-from .transport import (
-    _transport_hat_w,
-    transport_hat_w,
-    transport_hat_w_grad,
-    transport_w,
-    transport_w_grad,
-)
+from .transport import _log_fprime, _log_fprime_derivs, _transport_hat_w
 
 
 # ---------------------------------------------------------------- input
@@ -274,16 +274,22 @@ def _cmd_energy(args, conf):
     trunc = _trunc(args, conf, DEFAULT_TRUNC)
     psi = _build_psi(args.psi or conf.get("psi"), trunc)
     ctx = DiscEnergyContext(_build_base(args, cfg, cfg), trunc, psi)
+    # each term once, summed as hat_w(_grad), transport_w(_grad) and
+    # transport_hat_w(_grad) sum it: W = (hat_w + S) + map term, and so on
+    a, d = cfg.points_array(), cfg.degrees_array()
+    hw, du_h = _hat_w(a, d), _hat_w_derivs(a, d)[0]
+    u = _composite_coeffs(ctx, a, d)
+    lf, du_m = _log_fprime(f, a, d), _log_fprime_derivs(f, a, d)[0]
     payload = {
-        "hat_w": hat_w(cfg),
-        "hat_w_grad": hat_w_grad(cfg),
-        "w": transport_w(f, ctx, cfg),
-        "w_grad": transport_w_grad(f, ctx, cfg).tolist(),
+        "hat_w": float(hw),
+        "hat_w_grad": grad_to_vec(du_h),
+        "w": float(hw + _seminorm(u) + lf),
+        "w_grad": grad_to_vec(du_h + _seminorm_derivs(a, d, u)[0] + du_m).tolist(),
         "psi_seminorm_sq": h_half_seminorm_sq(ctx.psi),
     }
     if not f.is_identity():
-        payload["hat_w_domain"] = transport_hat_w(f, cfg)
-        payload["hat_w_domain_grad"] = transport_hat_w_grad(f, cfg)
+        payload["hat_w_domain"] = float(hw + lf)
+        payload["hat_w_domain_grad"] = grad_to_vec(du_h + du_m)
     _emit(payload, args.out)
     return 0
 

@@ -35,6 +35,8 @@ DEFAULT_TRUNC = 64
 
 # validate_map samples |f'| on this many radii times four times as many angles
 MAP_GRID = 24
+# and the boundary curve at this many points of the unit circle
+MAP_SAMPLES = 512
 
 
 def is_nondegenerate(hessian: np.ndarray):
@@ -301,6 +303,18 @@ def _polygon_self_intersects(p) -> bool:
     return bool(np.any(hit))
 
 
+# The sample points of validate_map, built once: the MAP_GRID x 4 MAP_GRID
+# polar grid of the closed disc where |f'| is sampled, and the MAP_SAMPLES
+# points of the unit circle where the boundary curve is.
+_MAP_GRID_POINTS = np.multiply.outer(
+    np.linspace(0.0, 1.0, MAP_GRID),
+    np.exp(1j * np.linspace(0.0, 2 * np.pi, 4 * MAP_GRID, endpoint=False)),
+)
+_MAP_CIRCLE = np.exp(1j * np.linspace(0.0, 2 * np.pi, MAP_SAMPLES, endpoint=False))
+_MAP_GRID_POINTS.setflags(write=False)
+_MAP_CIRCLE.setflags(write=False)
+
+
 def validate_map(f: ConformalPolyMap) -> dict:
     """Numerical check that f is a conformal bijection of the closed disc.
     ConformalPolyMap runs it once, on construction.
@@ -338,7 +352,7 @@ def validate_map(f: ConformalPolyMap) -> dict:
     if c.size == 2:
         # f = c_0 + c_1 z: f' = c_1 has no zero, the boundary is a circle
         # about f(0), and f'' = f''' = 0
-        return {"min_abs_fprime": scale, "winding": 1.0, "samples": 512}
+        return {"min_abs_fprime": scale, "winding": 1.0, "samples": MAP_SAMPLES}
     g = np.concatenate(([0.0], c[1:] / scale))
     dcoef = _derivative_coeffs(g, 1)
     if dcoef.size > 1:
@@ -348,16 +362,11 @@ def validate_map(f: ConformalPolyMap) -> dict:
             raise DegenerateDerivative(
                 f"f' vanishes at {inside[0]} inside the closed disc"
             )
-    radii = np.linspace(0.0, 1.0, MAP_GRID)
-    angles = np.linspace(0.0, 2 * np.pi, 4 * MAP_GRID, endpoint=False)
-    grid = np.multiply.outer(radii, np.exp(1j * angles))
-    min_abs_gprime = float(np.min(np.abs(_horner(dcoef, grid))))
+    min_abs_gprime = float(np.min(np.abs(_horner(dcoef, _MAP_GRID_POINTS))))
     if min_abs_gprime <= 0.0:
         raise DegenerateDerivative("|f'| vanishes on the validation grid")
 
-    n_samples = 512
-    theta = np.linspace(0.0, 2 * np.pi, n_samples, endpoint=False)
-    bdry = _horner(g, np.exp(1j * theta))
+    bdry = _horner(g, _MAP_CIRCLE)
     if np.any(np.abs(bdry) == 0.0):
         raise BoundaryNotSimple("boundary passes through f(0)")
     dtheta = np.angle(np.roll(bdry, -1) / bdry)
@@ -374,5 +383,5 @@ def validate_map(f: ConformalPolyMap) -> dict:
     return {
         "min_abs_fprime": scale * min_abs_gprime,
         "winding": winding,
-        "samples": n_samples,
+        "samples": MAP_SAMPLES,
     }

@@ -41,12 +41,10 @@ class CriticalPointReport:
     value: float
 
 
-def _pack(points: np.ndarray) -> np.ndarray:
-    """Real coordinates (x1, y1, x2, y2, ...) of points (..., k), (..., 2k)."""
-    x = np.empty(points.shape[:-1] + (2 * points.shape[-1],))
-    x[..., 0::2] = points.real
-    x[..., 1::2] = points.imag
-    return x
+# Newton iterates are real rows (x1, y1, x2, y2, ...), (..., 2k): the
+# float view of complex points (..., k), whose complex view the kernels
+# read. A view keeps a -0.0 coordinate; _unpack, which builds the reported
+# locations, makes a -0.0 imaginary part +0.0.
 
 
 def _unpack(x: np.ndarray) -> np.ndarray:
@@ -80,7 +78,7 @@ def _newton(x0, derivs):
     rn = np.full(m, np.inf)
     its = np.zeros(m, dtype=int)
     jac = np.zeros((m, size, size))
-    live = configuration_is_admissible(_unpack(x))
+    live = configuration_is_admissible(x.view(complex))
     errors = [
         None if ok else LeftAdmissibleRegion("initial point outside admissible region")
         for ok in live
@@ -134,7 +132,7 @@ def _newton(x0, derivs):
         search = np.arange(rows.size)
         while search.size:
             cand = xs[search] + lam * step[search]
-            ok = configuration_is_admissible(_unpack(cand))
+            ok = configuration_is_admissible(cand.view(complex))
             every = ok.all()
             tried, cand = (search, cand) if every else (search[ok], cand[ok])
             if tried.size:
@@ -153,7 +151,7 @@ def _newton(x0, derivs):
             lam *= 0.5
             if lam < 1e-12:
                 for n in search:
-                    if not configuration_is_admissible(_unpack(xs[n] + lam * step[n])):
+                    if not configuration_is_admissible((xs[n] + lam * step[n]).view(complex)):
                         errors[rows[n]] = LeftAdmissibleRegion("no admissible decreasing step found")
                     else:
                         errors[rows[n]] = NewtonDiverged(f"line search stalled at |F| = {rns[n]:.3e}")
@@ -172,10 +170,10 @@ def _solve(starts: np.ndarray, derivs, value):
     iterations (n,), Hessians at the last accepted iterates, values (n,))."""
 
     def residual_jacobian(x):
-        du, h = derivs(_unpack(x))
-        return _pack(2.0 * np.conj(du)), h
+        du, h = derivs(x.view(complex))
+        return (2.0 * np.conj(du)).view(float), h
 
-    x, rn, its, h, errors = _newton(_pack(starts), residual_jacobian)
+    x, rn, its, h, errors = _newton(starts.view(float), residual_jacobian)
     kept = [i for i, error in enumerate(errors) if error is None]
     a = _unpack(x[kept])
     return errors, (a, rn[kept], its[kept], h[kept], value(a) if kept else np.zeros(0))
@@ -229,24 +227,23 @@ def find_critical_w(
     return _find_critical(init, *_w_kernels(f, ctx, d))
 
 
-def _lattice_starts() -> np.ndarray:
-    """The 13 deterministic single-vortex starts, (13, 1): the origin and
-    radii 0.2, 0.4, 0.6 and 0.8 at 3 angles each."""
-    starts = [0.0] + [
-        0.2 * i * np.exp(1j * (2 * np.pi * j / 3 + 0.3 * i))
-        for i in range(1, 5)
-        for j in range(3)
-    ]
-    return np.array(starts, dtype=complex)[:, None]
+# The 13 deterministic single-vortex starts of find_max_hat_w, (13, 1): the
+# origin and radii 0.2, 0.4, 0.6 and 0.8 at 3 angles each.
+_LATTICE_STARTS = np.array(
+    [0.0]
+    + [0.2 * i * np.exp(1j * (2 * np.pi * j / 3 + 0.3 * i)) for i in range(1, 5) for j in range(3)],
+    dtype=complex,
+).reshape(13, 1)
+_LATTICE_STARTS.setflags(write=False)
 
 
 def find_max_hat_w(f: ConformalPolyMap) -> CriticalPointReport:
     """Interior maximizer of the transported hat_w for one vortex of degree
     one: the best critical point found by one batched Newton solve
-    (_solve) from the 13 starts of _lattice_starts(). Starts whose solve
+    (_solve) from the 13 starts of _LATTICE_STARTS. Starts whose solve
     fails are dropped. Only the winner gets a report: one configuration is
     built and one Hessian tested for nondegeneracy."""
-    _, solved = _solve(_lattice_starts(), *_hat_w_kernels(f, np.ones(1)))
+    _, solved = _solve(_LATTICE_STARTS, *_hat_w_kernels(f, np.ones(1)))
     a, v = solved[0], solved[-1]
     if not len(a):
         raise NewtonDiverged("no start converged")

@@ -163,11 +163,16 @@ def _composite_coeffs(ctx: DiscEnergyContext, a, d) -> np.ndarray:
     return _base_shift_coeffs(ctx, a, d) + -1j * ctx.psi.coeffs[1:]
 
 
+def _seminorm(u):
+    """S = 2 pi sum_n n |u_n|^2 of composite coefficients u_n (n = 1..N),
+    (..., N): half the squared H^{1/2} seminorm of the composite phase."""
+    n = np.arange(1, u.shape[-1] + 1)
+    return 2.0 * np.pi * np.sum(n * np.abs(u) ** 2, axis=-1)
+
+
 def _w_disc(ctx: DiscEnergyContext, a, d):
     """w_disc for configurations a (..., k) with degrees d (k,)."""
-    u = _composite_coeffs(ctx, a, d)
-    n = np.arange(1, ctx.trunc + 1)
-    return _hat_w(a, d) + 2.0 * np.pi * np.sum(n * np.abs(u) ** 2, axis=-1)
+    return _hat_w(a, d) + _seminorm(_composite_coeffs(ctx, a, d))
 
 
 def w_disc(ctx: DiscEnergyContext, cfg: VortexConfiguration) -> float:
@@ -201,10 +206,12 @@ def _seminorm_derivs(a, d, u, second=False):
     return du, (duv, duvbar)
 
 
-def _w_disc_derivs(ctx, a, d, second=False):
+def _w_disc_derivs(ctx, a, d, second=False, hat=None):
     """Wirtinger derivatives of w_disc, (du, d2) as _hat_w_derivs returns
-    them; the composite coefficients are computed once for both orders."""
-    du_h, d2_h = _hat_w_derivs(a, d, second)
+    them; the composite coefficients are computed once for both orders.
+    hat, if given, is _hat_w_derivs(a, d, second), evaluated once for
+    several data."""
+    du_h, d2_h = _hat_w_derivs(a, d, second) if hat is None else hat
     du_s, d2_s = _seminorm_derivs(a, d, _composite_coeffs(ctx, a, d), second)
     du = du_h + du_s
     if not second:

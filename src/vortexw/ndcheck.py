@@ -35,7 +35,7 @@ from .errors import (
     NewtonDiverged,
     NoCriticalPointFound,
 )
-from .transport import _transport_w_derivs, transport_w_hess
+from .transport import _transport_w_hessians, transport_w_hess
 
 TOL_OP = 1e-3
 STABILITY_REL = 1e-2
@@ -121,7 +121,37 @@ def _mode_matrix(trunc: int) -> np.ndarray:
     return e
 
 
-def assemble_du_matrix(f: ConformalPolyMap, nd1: Nd1Report, trunc: int) -> np.ndarray:
+@dataclass(frozen=True)
+class _OperatorTerms:
+    """What the operator matrices of one nd1 share across truncations,
+    built once at the largest truncation N: the W Hessians at alpha0 by
+    truncation, and the psi-columns (N, 2N) and (2k, 2N) and the
+    alpha-Jacobian (N, 2k) of N. A smaller truncation n takes their leading
+    n rows and 2n columns, which are the arrays built at n."""
+
+    hessians: dict
+    dn_dpsi: np.ndarray
+    dg_dpsi: np.ndarray
+    dn_dalpha: np.ndarray
+
+
+def _operator_terms(f: ConformalPolyMap, nd1: Nd1Report, truncs) -> _OperatorTerms:
+    """The _OperatorTerms of the operator matrices at each truncation of
+    truncs: one configuration, one evaluation of the hat_w and map terms of
+    the Hessian at alpha0, and its seminorm term once per truncation."""
+    if not nd1.passed:
+        raise NoCriticalPointFound("no nondegenerate single-vortex critical point")
+    cfg = VortexConfiguration([nd1.alpha0], (1,))
+    a, d = cfg.points_array(), cfg.degrees_array()
+    top = max(truncs)
+    ctxs = [DiscEnergyContext(cfg, trunc=n) for n in truncs]
+    hessians = dict(zip(truncs, _transport_w_hessians(f, ctxs, a, d)))
+    return _OperatorTerms(hessians, *_psi_columns(a, d, top), _n_disc_alpha_jacobian(top, a, d).T)
+
+
+def assemble_du_matrix(
+    f: ConformalPolyMap, nd1: Nd1Report, trunc: int, terms: _OperatorTerms | None = None
+) -> np.ndarray:
     """Matrix of the linearized trace operator psi -> N(alpha(psi), psi),
     where alpha(psi) is the critical point of the full energy W that
     continues nd1.alpha0, by the implicit function theorem:
@@ -132,16 +162,15 @@ def assemble_du_matrix(f: ConformalPolyMap, nd1: Nd1Report, trunc: int) -> np.nd
     seminorm term depends on it). N and grad_alpha W are affine in psi, so
     their psi-derivatives are closed-form matrices (_psi_columns).
     Single vortex of degree one only.
+
+    terms, if given, are the _OperatorTerms of f and nd1 for truncations
+    that include trunc, which check_nd2 builds once for both of its own.
     """
-    if not nd1.passed:
-        raise NoCriticalPointFound("no nondegenerate single-vortex critical point")
-    cfg = VortexConfiguration([nd1.alpha0], (1,))
-    ctx = DiscEnergyContext(cfg, trunc=trunc)
-    a, d = cfg.points_array(), cfg.degrees_array()
-    dn_dpsi, dg_dpsi = _psi_columns(a, d, trunc)
-    h = _transport_w_derivs(f, ctx, a, d, True)[1]
-    dn_dalpha = _n_disc_alpha_jacobian(trunc, a, d).T
-    du = dn_dpsi - dn_dalpha @ np.linalg.solve(h, dg_dpsi)
+    if terms is None:
+        terms = _operator_terms(f, nd1, (trunc,))
+    m = 2 * trunc
+    dn_dpsi, dg_dpsi = terms.dn_dpsi[:trunc, :m], terms.dg_dpsi[:, :m]
+    du = dn_dpsi - terms.dn_dalpha[:trunc] @ np.linalg.solve(terms.hessians[trunc], dg_dpsi)
     # mode coefficient c on cos n theta, sin n theta: (2 Re c, -2 Im c), the
     # packing of grad_to_vec
     return grad_to_vec(du)
@@ -162,9 +191,11 @@ def check_nd2(f: ConformalPolyMap, nd1: Nd1Report, trunc: int = 16) -> Nd2Report
     The doubling test is a heuristic surrogate for the untruncated
     operator; smallest_singular_value_refined shows the observed change.
     """
+    truncs = (trunc, 2 * trunc)
+    terms = _operator_terms(f, nd1, truncs)
     sv, sv2 = (
-        float(np.linalg.svd(assemble_du_matrix(f, nd1, n), compute_uv=False)[-1])
-        for n in (trunc, 2 * trunc)
+        float(np.linalg.svd(assemble_du_matrix(f, nd1, n, terms), compute_uv=False)[-1])
+        for n in truncs
     )
     rel = abs(sv2 - sv) / sv if sv > 0 else np.inf
     stable = rel < STABILITY_REL
@@ -181,8 +212,11 @@ def magic_determinant_check(w: complex) -> bool:
     where M_w is the matrix of xi -> conj(w xi)."""
     w = complex(w)
     m = np.array([[w.real, -w.imag], [-w.imag, -w.real]])
-    det_minus = float(np.linalg.det(m - 2.0 * np.eye(2)))
-    det_plus = float(np.linalg.det(m + 2.0 * np.eye(2)))
+    # det takes the log of each pivot, and a pivot can be exactly 0: at
+    # |w| = 2 with a subnormal Im w, its square underflows
+    with np.errstate(divide="ignore"):
+        det_minus = float(np.linalg.det(m - 2.0 * np.eye(2)))
+        det_plus = float(np.linalg.det(m + 2.0 * np.eye(2)))
     target = 4.0 - abs(w) ** 2
     scale = 1.0 + abs(target)
     return (

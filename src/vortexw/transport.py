@@ -45,13 +45,14 @@ def _log_fprime_derivs(f: ConformalPolyMap, a, d, second=False):
     return du, out
 
 
-def _with_map(f, a, d, disc):
+def _with_map(f, a, d, disc, m=None):
     """The derivatives on Omega of an energy whose disc Wirtinger
     derivatives at a are disc = (du, d2): its first Wirtinger derivatives
     (..., k), and its real Hessians (..., 2k, 2k) where d2 is given, else
-    None."""
+    None. m, if given, is _log_fprime_derivs(f, a, d) of the same order,
+    evaluated once for several energies."""
     du, d2 = disc
-    du_m, d2_m = _log_fprime_derivs(f, a, d, d2 is not None)
+    du_m, d2_m = _log_fprime_derivs(f, a, d, d2 is not None) if m is None else m
     if d2 is None:
         return du + du_m, None
     duv, duvbar = d2
@@ -81,6 +82,15 @@ def _transport_w_derivs(f, ctx, a, d, hessian=False):
     return _with_map(f, a, d, _w_disc_derivs(ctx, a, d, hessian))
 
 
+def _transport_w_hessians(f, ctxs, a, d):
+    """The real Hessians (..., 2k, 2k) of the full energy on Omega at a
+    (..., k) with the datum of each context of ctxs, one per context: the
+    hat_w and map terms are evaluated once, and only the seminorm term per
+    context, each summed as _transport_w_derivs sums it."""
+    hat, m = _hat_w_derivs(a, d, True), _log_fprime_derivs(f, a, d, True)
+    return [_with_map(f, a, d, _w_disc_derivs(ctx, a, d, True, hat), m)[1] for ctx in ctxs]
+
+
 def transport_hat_w(f: ConformalPolyMap, cfg: VortexConfiguration) -> float:
     """hat_w on Omega = f(D), evaluated at a = f(alpha) in disc coordinates."""
     return float(_transport_hat_w(f, cfg.points_array(), cfg.degrees_array()))
@@ -103,5 +113,5 @@ def transport_w_grad(f, ctx, cfg) -> np.ndarray:
 
 def transport_w_hess(f, ctx, cfg) -> np.ndarray:
     """Analytic Hessian of transport_w, a symmetric 2k x 2k matrix."""
-    return _transport_w_derivs(f, ctx, *_checked(ctx, cfg), True)[1]
+    return _transport_w_hessians(f, (ctx,), *_checked(ctx, cfg))[0]
 

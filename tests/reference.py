@@ -7,8 +7,9 @@ given points, which those tests check; and area_punctured_energy, the
 punctured energy by an area quadrature, the oracle of the boundary rule
 that expansion.punctured_energy uses, that rule at twice its nodes, and
 per_radius_punctured_energy, the rule run circle group by circle group,
-the bit-for-bit oracle of its batched form; and the crowded
-configurations the rule is tested on.
+the bit-for-bit oracle of its batched form; the crowded configurations
+the rule is tested on; and per_trunc_du_matrix, the nd operator built one
+truncation at a time, the bit-for-bit oracle of check_nd2.
 
 They are written from the definitions, term by term, and are not part of
 the package.
@@ -20,14 +21,22 @@ import numpy as np
 from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyval
 
-from vortexw._calculus import assemble_hessian
+from vortexw._calculus import assemble_hessian, grad_to_vec
 from vortexw._kernels import grad_phi_field
-from vortexw.core import MAP_GRID, _polygon_self_intersects
-from vortexw.disc_energy import _checked, _composite_coeffs, _pairs
+from vortexw.core import MAP_GRID, VortexConfiguration, _polygon_self_intersects
+from vortexw.disc_energy import (
+    DiscEnergyContext,
+    _checked,
+    _composite_coeffs,
+    _n_disc_alpha_jacobian,
+    _pairs,
+)
 from vortexw import expansion
 from vortexw.expansion import RHO_FLOOR, _gprime_coeffs, _potential
 from vortexw.errors import BoundaryNotSimple, DegenerateDerivative, InvalidRadius, QuadratureNotConverged
 from vortexw.harmonic import AnnulusQuadrature
+from vortexw.ndcheck import _psi_columns
+from vortexw.transport import _transport_w_derivs
 
 
 def hat_phi(cfg, z):
@@ -321,6 +330,28 @@ def transport_w_du(f, ctx, a, d):
 def transport_w_hess(f, ctx, a, d):
     duv, duvbar = w_disc_d2(ctx, a, d)
     return assemble_hessian(duv + log_fprime_d2(f, a, d), duvbar)
+
+
+# The operator matrix of nd as the package assembled it one truncation at a
+# time, each with its own configuration, psi-columns, alpha-Jacobian and
+# Hessian through the fused kernels; check_nd2 now builds these once for
+# both of its truncations, and must give the same bits.
+
+
+def per_trunc_du_matrix(f, nd1, trunc):
+    cfg = VortexConfiguration([nd1.alpha0], (1,))
+    ctx = DiscEnergyContext(cfg, trunc=trunc)
+    a, d = cfg.points_array(), cfg.degrees_array()
+    dn_dpsi, dg_dpsi = _psi_columns(a, d, trunc)
+    h = _transport_w_derivs(f, ctx, a, d, True)[1]
+    dn_dalpha = _n_disc_alpha_jacobian(trunc, a, d).T
+    return grad_to_vec(dn_dpsi - dn_dalpha @ np.linalg.solve(h, dg_dpsi))
+
+
+def fused_transport_w_hess(f, ctx, cfg):
+    """transport_w_hess through _transport_w_derivs, first derivatives
+    included."""
+    return _transport_w_derivs(f, ctx, *_checked(ctx, cfg), True)[1]
 
 
 # The punctured energy by an area quadrature, as the package computed it

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -16,16 +17,21 @@ from hypothesis.extra import numpy as hnp
 
 from vortexw import (
     BOUNDARY_MARGIN,
+    DEFAULT_TRUNC,
     ConformalPolyMap,
     DiscEnergyContext,
     FourierSeries,
     VortexConfiguration,
     cli,
     core,
+    h_half_seminorm_sq,
     hat_w,
+    hat_w_grad,
     ndcheck,
     transport_hat_w,
+    transport_hat_w_grad,
     transport_w,
+    transport_w_grad,
 )
 from vortexw.cli import run
 
@@ -152,7 +158,103 @@ class TestEnergy:
         assert capture(capsys, argv)[1] != glued
 
 
+def energy_payload(f, cfg, base, psi):
+    """The energy payload composed from the public functions, one call per
+    quantity, as energy wrote it before it shared the terms."""
+    ctx = DiscEnergyContext(base, DEFAULT_TRUNC, psi)
+    payload = {
+        "hat_w": hat_w(cfg),
+        "hat_w_grad": hat_w_grad(cfg),
+        "w": transport_w(f, ctx, cfg),
+        "w_grad": transport_w_grad(f, ctx, cfg),
+        "psi_seminorm_sq": h_half_seminorm_sq(ctx.psi),
+    }
+    if not f.is_identity():
+        payload["hat_w_domain"] = transport_hat_w(f, cfg)
+        payload["hat_w_domain_grad"] = transport_hat_w_grad(f, cfg)
+    return payload
+
+
+class TestEnergyBytes:
+    # energy evaluates each term once and sums the terms as the public
+    # functions do, so its bytes are those of the one-call-per-quantity
+    # composition
+
+    MAP = [0.0, 1.0, 0.1, 0.02j]
+    PSI = {"cos": [0.1, 0.05], "sin": [0.02]}
+
+    @staticmethod
+    def configuration(k, turn):
+        rng = np.random.default_rng(k)
+        pts, degrees = reference.alternating_polygon(k, 0.5)
+        pts = pts * np.exp(1j * turn) + 0.01 * (rng.uniform(-1, 1, k) + 1j * rng.uniform(-1, 1, k))
+        return VortexConfiguration(pts, degrees if k > 1 else (1,))
+
+    @pytest.mark.parametrize("with_base", [False, True])
+    @pytest.mark.parametrize("with_psi", [False, True])
+    @pytest.mark.parametrize("with_map", [False, True])
+    @pytest.mark.parametrize("k", [1, 16, 64])
+    def test_matches_the_public_functions(self, capsys, k, with_map, with_psi, with_base):
+        cfg = self.configuration(k, 0.0)
+        base = self.configuration(k, 0.2) if with_base else cfg
+        f = ConformalPolyMap(self.MAP if with_map else [0.0, 1.0])
+        psi = FourierSeries.from_real(cos=self.PSI["cos"], sin=self.PSI["sin"], trunc=DEFAULT_TRUNC)
+        argv = ["energy"] + [f"--vortex={p.real!r},{p.imag!r},{d}" for p, d in zip(cfg.points, cfg.degrees)]
+        if with_map:
+            argv.append("--map=" + ",".join(map(str, self.MAP)))
+        if with_psi:
+            argv += ["--psi", json.dumps(self.PSI)]
+        else:
+            psi = FourierSeries.zeros(DEFAULT_TRUNC)
+        if with_base:
+            argv += [f"--base={p.real!r},{p.imag!r},{d}" for p, d in zip(base.points, base.degrees)]
+        code, out = capture(capsys, argv)
+        assert code == 0
+        want = energy_payload(f, cfg, base, psi)
+        assert out == json.dumps(jsonable(want), indent=2, sort_keys=True) + "\n"
+
+    def test_vortex_at_the_origin_on_a_map(self, capsys):
+        cfg = VortexConfiguration([0.0], (1,))
+        f = ConformalPolyMap(self.MAP)
+        code, out = capture(capsys, ["energy", "--vortex=0,0,1", "--map=" + ",".join(map(str, self.MAP))])
+        assert code == 0
+        want = energy_payload(f, cfg, cfg, FourierSeries.zeros(DEFAULT_TRUNC))
+        assert out == json.dumps(jsonable(want), indent=2, sort_keys=True) + "\n"
+        assert '"hat_w_grad": [\n    0.0,\n    -0.0\n  ]' in out
+
+
 class TestCrit:
+    @pytest.mark.parametrize(
+        ("argv", "digest"),
+        [
+            (
+                ["crit", "--vortex=-0.0,-0.0,1"],
+                "de3d8abbf995199268e09f88508fa897f3329d8bd11d59efd5627c19f5349d6c",
+            ),
+            (
+                ["crit", "--vortex=-0.0,-0.0,1", "--psi", "zero"],
+                "115dd9b9d362e2cb8fb61979732a781f2247e74b7c71e1db4aaef055eae995f2",
+            ),
+            (
+                ["crit", "--vortex=0.3,-0.0,1", "--vortex=-0.3,-0.0,-1"],
+                "46e20bbc03919b5e4de7d1e671db79cd096e2bee95466e151a724c81bec8f31e",
+            ),
+            (
+                ["crit", "--vortex=-0.0,0.2,1", "--map", "0,1,0.1"],
+                "6c91036f86a284e23cc6fc59e69bb06000756a4a847b53138ecdde6e6c87ab80",
+            ),
+        ],
+    )
+    def test_signed_zero_coordinates_keep_their_bytes(self, capsys, argv, digest):
+        # the kernels read the Newton iterates as complex views, which keep a
+        # -0.0 coordinate; the digests of repr((exit code, stdout, stderr))
+        # were recorded when the iterates were unpacked, which made a -0.0
+        # imaginary part +0.0
+        code = run(argv)
+        captured = capsys.readouterr()
+        got = hashlib.sha256(repr((code, captured.out, captured.err)).encode()).hexdigest()
+        assert got == digest
+
     def test_disc_critical_point(self, capsys):
         code, out = capture(capsys, ["crit", "--map", "identity", "--vortex", "0.3,0,1"])
         assert code == 0
@@ -336,7 +438,7 @@ class TestSizeBounds:
             conf.write_text(json.dumps({"vortices": [{"re": 0.1, "im": 0, "degree": degree}]}))
             return ["energy", "--config", str(conf)]
 
-        monkeypatch.setattr(cli, "hat_w", compute)
+        monkeypatch.setattr(cli, "_hat_w", compute)
         monkeypatch.setattr(cli, "_transport_hat_w", compute)
         for sign in (1, -1):
             with pytest.raises(Reached):
@@ -368,7 +470,7 @@ class TestSizeBounds:
             conf.write_text(json.dumps({"vortices": vortices}))
             return ["energy", "--config", str(conf)]
 
-        monkeypatch.setattr(cli, "hat_w", compute)
+        monkeypatch.setattr(cli, "_hat_w", compute)
         with pytest.raises(Reached):
             run(argv(cli.MAX_VORTICES))
         assert run(argv(cli.MAX_VORTICES + 1)) == 2

@@ -38,7 +38,9 @@ def polish_loop(f, pts, degrees):
 
     if not configuration_is_admissible(pts):
         return None
-    x = critpoint._pack(pts)
+    pts = np.asarray(pts, dtype=complex)
+    x = np.empty(2 * pts.size)
+    x[0::2], x[1::2] = pts.real, pts.imag
     r = residual(x)
     rn = np.linalg.norm(r)
     for it in range(1, critpoint.MAX_ITER + 2):
@@ -308,7 +310,7 @@ class TestBatchedPolish:
     )
     def test_single_vortex_matches_loop_bit_for_bit(self, coeffs):
         f = ConformalPolyMap(coeffs)
-        starts = critpoint._lattice_starts()
+        starts = critpoint._LATTICE_STARTS
         assert starts.shape == (13, 1)
         batch = self.check_against_loop(f, starts, (1,))
         assert all(isinstance(rep, critpoint.CriticalPointReport) for rep in batch)
@@ -378,7 +380,7 @@ class TestBatchedPolish:
         # configuration built, for the winner's report
         f = ConformalPolyMap([0.0, 1.0, 0.1])
         kernels = critpoint._hat_w_kernels(f, np.ones(1))
-        reps = polish(critpoint._lattice_starts(), (1,), *kernels)
+        reps = polish(critpoint._LATTICE_STARTS, (1,), *kernels)
         rounds = max(rep.iterations for rep in reps)
         live = [sum(rep.iterations >= n for rep in reps) for n in range(rounds + 1)]
         calls = {"derivs": [], "value": 0, "built": 0}

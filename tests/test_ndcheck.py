@@ -24,6 +24,8 @@ from vortexw import (
 )
 from vortexw import core, ndcheck
 
+import reference
+
 IDENTITY = ConformalPolyMap.identity()
 
 FD_STEP = 1e-4
@@ -201,6 +203,45 @@ class TestAssembleDu:
         assert abs(sv - 1.0) < 0.25
 
 
+def near_disc_maps(count, seed=0):
+    """Seeded near-disc maps, alternately z + c z^2 with real c and
+    z + c2 z^2 + c3 z^3 with small complex coefficients."""
+    rng = np.random.default_rng(seed)
+    maps = []
+    for i in range(count):
+        if i % 2 == 0:
+            coeffs = [0.0, 1.0, rng.choice([-1.0, 1.0]) * rng.uniform(0.02, 0.25)]
+        else:
+            c2, c3 = rng.uniform(0.02, 0.12), rng.uniform(0.005, 0.03)
+            coeffs = [0.0, 1.0] + [c * np.exp(2j * np.pi * rng.uniform()) for c in (c2, c3)]
+        maps.append(ConformalPolyMap(coeffs))
+    return maps
+
+
+class TestSharedOperatorTerms:
+    # check_nd2 builds the configuration, the psi-columns, the alpha-Jacobian
+    # and the alpha0 terms of the Hessians once for N and 2N; its matrices
+    # must be those of one assembly per truncation, signed zeros included
+
+    @pytest.mark.parametrize("n", range(33))
+    def test_matrices_are_the_per_truncation_bits(self, n):
+        f = IDENTITY if n == 0 else near_disc_maps(32)[n - 1]
+        nd1 = check_nd1(f)
+        cfg = VortexConfiguration([nd1.alpha0], (1,))
+        fused = reference.fused_transport_w_hess(f, DiscEnergyContext(cfg), cfg)
+        assert nd1.hessian_w.tobytes() == fused.tobytes()
+        for trunc in (4, 8, 16, 32):
+            truncs = (trunc, 2 * trunc)
+            terms = ndcheck._operator_terms(f, nd1, truncs)
+            oracle = [reference.per_trunc_du_matrix(f, nd1, t) for t in truncs]
+            for t, want in zip(truncs, oracle):
+                assert assemble_du_matrix(f, nd1, t, terms).tobytes() == want.tobytes()
+                assert assemble_du_matrix(f, nd1, t).tobytes() == want.tobytes()
+            sv = [float(np.linalg.svd(m, compute_uv=False)[-1]) for m in oracle]
+            rep = check_nd2(f, nd1, trunc)
+            assert (rep.smallest_singular_value, rep.smallest_singular_value_refined) == tuple(sv)
+
+
 class TestCheckNd2:
     def test_disc(self):
         rep = check_nd2(IDENTITY, check_nd1(IDENTITY), trunc=8)
@@ -229,6 +270,10 @@ class TestMagicDeterminant:
         assert magic_determinant_check(w)
         m = np.array([[np.real(w), -np.imag(w)], [-np.imag(w), -np.real(w)]])
         assert np.linalg.det(m - 2 * np.eye(2)) == pytest.approx(expected_det)
+
+    def test_zero_pivot_at_a_subnormal_imaginary_part(self):
+        # det(M_w + 2I) is exactly 0 here, and det logs its pivots
+        assert magic_determinant_check(complex(2.0, 2.225073858507203e-309))
 
     @given(
         st.floats(-50, 50, allow_nan=False), st.floats(-50, 50, allow_nan=False)
