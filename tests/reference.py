@@ -9,7 +9,10 @@ that expansion.punctured_energy uses, that rule at twice its nodes, and
 per_radius_punctured_energy, the rule run circle group by circle group,
 the bit-for-bit oracle of its batched form; the crowded configurations
 the rule is tested on; and per_trunc_du_matrix, the nd operator built one
-truncation at a time, the bit-for-bit oracle of check_nd2.
+truncation at a time, the bit-for-bit oracle of check_nd2; and
+landscape_output, the landscape grid filled through np.meshgrid and
+written by three concatenations, the byte oracle of the CLI's one-join
+writer.
 
 They are written from the definitions, term by term, and are not part of
 the package.
@@ -23,7 +26,12 @@ from numpy.polynomial.polynomial import polyval
 
 from vortexw._calculus import assemble_hessian, grad_to_vec
 from vortexw._kernels import grad_phi_field
-from vortexw.core import MAP_GRID, VortexConfiguration, _polygon_self_intersects
+from vortexw.core import (
+    MAP_GRID,
+    VortexConfiguration,
+    _polygon_self_intersects,
+    configuration_is_admissible,
+)
 from vortexw.disc_energy import (
     DiscEnergyContext,
     _checked,
@@ -36,7 +44,7 @@ from vortexw.expansion import RHO_FLOOR, _gprime_coeffs, _potential
 from vortexw.errors import BoundaryNotSimple, DegenerateDerivative, InvalidRadius, QuadratureNotConverged
 from vortexw.harmonic import AnnulusQuadrature
 from vortexw.ndcheck import _psi_columns
-from vortexw.transport import _transport_w_derivs
+from vortexw.transport import _transport_hat_w, _transport_w_derivs
 
 
 def hat_phi(cfg, z):
@@ -537,3 +545,62 @@ def per_radius_punctured_energy(ctx, cfg, rho):
         inner = _per_radius_trapezoid(cores, m, f"the circles of radius {r}")
         energies.append(float(np.pi * (outer - np.sum(inner))))
     return energies[0] if scalar else tuple(energies)
+
+
+# The landscape as the CLI wrote it before its one-join writer: the grid
+# filled through np.meshgrid, and the text built by a join and two full-size
+# concatenations.
+
+
+def meshgrid_points(n: int) -> tuple:
+    """The axis and the n^2 grid points, rows over y and x fastest."""
+    xs = np.linspace(-0.95, 0.95, n)
+    gx, gy = np.meshgrid(xs, xs)  # rows run over y, columns over x
+    p = np.empty(gx.size, dtype=complex)
+    p.real, p.imag = gx.ravel(), gy.ravel()
+    return xs, p
+
+
+def landscape_values(f, n: int, degree: int) -> tuple:
+    """The axis and the n^2 values of landscape --grid n --degree degree on
+    f: nan at the points outside the admissible disc."""
+    xs, p = meshgrid_points(n)
+    # every grid point is a configuration of one vortex
+    configs = p[:, None]
+    ok = configuration_is_admissible(configs)
+    values = np.full(p.size, np.nan)
+    values[ok] = _transport_hat_w(f, configs[ok], np.array([float(degree)]))
+    return xs, values
+
+
+def landscape_output(f, n: int, degree: int, csv: bool) -> str:
+    xs, values = landscape_values(f, n, degree)
+    return landscape_text(xs.tolist(), values, csv)
+
+
+_ROW_HEAD = '    {\n      "hat_w": '
+_ROW_X = ',\n      "x": '
+_ROW_Y = ',\n      "y": '
+_ROW_END = "\n    }"
+
+
+def landscape_text(axis: list, values: np.ndarray, csv: bool) -> str:
+    n = len(axis)
+    if csv:
+        ax = ["{:.6f}".format(t) for t in axis]
+        xs, ys = ax * n, [t for t in ax for _ in range(n)]
+        rows = map(",".join, zip(xs, ys, map(repr, values.tolist())))
+        return "x,y,hat_w\n" + "\n".join(rows) + "\n"
+    vs = list(map(repr, values.tolist()))
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        vs[i] = "null"
+    # value, x part and y tail of each row in turn; a y tail closes its row
+    # and opens the next
+    ax = list(map(repr, axis))
+    tails = [t + _ROW_END + ",\n" + _ROW_HEAD for t in ax]
+    pieces = [""] * (3 * n * n)
+    pieces[0::3] = vs
+    pieces[1::3] = [_ROW_X + t + _ROW_Y for t in ax] * n
+    pieces[2::3] = [t for t in tails for _ in range(n)]
+    pieces[-1] = ax[-1] + _ROW_END
+    return '{\n  "rows": [\n' + _ROW_HEAD + "".join(pieces) + "\n  ]\n}\n"

@@ -40,8 +40,9 @@ def test_certify_pass_checks_ok(monkeypatch, seed):
 
 
 # sha256 of repr((exit code, stdout, stderr)) of every operation of seeds 0
-# and 1 of each workload, in pass order, recorded at commit 27100a9: a
-# change meant to keep the output bytes must keep these
+# and 1 of each workload, in pass order, recorded at commit 27100a9, and of
+# landscape seeds 2-5, recorded at commit 4bb803a: a change meant to keep
+# the output bytes must keep these
 PARENT_DIGESTS = {
     ("certify", 0): (
         "6d6c554b1af0266e28879a609dbae8a92e9bd29f2f3ab41670f6a071612f5f43",
@@ -84,6 +85,34 @@ PARENT_DIGESTS = {
         "f95f6393ae915d169b9466047e7b84c5c69c9a24789d367575216395a02da4a2",
         "c16d7f55833080271db58e6fc314ebb160f2779de64324d5ebafcf4f173cc6d7",
         "da13335002f034d24f78b52a62e5fa1851302a6958e1ba5c8a57bf60de1ee00a",
+    ),
+    ("landscape", 2): (
+        "8caa460f7b4001ac4138278256f48872697b9d76070847a9b8287a03d4c71928",
+        "46e203596115f477c9857d7f514fb1961c3c14195a2bd5e79f3c2b85e2e8cb60",
+        "c23e1f25ff0c4bdbbef47ff05858fe7006025e414446d2cd2f78b3b874457edf",
+        "d97089af5a8a402e65f895a04479f27bc95ecdca6d0c54b22ecae7a2885c63dd",
+        "343d78ace68d7f21cea5b341345a425aa742f324bda79c688810b5abe4dab364",
+    ),
+    ("landscape", 3): (
+        "bb30ca641c8b24b02939c0c935e934ec85b3c437a0efa1c6f5d8fe3b5eb06c01",
+        "251b90796be5c507b4b4ce6a6afb23e4b26e753bb0ee8faeeadc33a74c5d410d",
+        "1c5c7ae6d1211f74910403eabea6183c6adda84edda013d1ec88df7ffa6c63b0",
+        "bcdad93c2008ade531327317e56f9b341e9d21cc1724654d68283c887ddb33fb",
+        "421616d6c5400d15997a458f84d36d99fe33fc5c6c7bca87f45a5ad9e09c2ce3",
+    ),
+    ("landscape", 4): (
+        "1f49509ab2d01103929325301fb482069c19f91827a8ac3ede57fbe53c40c83e",
+        "95d8f11961e0e31b993ac70ece301923c8e7d561d4a4d3bd544004bea5250720",
+        "82ffc176ab17f716929136e8cbbdf85a05c10c57e6209c52b5d4337ffef756e2",
+        "f91302ad4aa646bf8f6792493d809e28cb4f3bc69bf72a2e58556c2d962a2edd",
+        "f3c1744c607ad7c77d3fb00486e227386cdf3b91a5018fec5868e59caf7d7f47",
+    ),
+    ("landscape", 5): (
+        "7d372c2be4ab9a4aff65634145ccb3d4881547f7e6152d539f09087277f78601",
+        "42af6ea51d9f2548c5de4003abf916714b8920fef02f67d15560ad02c0761142",
+        "79b998fdf4246a2708757c9c7650499eb1d5980da94cf9d9c522b519b62edabd",
+        "7f5cd4db943c36dcfc4d99a3926efa8e09690f8dbd1acf5199a46fadb7b87900",
+        "f9bcd95ebfc52f43f06ab70ca15fb814366b9b39ae6ee72d7fa369f57ffb160c",
     ),
     ("manyvortex", 0): (
         "b5e24ce32fe7f9d42506f8d30c057343cf666acbf7b8c11e0b2d9e556b956780",

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -676,6 +677,20 @@ class TestExpand:
             assert payload["abs_err"] <= 1e-2
 
 
+def _map_coeff(bound):
+    part = st.floats(-bound, bound, allow_subnormal=False)
+    return st.builds(complex, part, part)
+
+
+# the identity (no tail), z + c z^2 and a small cubic: |f' - 1| < 1 on the
+# disc, so each map is univalent and passes the map check
+_map_tail = st.one_of(
+    st.just(()),
+    st.tuples(_map_coeff(0.28)),
+    st.tuples(_map_coeff(0.07), _map_coeff(0.07)),
+)
+
+
 class TestLandscape:
     def test_csv_grid(self, capsys):
         code, out = capture(
@@ -779,6 +794,97 @@ class TestLandscape:
         code, out = capture(capsys, argv + ["--csv"])
         assert code == 0
         assert len(out.splitlines()) == 1 + 9 * 9
+
+    @given(st.integers(1, 48), st.integers(-3, 3), _map_tail, st.booleans())
+    @example(1, 1, (), False)
+    @example(1, -2, (0.2j,), True)
+    @example(2, 1, (0.05, 0.02j), False)
+    @example(2, 3, (), True)
+    @example(3, 1, (0.1,), False)
+    @example(3, 0, (0.05, 0.02j), True)
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_same_bytes_as_the_meshgrid_writer(self, grid, degree, tail, csv):
+        coeffs = [0j, 1 + 0j, *tail]
+        spec = ",".join(map(repr, coeffs)) if tail else "identity"
+        argv = ["landscape", "--map", spec, "--grid", str(grid), f"--degree={degree}"]
+        argv += ["--csv"] if csv else []
+        want = reference.landscape_output(ConformalPolyMap(coeffs), grid, degree, csv)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert run(argv) == 0
+        assert out.getvalue() == want
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out):
+            target = Path(tmp) / "landscape.out"
+            assert run(argv + ["--out", str(target)]) == 0
+            assert target.read_text() == want
+        assert out.getvalue() == want
+
+    @pytest.mark.parametrize("grid", [1, 2])
+    def test_every_point_outside(self, capsys, grid):
+        # the axis is -0.95 or -0.95, 0.95: every point lies at |p| > 1
+        argv = ["landscape", "--grid", str(grid)]
+        code, out = capture(capsys, argv)
+        assert code == 0
+        assert [r["hat_w"] for r in json.loads(out)["rows"]] == [None] * grid**2
+        code, out = capture(capsys, argv + ["--csv"])
+        assert code == 0
+        assert [line.split(",")[2] for line in out.splitlines()[1:]] == ["nan"] * grid**2
+
+    @pytest.mark.parametrize("grid", [1, 2, 20, 161])
+    def test_same_grid_as_the_meshgrid_fill(self, monkeypatch, grid):
+        seen = {}
+        admissible = cli.configuration_is_admissible
+
+        def record_points(configs):
+            seen["points"] = configs.copy()
+            return admissible(configs)
+
+        def record_values(axis, values, csv):
+            seen["values"] = values.copy()
+            return ""
+
+        monkeypatch.setattr(cli, "configuration_is_admissible", record_points)
+        monkeypatch.setattr(cli, "_landscape_text", record_values)
+        assert run(["landscape", "--map", "0,1,0.1", "--grid", str(grid)]) == 0
+        _, points = reference.meshgrid_points(grid)
+        assert seen["points"].tobytes() == points[:, None].tobytes()
+        _, values = reference.landscape_values(ConformalPolyMap([0.0, 1.0, 0.1]), grid, 1)
+        assert seen["values"].tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize(
+        "config, flags, grid, degree",
+        [
+            ({"grid": 11}, [], 11, 1),
+            ({"degree": -2}, [], 61, -2),
+            ({"grid": 11, "degree": 2}, [], 11, 2),
+            ({"grid": 11, "degree": 2}, ["--grid", "5", "--degree=-1"], 5, -1),
+            ({"grid": 11, "degree": 2}, ["--grid", "5"], 5, 2),
+        ],
+    )
+    def test_config_grid_and_degree(self, tmp_path, capsys, config, flags, grid, degree):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"map": "0,1,0.1", **config}))
+        want = reference.landscape_output(ConformalPolyMap([0.0, 1.0, 0.1]), grid, degree, True)
+        argv = ["landscape", "--config", str(conf), "--csv"] + flags
+        assert capture(capsys, argv) == (0, want)
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"grid": True}, "grid must be an integer from 1 to 1001, got True"),
+            ({"grid": 1002}, "grid must be an integer from 1 to 1001, got 1002"),
+            ({"grid": 2.0}, "grid must be an integer from 1 to 1001, got 2.0"),
+            ({"degree": 1001}, "vortex degree must be an integer from -1000 to 1000, got 1001"),
+            ({"degree": True}, "vortex degree must be an integer, got True"),
+        ],
+    )
+    def test_bad_config_grid_or_degree_is_input_error(self, tmp_path, capsys, config, message):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps(config))
+        assert run(["landscape", "--config", str(conf)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
 
 
 class TestBase:
